@@ -19,7 +19,6 @@ from .breslow import (
 from .data import CsvSchema, SurvivalDataset, Violation, load_csv, validate, write_csv
 from .errors import (
     CalibrationError,
-    ConvergenceError,
     CoxSubError,
     CsvError,
     NumericsError,

@@ -8,13 +8,12 @@ finite sum over jump times; no quadrature is involved.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, _write_columns
 from .errors import NumericsError, PilotError
 from .partial_likelihood import CoxFit
 
@@ -52,11 +51,7 @@ class CumulativeHazard:
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def write_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["time", "cumhaz"])
-            for t, v in zip(self.jump_times, self.cumulative):
-                writer.writerow([repr(float(t)), repr(float(v))])
+        _write_columns(path, ["time", "cumhaz"], [(self.jump_times, float), (self.cumulative, float)])
 
 
 class RiskSetMean:

@@ -4,12 +4,19 @@ A dataset is an immutable bundle of covariates, observed times and event
 indicators, together with a precomputed time-ascending sort index that the
 risk-set sweeps rely on.  Ties are ordered deterministically: earlier time
 first, events before censorings at equal times, then original record order.
+
+CSV files are parsed in one vectorised pass when well formed; anything
+else goes through a cell-by-cell scan that finds and names the first bad
+cell.  Writers format whole columns at once and emit the same bytes as a
+``csv.writer`` row loop.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +42,8 @@ class SurvivalDataset:
     covariates) and builds ``sort_index``; value-level invariants (finite
     entries, status in {0,1}, at least one event) are checked by
     :func:`validate`, which tolerates broken datasets so callers can report
-    all problems at once.
+    all problems at once.  Estimators call :meth:`check_values` instead,
+    which raises on the first broken value.
     """
 
     covariates: np.ndarray
@@ -104,6 +112,21 @@ class SurvivalDataset:
             object.__setattr__(self, "_sorted_view", cached)
         return cached
 
+    def check_values(self) -> None:
+        """Raise ``ValueError`` naming the first value-level violation, if any.
+
+        Covers non-finite or negative times, status outside {0, 1} and
+        non-finite covariates, in :func:`validate`'s order.  The verdict is
+        computed once and cached, like :meth:`sorted_view`.
+        """
+        cached = getattr(self, "_value_error", None)
+        if cached is None:
+            first = next(_value_violations(self), None)
+            cached = "" if first is None else f"invalid dataset: {first.message}"
+            object.__setattr__(self, "_value_error", cached)
+        if cached:
+            raise ValueError(cached)
+
     @property
     def n_events(self) -> int:
         return int(np.count_nonzero(self.status == 1))
@@ -139,36 +162,39 @@ class CsvSchema:
             object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
 
 
-def validate(ds: SurvivalDataset) -> list[Violation]:
-    """Check all value-level invariants; empty list means the dataset is sound."""
-    out: list[Violation] = []
+def _value_violations(ds: SurvivalDataset) -> Iterator[Violation]:
+    """Per-record value violations in report order, one vectorised pass per kind.
+
+    A generator, so a caller that wants only the first stops early.
+    """
     bad_t = ~np.isfinite(ds.time)
     for i in np.flatnonzero(bad_t):
-        out.append(Violation("nonfinite_time", f"time at row {i} is not finite", row=int(i)))
+        yield Violation("nonfinite_time", f"time at row {i} is not finite", row=int(i))
     neg_t = np.isfinite(ds.time) & (ds.time < 0)
     for i in np.flatnonzero(neg_t):
-        out.append(Violation("negative_time", f"time at row {i} is negative", row=int(i)))
+        yield Violation("negative_time", f"time at row {i} is negative", row=int(i))
     bad_s = ~np.isin(ds.status, (0, 1))
     for i in np.flatnonzero(bad_s):
-        out.append(
-            Violation("bad_status", f"status at row {i} is {ds.status[i]!r}, expected 0 or 1", row=int(i))
-        )
+        yield Violation("bad_status", f"status at row {i} is {ds.status[i]!r}, expected 0 or 1", row=int(i))
     bad_x = ~np.isfinite(ds.covariates)
     if bad_x.any():
         for i, j in zip(*np.nonzero(bad_x)):
-            out.append(
-                Violation(
-                    "nonfinite_covariate",
-                    f"covariate ({i},{j}) is not finite",
-                    row=int(i),
-                    column=int(j),
-                )
+            yield Violation(
+                "nonfinite_covariate",
+                f"covariate ({i},{j}) is not finite",
+                row=int(i),
+                column=int(j),
             )
+
+
+def validate(ds: SurvivalDataset) -> list[Violation]:
+    """Check all value-level invariants; empty list means the dataset is sound."""
+    out = list(_value_violations(ds))
     if not np.any(ds.status == 1):
         out.append(Violation("no_events", "dataset has no events; partial likelihood is degenerate"))
     # defensive: these hold by construction
     order = ds.sort_index
-    if sorted(order.tolist()) != list(range(ds.n)):
+    if order.size != ds.n or order.min() < 0 or not np.all(np.bincount(order, minlength=ds.n) == 1):
         out.append(Violation("bad_sort_index", "sort_index is not a permutation"))
     elif np.any(np.diff(ds.time[order]) < 0):
         out.append(Violation("bad_sort_index", "sort_index does not order time ascending"))
@@ -199,22 +225,83 @@ def load_csv(path: str | os.PathLike, schema: CsvSchema | None = None) -> Surviv
     """Read a survival dataset from an RFC-4180-style CSV file.
 
     Row order of the file is preserved in storage order.  Every malformed
-    cell is reported with its 1-based data-row number.
+    cell is reported with its 1-based data-row number.  A well-formed file
+    is parsed in one vectorised pass; any other file is scanned cell by
+    cell, which accepts everything ``float()`` does and names the first
+    bad cell.
     """
     schema = schema or CsvSchema()
+    parsed = _parse_vectorised(path, schema)
+    if parsed is None:
+        parsed = _parse_cells(path, schema)
+    return _checked_dataset(*parsed)
+
+
+# (time, status, covariates, covariate names) as parsed, before the value checks
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]
+
+
+def _read_header(reader, schema: CsvSchema, path) -> tuple[list[str], list[str] | None]:
+    """The header names and, for a headerless file, the first data row."""
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise CsvError(f"{path}: file is empty") from None
+    if schema.has_header:
+        return [h.strip() for h in first], None
+    return [str(k) for k in range(len(first))], first
+
+
+def _count_lines(path: str | os.PathLike) -> int | None:
+    """Lines in a file as ``csv.reader`` splits them, or None if one ends in a lone CR."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            if block.endswith(b"\r"):
+                block += fh.read(1)  # keep a CRLF pair inside one block
+            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            lines += block.count(b"\n")
+            last = block[-1:]
+    return lines + (last != b"\n")
+
+
+def _parse_vectorised(path: str | os.PathLike, schema: CsvSchema) -> _Columns | None:
+    """One ``np.loadtxt`` pass over a well-formed file, or None to ask for the scan.
+
+    Gives up, without raising, on anything the cell scan might treat
+    differently: an unparsable body (loadtxt rejects quotes, underscores,
+    non-ASCII digits, empty cells and ragged rows), rows loadtxt skips
+    (blank lines), lone-CR line endings, or a header the scan rejects.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh, delimiter=schema.delimiter)
+            header, _ = _read_header(reader, schema, path)
+            t_col, s_col, x_cols, cov_names = _resolve_columns(header, schema)
+            skip = reader.line_num if schema.has_header else 0
+            total = _count_lines(path)
+            if total is None or total - skip < 1:
+                return None
+            if not schema.has_header:
+                fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on an all-blank body
+                a = np.loadtxt(fh, dtype=np.float64, delimiter=schema.delimiter, comments=None, ndmin=2)
+    except (ValueError, CsvError, csv.Error):
+        return None
+    if a.shape != (total - skip, len(header)):
+        return None
+    return a[:, t_col], a[:, s_col], a[:, x_cols], cov_names
+
+
+def _parse_cells(path: str | os.PathLike, schema: CsvSchema) -> _Columns:
+    """Cell-by-cell parse that reports the first structural or non-numeric fault."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise CsvError(f"{path}: file is empty") from None
-        if schema.has_header:
-            header = [h.strip() for h in first]
-            rows = list(reader)
-        else:
-            header = [str(k) for k in range(len(first))]
-            rows = [first, *reader]
-    t_col, s_col, x_cols, _ = _resolve_columns(header, schema)
+        header, first = _read_header(reader, schema, path)
+        rows = list(reader) if first is None else [first, *reader]
+    t_col, s_col, x_cols, cov_names = _resolve_columns(header, schema)
     if not rows:
         raise CsvError(f"{path}: no data rows")
 
@@ -239,7 +326,11 @@ def load_csv(path: str | os.PathLike, schema: CsvSchema | None = None) -> Surviv
     time = column(t_col, schema.time_column)
     status = column(s_col, schema.status_column)
     X = np.column_stack([column(c, header[c]) for c in x_cols])
+    return time, status, X, cov_names
 
+
+def _checked_dataset(time: np.ndarray, status: np.ndarray, X: np.ndarray, cov_names: list[str]) -> SurvivalDataset:
+    """Value checks shared by both parse paths, then the dataset."""
     bad = ~np.isin(status, (0.0, 1.0))
     if bad.any():
         r = int(np.flatnonzero(bad)[0]) + 1
@@ -251,9 +342,52 @@ def load_csv(path: str | os.PathLike, schema: CsvSchema | None = None) -> Surviv
     bad = ~np.isfinite(X)
     if bad.any():
         i, j = (int(a[0]) for a in np.nonzero(bad))
-        raise CsvError(f"row {i + 1}: covariate {header[x_cols[j]]!r} is not finite", row=i + 1, column=j)
+        raise CsvError(f"row {i + 1}: covariate {cov_names[j]!r} is not finite", row=i + 1, column=j)
 
     return SurvivalDataset(covariates=X, time=time, status=status.astype(np.int8))
+
+
+# every character repr() of a float or str() of an int can produce
+_NUMBER_CHARS = frozenset("0123456789.+-einfa")
+_WRITE_CHUNK = 8192  # rows formatted per write; bounds the strings alive at once
+
+
+def _format_cells(values: np.ndarray, kind: type) -> Iterator[str]:
+    """``repr(float(v))`` or ``str(int(v))`` for every value, as a csv.writer row loop writes them."""
+    if kind is int:
+        return map(str, map(int, np.asarray(values).tolist()))
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def _write_columns(
+    path: str | os.PathLike,
+    header: Sequence[str] | None,
+    columns: Sequence[tuple[np.ndarray, type]],
+    delimiter: str = ",",
+) -> None:
+    """Write ``(values, float | int)`` columns as CSV, byte-identical to a ``csv.writer`` loop.
+
+    Floats are written with ``repr`` (shortest round-trip text), ints as
+    Python ints.  When the delimiter cannot occur in a formatted number no
+    cell needs quoting, so rows are joined directly; otherwise
+    ``csv.writer`` writes them and quotes what it must.
+    """
+    n = len(columns[0][0])
+    if any(len(values) != n for values, _ in columns):
+        raise ValueError("columns must have equal lengths")
+    plain = delimiter not in _NUMBER_CHARS and delimiter != '"'
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for start in range(0, n, _WRITE_CHUNK):
+            stop = start + _WRITE_CHUNK
+            rows = zip(*(_format_cells(values[start:stop], kind) for values, kind in columns))
+            if plain:
+                fh.write("\n".join(map(delimiter.join, rows)))
+                fh.write("\n")
+            else:
+                writer.writerows(rows)
 
 
 def write_csv(ds: SurvivalDataset, path: str | os.PathLike, schema: CsvSchema | None = None) -> None:
@@ -265,13 +399,6 @@ def write_csv(ds: SurvivalDataset, path: str | os.PathLike, schema: CsvSchema | 
         cov_names = list(schema.covariate_columns)
         if len(cov_names) != ds.p:
             raise ValueError(f"schema names {len(cov_names)} columns, dataset has {ds.p}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=schema.delimiter, lineterminator="\n")
-        if schema.has_header:
-            writer.writerow([schema.time_column, schema.status_column, *cov_names])
-        for i in range(ds.n):
-            writer.writerow(
-                [repr(float(ds.time[i])), int(ds.status[i]), *(repr(float(v)) for v in ds.covariates[i])]
-            )
-
-
+    header = [schema.time_column, schema.status_column, *cov_names] if schema.has_header else None
+    columns = [(ds.time, float), (ds.status, int), *((ds.covariates[:, j], float) for j in range(ds.p))]
+    _write_columns(path, header, columns, schema.delimiter)

@@ -35,10 +35,6 @@ class SingularHessianError(NumericsError):
         self.cond = cond
 
 
-class ConvergenceError(CoxSubError):
-    """An iterative solve failed in a context where a result is mandatory."""
-
-
 class PilotError(CoxSubError):
     """The pilot subsample cannot support estimation (e.g. has no events)."""
 

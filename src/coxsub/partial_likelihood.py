@@ -108,6 +108,7 @@ class _EvalContext:
     )
 
     def __init__(self, ds: SurvivalDataset, weights: np.ndarray | None, subset: np.ndarray | None):
+        ds.check_values()
         if subset is None:
             time, status, X = ds.sorted_view()
             m = ds.n

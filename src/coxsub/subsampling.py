@@ -9,7 +9,7 @@ full-data tables and exist for optimality testing, not production.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import os
 import time as _time
 import warnings
@@ -25,7 +25,7 @@ from .breslow import (
     score_residual_norms,
     score_residuals,
 )
-from .data import SurvivalDataset
+from .data import SurvivalDataset, _write_columns
 from .errors import CoxSubError, NumericsError, PilotError, SingularHessianError, TwoStepError
 from .partial_likelihood import CoxFit, SolverOptions, newton_solve
 
@@ -77,16 +77,12 @@ class SubsamplePlan:
 
     def write_csv(self, path: str | os.PathLike, status: np.ndarray | None = None) -> None:
         """Export per-record probabilities (optionally with event status)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if status is None:
-                writer.writerow(["index", "prob"])
-                for i, p in enumerate(self.probs):
-                    writer.writerow([i, repr(float(p))])
-            else:
-                writer.writerow(["index", "prob", "status"])
-                for i, p in enumerate(self.probs):
-                    writer.writerow([i, repr(float(p)), int(status[i])])
+        header = ["index", "prob"]
+        columns = [(np.arange(self.n), int), (self.probs, float)]
+        if status is not None:
+            header.append("status")
+            columns.append((status, int))
+        _write_columns(path, header, columns)
 
 
 @dataclass(frozen=True)
@@ -305,16 +301,8 @@ def weighted_fit(
     """
     if sub.size < 2:
         raise NumericsError("subsample too small: no risk-set variation with fewer than 2 draws")
-    if opts is None:
-        opts = SolverOptions(init=init)
-    elif init is not None:
-        opts = SolverOptions(
-            tol_score=opts.tol_score,
-            tol_step=opts.tol_step,
-            max_iter=opts.max_iter,
-            step_halving_max=opts.step_halving_max,
-            init=init,
-        )
+    if init is not None:
+        opts = dataclasses.replace(opts or SolverOptions(), init=init)
     return newton_solve(ds, weights=sub.weights, subset=sub.indices, opts=opts, role="two_step")
 
 
@@ -380,13 +368,16 @@ def two_step(
 
     ``criterion`` is one of ``"lopt"``, ``"aopt"`` or ``"unif"``.  The pilot
     subsample never enters the second-stage estimating equation except
-    through the pilot estimate and its hazard/risk-set tables.
+    through the pilot estimate and its hazard/risk-set tables.  A dataset
+    with a broken value raises ``ValueError`` before anything is drawn (see
+    :meth:`SurvivalDataset.check_values`).
     """
     crit = criterion.lower()
     if crit not in ("lopt", "aopt", "unif"):
         raise ValueError(f"unknown criterion {criterion!r}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
+    ds.check_values()
     timings: dict = {}
     with _phase(timings, "pilot_fit"):
         pilot_sub = draw_uniform(ds, r0, rng)

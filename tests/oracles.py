@@ -4,6 +4,8 @@ Everything here is written as direct loops over the defining formulas, with
 no shared code or vectorisation tricks from the package under test.
 """
 
+import csv
+
 import numpy as np
 
 
@@ -133,3 +135,40 @@ def finite_diff_jacobian(g, x, h=1e-5):
         e[k] = h
         out[:, k] = (np.asarray(g(x + e)) - np.asarray(g(x - e))) / (2 * h)
     return out
+
+
+# ---- CSV writers: the csv.writer row loops the vectorised writers replace
+
+
+def oracle_write_dataset_csv(ds, path, time_column="time", status_column="status", cov_names=None,
+                             delimiter=",", has_header=True):
+    cov_names = cov_names or [f"x{j + 1}" for j in range(ds.p)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        if has_header:
+            writer.writerow([time_column, status_column, *cov_names])
+        for i in range(ds.n):
+            writer.writerow(
+                [repr(float(ds.time[i])), int(ds.status[i]), *(repr(float(v)) for v in ds.covariates[i])]
+            )
+
+
+def oracle_write_plan_csv(probs, path, status=None):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if status is None:
+            writer.writerow(["index", "prob"])
+            for i, p in enumerate(probs):
+                writer.writerow([i, repr(float(p))])
+        else:
+            writer.writerow(["index", "prob", "status"])
+            for i, p in enumerate(probs):
+                writer.writerow([i, repr(float(p)), int(status[i])])
+
+
+def oracle_write_cumhaz_csv(jump_times, cumulative, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time", "cumhaz"])
+        for t, v in zip(jump_times, cumulative):
+            writer.writerow([repr(float(t)), repr(float(v))])

@@ -1,9 +1,30 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxsub import CsvSchema, CsvError, SurvivalDataset, load_csv, validate, write_csv
+from coxsub import (
+    CsvSchema,
+    CsvError,
+    CumulativeHazard,
+    SubsamplePlan,
+    SurvivalDataset,
+    load_csv,
+    newton_solve,
+    two_step,
+    validate,
+    write_csv,
+)
+from coxsub.data import _checked_dataset, _parse_cells, _parse_vectorised
 
 from conftest import random_dataset
+from oracles import oracle_write_cumhaz_csv, oracle_write_dataset_csv, oracle_write_plan_csv
+
+# fixed example sequence and no example database: the same cases every run
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def test_sort_index_definition():
@@ -174,3 +195,274 @@ def test_dataset_is_immutable(case1_ds):
         case1_ds.time[0] = -1.0
     with pytest.raises(ValueError):
         case1_ds.covariates[0, 0] = 5.0
+
+
+# ---- input contract on the library path
+
+
+BROKEN_VALUES = {
+    "nonfinite_time": ("time", 3, np.nan, "time at row 3 is not finite"),
+    "negative_time": ("time", 5, -1.0, "time at row 5 is negative"),
+    "bad_status": ("status", 2, 2, r"status at row 2 is \S*2\)?, expected 0 or 1"),
+    "nonfinite_covariate": ("covariates", 4, np.nan, r"covariate \(4,1\) is not finite"),
+}
+
+
+def broken_dataset(field, row, value):
+    ds = random_dataset(np.random.default_rng(11), n=60, p=2)
+    arrays = {"time": ds.time.copy(), "status": ds.status.astype(np.int64), "covariates": ds.covariates.copy()}
+    if field == "covariates":
+        arrays[field][row, 1] = value
+    else:
+        arrays[field][row] = value
+    return SurvivalDataset(**arrays)  # construction stays tolerant
+
+
+@pytest.mark.parametrize("code", sorted(BROKEN_VALUES))
+def test_estimators_reject_broken_values(code):
+    field, row, value, message = BROKEN_VALUES[code]
+    ds = broken_dataset(field, row, value)
+    assert code in {v.code for v in validate(ds)}
+    for _ in range(2):  # the cached verdict raises again
+        with pytest.raises(ValueError, match=f"invalid dataset: {message}"):
+            newton_solve(ds)
+    with pytest.raises(ValueError, match=message):
+        newton_solve(ds, subset=np.arange(10))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        two_step(ds, 20, 30, 0.1, "lopt", rng)
+    assert rng.bit_generator.state == state  # rejected before the pilot draw
+
+
+def test_check_values_names_first_violation_in_validate_order():
+    ds = SurvivalDataset(covariates=[[np.nan], [1.0], [1.0]], time=[1.0, -2.0, 3.0], status=[1, 0, 2])
+    first = validate(ds)[0]
+    assert first.code == "negative_time"
+    with pytest.raises(ValueError) as err:
+        ds.check_values()
+    assert str(err.value) == f"invalid dataset: {first.message}"
+
+
+def test_check_values_passes_clean_dataset():
+    ds = random_dataset(np.random.default_rng(12))
+    ds.check_values()
+    ds.check_values()
+
+
+def test_validate_flags_broken_sort_index():
+    for bad in ([0, 0, 2], [0, 1, 3], [-1, 1, 2], [2, 1]):
+        ds = SurvivalDataset(covariates=np.ones((3, 1)), time=[1.0, 2.0, 3.0], status=[1, 0, 1])
+        object.__setattr__(ds, "sort_index", np.array(bad))
+        assert [v.code for v in validate(ds)] == ["bad_sort_index"]
+
+
+# ---- the two CSV read paths agree
+
+
+def scan_csv(path, schema):
+    """load_csv through the cell-by-cell scan only."""
+    return _checked_dataset(*_parse_cells(path, schema))
+
+
+def outcome(read, path, schema):
+    try:
+        ds = read(path, schema)
+    except CsvError as exc:
+        return ("error", str(exc), exc.row, exc.column)
+    return ("ok", *(a.dtype.str + a.tobytes().hex() for a in (ds.time, ds.status, ds.covariates)))
+
+
+def assert_paths_agree(path, schema):
+    fast = outcome(load_csv, path, schema)
+    assert fast == outcome(scan_csv, path, schema)
+    return fast
+
+
+# cells on which np.loadtxt and float() disagree, or that no parse accepts
+ODD_CELLS = [
+    "", " ", "#", "#1", '"1.5"', '"1,5"', "1_5", " 2.5 ", "\t3", "nan", "inf", "-inf", "Infinity",
+    "2", "1.0", "-1", "1e400", "\u0661", "\u0663.5", "abc", "0x10", "+.5", "1.", "1 2",
+]
+ODD_STATUS = ["2", "1.0", "0.0", "-0", "nan", " 1", "1_0", "\u0661", '"0"', ""]
+
+
+def odd(draw, rate):
+    """True with probability 1/rate; never when rate is 0."""
+    return rate > 0 and draw(st.integers(0, rate - 1)) == 0
+
+
+@st.composite
+def cells(draw, column, rate):
+    if odd(draw, rate):
+        return draw(st.sampled_from(ODD_STATUS if column == "status" else ODD_CELLS))
+    if column == "status":
+        return draw(st.sampled_from(["0", "1"]))
+    if column == "id":
+        return draw(st.sampled_from(["a", "b7", "1", "x y", "-"]))
+    if column == "time":
+        return repr(draw(st.floats(0.0, 1e6)))
+    return repr(draw(st.floats(-1e300, 1e300)))
+
+
+@st.composite
+def csv_files(draw):
+    """(text, schema) mixing well-formed rows with the divergences of the two parsers.
+
+    A file's divergence rate is 0 (well formed but for an unused text
+    column or lone-CR endings), 1 in 30 or 1 in 6 per cell, row and line.
+    """
+    rate = draw(st.sampled_from([0, 30, 6]))
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|", " "]))
+    has_header = draw(st.booleans())
+    covariates = [f"x{j + 1}" for j in range(draw(st.integers(1, 3)))]
+    names = draw(st.permutations(["time", "status", *covariates, *(["id"] if draw(st.booleans()) else [])]))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = [draw(cells(name, rate)) for name in names]
+        if odd(draw, rate):
+            row = draw(st.sampled_from([row[:-1], [*row, "0"]]))
+        lines.append(delimiter.join(row))
+        if odd(draw, rate):
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  "])))
+    if has_header:
+        quote = draw(st.booleans())
+        lines.insert(0, delimiter.join(f'"{n}"' if quote else n for n in names))
+        listed = draw(st.booleans())
+        schema = CsvSchema(covariate_columns=tuple(covariates) if listed else None, delimiter=delimiter)
+    else:
+        pos = {n: str(k) for k, n in enumerate(names)}
+        schema = CsvSchema(time_column=pos["time"], status_column=pos["status"],
+                           covariate_columns=tuple(pos[c] for c in covariates),
+                           delimiter=delimiter, has_header=False)
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if odd(draw, rate) else eol for _ in lines]
+    if not draw(st.integers(0, 3)):
+        ends[-1] = ""  # no final newline
+    return "".join(line + end for line, end in zip(lines, ends)), schema
+
+
+@PROPERTY
+@given(csv_files())
+def test_read_paths_agree_on_generated_files(case):
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_paths_agree(path, schema)
+
+
+def test_vectorised_path_reads_well_formed_files(tmp_path):
+    ds = random_dataset(np.random.default_rng(14), n=40, p=3, ties=True)
+    for delimiter in (",", ";", "\t"):
+        path = tmp_path / "w.csv"
+        write_csv(ds, path, CsvSchema(delimiter=delimiter))
+        schema = CsvSchema(delimiter=delimiter)
+        assert _parse_vectorised(path, schema) is not None
+        assert assert_paths_agree(path, schema)[0] == "ok"
+    # padding, CRLF endings and a missing final newline stay on the fast path
+    path.write_bytes(b"time,status,x1\r\n 2.0 ,1,0.5\r\n1.0,\t0,-0.25")
+    assert _parse_vectorised(path, CsvSchema()) is not None
+    assert load_csv(path).time.tolist() == [2.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1.0,1,0.5\n\n2.0,0,0.25\n",  # blank line: loadtxt skips it
+        "1.0,1,0.5\n2.0,0,0.25\n\n",  # trailing blank line
+        "1.0,1,0.5\r2.0,0,0.25\r",  # lone CR endings
+        "1.0,1,0.5\r\r\n",  # lone CR, then a blank CRLF line loadtxt skips
+        '1.0,1,"0.5"\n',  # quoted cell
+        "1_0,1,0.5\n",  # underscore in a number
+        "1.0,1,\u0663\n",  # non-ASCII digit
+        "1.0,1\n",  # short row
+        "1.0,1,,\n",  # long row with an empty cell
+        "1.0,1,#\n",  # comment character
+    ],
+)
+def test_vectorised_path_defers_to_scan(tmp_path, body):
+    path = tmp_path / "d.csv"
+    path.write_bytes(("time,status,x1\n" + body).encode("utf-8"))
+    assert _parse_vectorised(path, CsvSchema()) is None
+    assert_paths_agree(path, CsvSchema())
+
+
+def test_unused_non_numeric_column_takes_scan(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,time,status,x1\na,1.0,1,0.5\nb,2.0,0,0.25\n")
+    schema = CsvSchema(covariate_columns=("x1",))
+    assert _parse_vectorised(path, schema) is None
+    assert load_csv(path, schema).covariates.tolist() == [[0.5], [0.25]]
+
+
+def test_blank_line_error_unchanged(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("time,status,x1\n1.0,1,0.5\n\n2.0,0,0.25\n")
+    with pytest.raises(CsvError, match=r"^row 2: expected 3 fields, got 0$") as err:
+        load_csv(path)
+    assert err.value.row == 2
+
+
+# ---- the vectorised writers emit the csv.writer loop's bytes
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 1e-4, 123456789012345680.0,
+                  0.1, 1 / 3, -2.5, 1e300, float("inf"), float("-inf"), float("nan")]
+WRITE_DELIMITERS = [",", ";", "\t", "|", " ", ".", "e", "-", "+", "1", "a", "n", '"', "'", "x"]
+
+
+def floats_with_specials(**kwargs):
+    return st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(**kwargs))
+
+
+@PROPERTY
+@given(
+    rows=st.lists(
+        st.tuples(floats_with_specials(), st.integers(-3, 3), st.lists(floats_with_specials(), min_size=2, max_size=2)),
+        min_size=1,
+        max_size=12,
+    ),
+    delimiter=st.sampled_from(WRITE_DELIMITERS),
+    has_header=st.booleans(),
+)
+def test_dataset_writer_matches_row_loop(rows, delimiter, has_header):
+    time, status, covs = zip(*rows)
+    ds = SurvivalDataset(covariates=np.array(covs), time=np.array(time), status=np.array(status))
+    schema = CsvSchema(covariate_columns=("a,b", 'q"'), delimiter=delimiter, has_header=has_header)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        write_csv(ds, new, schema)
+        oracle_write_dataset_csv(ds, old, cov_names=["a,b", 'q"'], delimiter=delimiter, has_header=has_header)
+        assert new.read_bytes() == old.read_bytes()
+
+
+@PROPERTY
+@given(
+    weights=st.lists(floats_with_specials(min_value=1e-300, max_value=1e300), min_size=1, max_size=30),
+    with_status=st.booleans(),
+)
+def test_plan_writer_matches_row_loop(weights, with_status):
+    w = np.array([x if np.isfinite(x) and x > 0 else 1.0 for x in weights])
+    plan = SubsamplePlan(probs=w / w.sum(), method="uniform", delta=0.0)
+    status = np.arange(plan.n) % 2 if with_status else None
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        plan.write_csv(new, status=status)
+        oracle_write_plan_csv(plan.probs, old, status=status)
+        assert new.read_bytes() == old.read_bytes()
+
+
+@PROPERTY
+@given(
+    times=st.lists(floats_with_specials(allow_nan=False, allow_infinity=False), max_size=30, unique=True),
+    jumps=st.lists(floats_with_specials(min_value=5e-324, max_value=1e300), min_size=30, max_size=30),
+)
+def test_cumhaz_writer_matches_row_loop(times, jumps):
+    jt = np.unique(np.array(times, dtype=np.float64))
+    j = np.array([x if np.isfinite(x) and x > 0 else 1.0 for x in jumps[: jt.size]])
+    ch = CumulativeHazard(jump_times=jt, jumps=j)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        ch.write_csv(new)
+        oracle_write_cumhaz_csv(ch.jump_times, ch.cumulative, old)
+        assert new.read_bytes() == old.read_bytes()
