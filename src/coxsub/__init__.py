@@ -12,8 +12,6 @@ from .breslow import (
     RiskSetMean,
     breslow_cumhaz,
     pilot_breslow,
-    pilot_xbar,
-    score_residual,
     score_residuals,
 )
 from .data import CsvSchema, SurvivalDataset, Violation, load_csv, validate, write_csv
@@ -28,12 +26,10 @@ from .errors import (
 )
 from .partial_likelihood import (
     CoxFit,
-    RiskSetSums,
     SolverOptions,
     hessian,
     neg_log_partial_likelihood,
     newton_solve,
-    risk_set_sums,
     score,
 )
 from .simulation import (

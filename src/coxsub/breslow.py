@@ -1,9 +1,12 @@
 """Cumulative baseline hazard estimators and martingale score residuals.
 
 The hazard estimators are step functions with one jump per distinct event
-time.  Score residuals integrate the covariate-centred counting-process
-increments against such a step function, so every integral is an exact
-finite sum over jump times; no quadrature is involved.
+time.  The Breslow jumps and the risk-set mean are ratios of the at-risk
+sums ``S0`` and ``S1`` of one risk-set sweep (:class:`_Sweep` in
+:mod:`coxsub.partial_likelihood`); this module does not sort or sum
+``exp(beta'X)`` itself.  Score residuals integrate the covariate-centred
+counting-process increments against such a step function, so every
+integral is an exact finite sum over jump times; no quadrature is involved.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .data import SurvivalDataset, _write_columns
 from .errors import NumericsError, PilotError
-from .partial_likelihood import CoxFit
+from .partial_likelihood import CoxFit, _SortedRows, _Sweep
 
 FULL_DATA = "full_data"
 PILOT_UNIFORM = "pilot_uniform"
@@ -36,8 +39,8 @@ class CumulativeHazard:
         j = np.asarray(self.jumps, dtype=np.float64)
         if jt.shape != j.shape or jt.ndim != 1:
             raise ValueError("jump_times and jumps must be matching 1-D arrays")
-        if jt.size and np.any(np.diff(jt) <= 0):
-            raise ValueError("jump_times must be strictly increasing")
+        if not np.all(np.isfinite(jt)) or np.any(np.diff(jt) <= 0):
+            raise ValueError("jump_times must be finite and strictly increasing")
         if np.any(j <= 0) or not np.all(np.isfinite(j)):
             raise ValueError("jumps must be positive and finite")
         object.__setattr__(self, "jump_times", jt)
@@ -57,10 +60,10 @@ class CumulativeHazard:
 class RiskSetMean:
     """Step-function evaluator of the at-risk covariate mean.
 
-    Holds suffix-sum tables over the distinct times of the rows it was
-    built from; a query at ``t`` returns the exp-weighted mean covariate of
-    the rows still at risk at ``t``.  Queries beyond the last time clamp to
-    the last defined value and are counted in ``clamped_queries``.
+    Holds ``S1 / S0`` at the distinct times of the rows it was built from; a
+    query at ``t`` returns the exp-weighted mean covariate of the rows still
+    at risk at ``t``.  Queries beyond the last time clamp to the last defined
+    value and are counted in ``clamped_queries``.
     """
 
     __slots__ = ("times", "values", "beta", "clamped_queries")
@@ -73,21 +76,9 @@ class RiskSetMean:
 
     @classmethod
     def build(cls, time: np.ndarray, covariates: np.ndarray, beta: np.ndarray) -> "RiskSetMean":
-        beta = np.asarray(beta, dtype=np.float64)
-        eta = covariates @ beta
-        if not np.all(np.isfinite(eta)):
-            raise NumericsError("non-finite linear predictor; rescale covariates")
-        order = np.argsort(time, kind="stable")
-        t_sorted = time[order]
-        g = np.exp(eta[order] - eta.max())
-        denom = np.cumsum(g[::-1])[::-1]
-        numer = np.cumsum((g[:, None] * covariates[order])[::-1], axis=0)[::-1]
-        distinct = np.unique(t_sorted)
-        pos = np.searchsorted(t_sorted, distinct, side="left")
-        d = denom[pos]
-        if d.min() <= 0.0 or not np.all(np.isfinite(d)):
-            raise NumericsError("at-risk sum underflowed; rescale covariates")
-        return cls(times=distinct, values=numer[pos] / d[:, None], beta=beta)
+        time = np.asarray(time, dtype=np.float64)
+        no_events = np.zeros(time.size, dtype=np.int8)
+        return _risk_set_mean(_Sweep(_SortedRows.of_rows(time, no_events, covariates), beta))
 
     def at(self, t) -> np.ndarray:
         """Vectorised lookup; accepts a scalar or an array of times."""
@@ -102,35 +93,26 @@ class RiskSetMean:
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def _breslow_from_rows(
-    time: np.ndarray, status: np.ndarray, covariates: np.ndarray, beta: np.ndarray, source: str
-) -> CumulativeHazard:
-    beta = np.asarray(beta, dtype=np.float64)
-    eta = covariates @ beta
-    if not np.all(np.isfinite(eta)):
-        raise NumericsError("non-finite linear predictor; rescale covariates")
-    shift = float(eta.max())
-    order = np.argsort(time, kind="stable")
-    t_sorted = time[order]
-    g = np.exp(eta[order] - shift)
-    at_risk = np.cumsum(g[::-1])[::-1]
-    t_events = t_sorted[status[order] == 1]
-    ev_times = np.unique(t_events)
-    if ev_times.size == 0:
+def _risk_set_mean(sweep: _Sweep) -> RiskSetMean:
+    """``S1 / S0`` at every distinct time of the swept rows."""
+    time = sweep.rows.time
+    starts = np.flatnonzero(np.concatenate(([True], time[1:] != time[:-1])))
+    return RiskSetMean(times=time[starts], values=sweep.means(starts), beta=sweep.beta)
+
+
+def _breslow(sweep: _Sweep, source: str) -> CumulativeHazard:
+    """Breslow jumps: events over ``S0`` at every distinct event time."""
+    rows = sweep.rows
+    if rows.n_events == 0:
         raise NumericsError("no events: cumulative hazard is identically zero")
-    pos = np.searchsorted(t_sorted, ev_times, side="left")
-    counts = np.searchsorted(t_events, ev_times, side="right") - np.searchsorted(
-        t_events, ev_times, side="left"
-    )
-    denom = at_risk[pos]
-    if denom.min() <= 0.0 or not np.all(np.isfinite(denom)):
-        raise NumericsError("at-risk sum underflowed at an event time; rescale covariates")
+    starts, counts = np.unique(rows.event_risk_start, return_counts=True)
+    denom = sweep.s0(starts)
     try:
         with np.errstate(over="raise"):
-            jumps = counts * np.exp(-shift) / denom
+            jumps = counts * np.exp(-sweep.shift) / denom
     except FloatingPointError:
         raise NumericsError("hazard increments overflow; rescale covariates") from None
-    return CumulativeHazard(jump_times=ev_times, jumps=jumps, source=source)
+    return CumulativeHazard(jump_times=rows.time[starts], jumps=jumps, source=source)
 
 
 def breslow_cumhaz(ds: SurvivalDataset, beta: np.ndarray) -> CumulativeHazard:
@@ -138,7 +120,7 @@ def breslow_cumhaz(ds: SurvivalDataset, beta: np.ndarray) -> CumulativeHazard:
 
     At ``beta = 0`` this reduces exactly to the Nelson-Aalen estimator.
     """
-    return _breslow_from_rows(ds.time, ds.status, ds.covariates, beta, FULL_DATA)
+    return _breslow(_Sweep(_SortedRows.of_dataset(ds), beta), FULL_DATA)
 
 
 def pilot_breslow(ds: SurvivalDataset, pilot_indices: np.ndarray, beta: np.ndarray) -> CumulativeHazard:
@@ -150,10 +132,10 @@ def pilot_breslow(ds: SurvivalDataset, pilot_indices: np.ndarray, beta: np.ndarr
     idx = np.asarray(pilot_indices)
     if idx.ndim != 1 or idx.size == 0:
         raise PilotError("pilot is empty")
-    status = ds.status[idx]
-    if not np.any(status == 1):
+    rows = _SortedRows.of_dataset(ds, subset=idx)
+    if rows.n_events == 0:
         raise PilotError("pilot uninformative (no events); increase the pilot size")
-    return _breslow_from_rows(ds.time[idx], status, ds.covariates[idx], beta, PILOT_UNIFORM)
+    return _breslow(_Sweep(rows, beta), PILOT_UNIFORM)
 
 
 @dataclass
@@ -174,6 +156,15 @@ class PilotContext:
     pilot_cumhaz: CumulativeHazard
     xbar: RiskSetMean
 
+    @classmethod
+    def from_fit(cls, ds: SurvivalDataset, pilot_indices: np.ndarray, fit: CoxFit) -> "PilotContext":
+        """The pilot rows and their tables at the pilot estimate ``fit.beta``."""
+        idx = pilot_indices
+        time, status = ds.time[idx], ds.status[idx]
+        covariates = np.ascontiguousarray(ds.covariates[idx])
+        cumhaz, xbar = _pilot_tables(time, status, covariates, fit.beta)
+        return cls(idx, time, status, covariates, fit.beta, fit, cumhaz, xbar)
+
     @property
     def size(self) -> int:
         return self.pilot_indices.size
@@ -186,21 +177,27 @@ class PilotContext:
         """Pilot hazard and risk-set mean re-evaluated at ``beta``."""
         if np.array_equal(np.asarray(beta, dtype=np.float64), self.pilot_beta):
             return self.pilot_cumhaz, self.xbar
-        cumhaz = _breslow_from_rows(self.time, self.status, self.covariates, beta, PILOT_UNIFORM)
-        xbar = RiskSetMean.build(self.time, self.covariates, beta)
-        return cumhaz, xbar
+        return _pilot_tables(self.time, self.status, self.covariates, beta)
 
 
-def pilot_xbar(ctx: PilotContext, t: float, beta: np.ndarray) -> np.ndarray:
-    """At-risk covariate mean of the pilot rows at time ``t``.
+def _pilot_tables(
+    time: np.ndarray, status: np.ndarray, covariates: np.ndarray, beta: np.ndarray
+) -> tuple[CumulativeHazard, RiskSetMean]:
+    """Hazard and risk-set mean of the pilot rows from one sweep."""
+    sweep = _Sweep(_SortedRows.of_rows(time, status, covariates), beta)
+    return _breslow(sweep, PILOT_UNIFORM), _risk_set_mean(sweep)
 
-    Strict single-query form: raises when no pilot row is at risk at ``t``.
-    Batch consumers use :meth:`RiskSetMean.at`, which clamps instead.
-    """
-    _, xbar = ctx.tables_at(beta)
-    if t > xbar.times[-1]:
-        raise ValueError(f"no pilot record at risk at t={t}; clamp queries to the observed range")
-    return xbar.at(t)
+
+def _risk(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Unshifted ``exp(beta'X)`` per row: residuals need its absolute scale."""
+    eta = X @ np.asarray(beta, dtype=np.float64)
+    if not np.all(np.isfinite(eta)):
+        raise NumericsError("non-finite linear predictor; rescale covariates")
+    with np.errstate(over="raise"):
+        try:
+            return np.exp(eta, out=eta)
+        except FloatingPointError:
+            raise NumericsError("exp(beta'X) overflows; rescale covariates") from None
 
 
 def score_residuals(
@@ -217,16 +214,13 @@ def score_residuals(
     the event contribution (if any) minus the record's compensator
     accumulated over jumps up to its observed time.
     """
+    ds.check_values()
     if subset is None:
         time, status, X = ds.time, ds.status, ds.covariates
     else:
         idx = np.asarray(subset)
         time, status, X = ds.time[idx], ds.status[idx], ds.covariates[idx]
-    beta = np.asarray(beta, dtype=np.float64)
-    eta = X @ beta
-    if not np.all(np.isfinite(eta)):
-        raise NumericsError("non-finite linear predictor; rescale covariates")
-
+    risk = _risk(X, beta)
     out = np.zeros((time.size, X.shape[1]))
     events = status == 1
     if np.any(events):
@@ -239,24 +233,8 @@ def score_residuals(
     seen = pos >= 0
     lam = np.where(seen, cumhaz.cumulative[np.maximum(pos, 0)], 0.0)
     drift = np.where(seen[:, None], cum_mean_haz[np.maximum(pos, 0)], 0.0)
-    with np.errstate(over="raise"):
-        try:
-            risk = np.exp(eta)
-        except FloatingPointError:
-            raise NumericsError("exp(beta'X) overflows; rescale covariates") from None
     out -= risk[:, None] * (X * lam[:, None] - drift)
     return out
-
-
-def score_residual(
-    ds: SurvivalDataset,
-    i: int,
-    xbar: RiskSetMean,
-    cumhaz: CumulativeHazard,
-    beta: np.ndarray,
-) -> np.ndarray:
-    """Martingale score residual of a single record."""
-    return score_residuals(ds, xbar, cumhaz, beta, subset=np.array([i]))[0]
 
 
 _BLOCKWISE_MAX_SEGMENTS = 4096
@@ -267,6 +245,7 @@ def score_residual_norms(
     xbar: RiskSetMean,
     cumhaz: CumulativeHazard,
     beta: np.ndarray,
+    curvature: np.ndarray | None = None,
 ) -> np.ndarray:
     """Euclidean norms of all score residuals, in record order.
 
@@ -277,18 +256,18 @@ def score_residual_norms(
     the compensator part collapses to per-segment scalar tables and one
     blockwise matrix-vector product, which roughly halves the memory
     traffic of the pass.
+
+    With a positive definite ``curvature`` matrix ``Psi`` the norms are
+    those of ``Psi^-1`` times each residual (the A-optimal metric).  A
+    residual is linear in the record's covariates, the drift and the
+    risk-set mean, so these three are transformed by ``Psi^-1`` and the
+    same kernels run; the risk ``exp(beta'X)`` stays on the untransformed
+    covariates.
     """
+    ds.check_values()
     time_s, status_s, X_s = ds.sorted_view()
     n, p = ds.n, ds.p
-    beta = np.asarray(beta, dtype=np.float64)
-    eta_s = X_s @ beta
-    if not np.all(np.isfinite(eta_s)):
-        raise NumericsError("non-finite linear predictor; rescale covariates")
-    with np.errstate(over="raise"):
-        try:
-            risk_s = np.exp(eta_s, out=eta_s)
-        except FloatingPointError:
-            raise NumericsError("exp(beta'X) overflows; rescale covariates") from None
+    risk_s = _risk(X_s, beta)
 
     # hazard accumulated up to each record's time: constant on segments
     # between jump times, so expand per-segment values by segment length
@@ -298,6 +277,10 @@ def score_residual_norms(
     lam_rows = np.concatenate(([0.0], cumhaz.cumulative))
     cum_mean_haz = np.cumsum(xbar.at(jt) * cumhaz.jumps[:, None], axis=0)
     drift_rows = np.concatenate((np.zeros((1, p)), cum_mean_haz), axis=0)
+    mean_rows = xbar.values
+    if curvature is not None:
+        metric = np.linalg.inv(curvature).T
+        X_s, drift_rows, mean_rows = X_s @ metric, drift_rows @ metric, mean_rows @ metric
 
     # risk-set-mean table rows for the event terms, same expansion trick
     ev_s = np.flatnonzero(status_s == 1)
@@ -313,12 +296,11 @@ def score_residual_norms(
 
     if seg_len.size + K <= _BLOCKWISE_MAX_SEGMENTS:
         norm2 = _norms_blockwise(
-            X_s, status_s, risk_s, bounds, lam_rows, drift_rows, knot_starts, xbar.values
+            X_s, status_s, risk_s, bounds, lam_rows, drift_rows, knot_starts, mean_rows
         )
     else:
-        event_means = xbar.values[knot_ids]
         norm2 = _norms_columnwise(
-            X_s, risk_s, ev_s, event_means, seg_len, lam_rows, drift_rows
+            X_s, risk_s, ev_s, mean_rows[knot_ids], seg_len, lam_rows, drift_rows
         )
     out = np.empty(n)
     out[ds.sort_index] = np.sqrt(np.maximum(norm2, 0.0, out=norm2), out=norm2)

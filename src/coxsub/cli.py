@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  All outputs are
 machine-readable (JSON reports carry ``"schema": 1``); every subcommand is
-deterministic given ``--seed``, and ``--threads k`` reproduces the serial
-result exactly.
+deterministic given ``--seed``, and ``benchmark --threads k`` reproduces the
+serial result exactly.
 """
 
 from __future__ import annotations
@@ -379,8 +379,6 @@ def cmd_calibrate(args) -> int:
 
 def _add_common(sub, io_input=False):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)")
-    sub.add_argument("--threads", type=int, default=_default_threads(),
-                     help="worker processes for replications (env COXSUB_THREADS)")
     sub.add_argument("--config", help="JSON file with flag defaults (flags win)")
     if io_input:
         sub.add_argument("-i", "--input", required=True, help="dataset CSV path")
@@ -448,6 +446,8 @@ def build_parser():
     bench.add_argument("--timing-n", type=int, default=1_000_000,
                        help="dataset size for the wall-clock comparison")
     bench.add_argument("--out-dir", required=True)
+    bench.add_argument("--threads", type=int, default=_default_threads(),
+                       help="worker processes for replications (env COXSUB_THREADS)")
     _add_common(bench)
     bench.set_defaults(func=cmd_benchmark)
     subparsers["benchmark"] = bench

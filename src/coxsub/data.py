@@ -175,7 +175,9 @@ def _value_violations(ds: SurvivalDataset) -> Iterator[Violation]:
         yield Violation("negative_time", f"time at row {i} is negative", row=int(i))
     bad_s = ~np.isin(ds.status, (0, 1))
     for i in np.flatnonzero(bad_s):
-        yield Violation("bad_status", f"status at row {i} is {ds.status[i]!r}, expected 0 or 1", row=int(i))
+        yield Violation(
+            "bad_status", f"status at row {i} is {ds.status[i].item()!r}, expected 0 or 1", row=int(i)
+        )
     bad_x = ~np.isfinite(ds.covariates)
     if bad_x.any():
         for i, j in zip(*np.nonzero(bad_x)):
@@ -334,11 +336,13 @@ def _checked_dataset(time: np.ndarray, status: np.ndarray, X: np.ndarray, cov_na
     bad = ~np.isin(status, (0.0, 1.0))
     if bad.any():
         r = int(np.flatnonzero(bad)[0]) + 1
-        raise CsvError(f"row {r}: status must be 0 or 1, got {status[r - 1]!r}", row=r)
+        raise CsvError(f"row {r}: status must be 0 or 1, got {status[r - 1].item()!r}", row=r)
     bad = ~np.isfinite(time) | (time < 0)
     if bad.any():
         r = int(np.flatnonzero(bad)[0]) + 1
-        raise CsvError(f"row {r}: time must be a finite nonnegative number, got {time[r - 1]!r}", row=r)
+        raise CsvError(
+            f"row {r}: time must be a finite nonnegative number, got {time[r - 1].item()!r}", row=r
+        )
     bad = ~np.isfinite(X)
     if bad.any():
         i, j = (int(a[0]) for a in np.nonzero(bad))

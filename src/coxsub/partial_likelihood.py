@@ -1,11 +1,13 @@
 """Partial-likelihood machinery for right-censored proportional hazards data.
 
-Everything here is built on one primitive: a single reverse sweep over
-time-sorted records accumulating suffix sums of ``w_i * exp(beta'X_i)`` and
-its covariate moments.  The sweep serves the full dataset, an index subset,
+Everything here is built on one primitive, :class:`_Sweep`: a single reverse
+sweep over time-sorted records accumulating suffix sums ``S0`` of
+``g_i = w_i * exp(beta'X_i)`` and ``S1`` of ``g_i * X_i``, read at the first
+row of each tie group.  The sweep serves the full dataset, an index subset,
 or a with-replacement multiset (repeated indices) with per-row weights, so
 the same code path evaluates the ordinary criterion and its
-inverse-probability-weighted subsample counterpart.
+inverse-probability-weighted subsample counterpart; the Breslow hazard and
+the risk-set mean in :mod:`coxsub.breslow` are ratios of the same sums.
 
 Conventions:
 
@@ -31,22 +33,6 @@ from .data import SurvivalDataset
 from .errors import NumericsError, SingularHessianError
 
 _NLL_SLACK = 1e-12  # relative slack when judging a step-halving candidate
-
-
-@dataclass(frozen=True)
-class RiskSetSums:
-    """Weighted at-risk covariate moments evaluated at every event time.
-
-    ``s0[j]``, ``s1[j]`` and ``s2[j]`` are the order-0/1/2 moments of the
-    risk set at the j-th distinct event time; ``tau`` is the last event
-    time (the horizon of all integrals).
-    """
-
-    event_times: np.ndarray
-    s0: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -89,8 +75,13 @@ def _gather_rows(X: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-class _EvalContext:
-    """Sorted multiset view of the records entering one estimating equation."""
+def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """Time ascending, events before censorings at ties, then input order."""
+    return np.lexsort((1 - (status == 1).astype(np.int8), time))
+
+
+class _SortedRows:
+    """Time-sorted multiset of the records entering one risk-set sweep."""
 
     __slots__ = (
         "time",
@@ -107,7 +98,35 @@ class _EvalContext:
         "event_risk_start",
     )
 
-    def __init__(self, ds: SurvivalDataset, weights: np.ndarray | None, subset: np.ndarray | None):
+    def __init__(self, time: np.ndarray, status: np.ndarray, X: np.ndarray, w: np.ndarray, n_ref: int):
+        self.time = time
+        self.status = status
+        self.X = X
+        self.w = w
+        self.m = time.size
+        self.p = X.shape[1]
+        self.total_weight = float(w.sum())
+        # additive constant in the criterion: n for IPW weights (the full
+        # data size the probabilities refer to), the multiset size otherwise
+        self.n_ref = n_ref
+        ev = np.flatnonzero(status == 1)
+        self.event_rows = ev
+        self.event_weights = w[ev]
+        scatter = np.zeros(self.m)
+        scatter[ev] = self.event_weights
+        self.event_scatter = scatter
+        # first row of each event's tie group: its risk set is that row onwards
+        self.event_risk_start = np.searchsorted(time, time[ev], side="left")
+
+    @classmethod
+    def of_dataset(
+        cls, ds: SurvivalDataset, weights: np.ndarray | None = None, subset: np.ndarray | None = None
+    ) -> _SortedRows:
+        """The dataset, or the multiset ``subset`` of its records, with weights.
+
+        Raises ``ValueError`` on a dataset with a broken value (see
+        :meth:`SurvivalDataset.check_values`).
+        """
         ds.check_values()
         if subset is None:
             time, status, X = ds.sorted_view()
@@ -118,41 +137,24 @@ class _EvalContext:
                 raise ValueError("subset must be a non-empty 1-D index array")
             if subset.min() < 0 or subset.max() >= ds.n:
                 raise ValueError("subset indices out of range")
-            t_raw = ds.time[subset]
-            s_raw = ds.status[subset]
-            order = np.lexsort((1 - (s_raw == 1).astype(np.int8), t_raw))
-            time = t_raw[order]
-            status = s_raw[order]
-            X = _gather_rows(ds.covariates, subset[order])
+            order = _time_order(ds.time[subset], ds.status[subset])
+            rows = subset[order]
+            time, status, X = ds.time[rows], ds.status[rows], _gather_rows(ds.covariates, rows)
             m = subset.size
         if weights is None:
-            w = np.ones(m)
-            ipw = False
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            if w.shape != (m,):
-                raise ValueError(f"weights must have length {m}, got {w.shape}")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("weights must be finite and positive")
-            w = w[order] if subset is not None else w[ds.sort_index]
-            ipw = True
-        self.time = time
-        self.status = status
-        self.X = X
-        self.w = w
-        self.m = m
-        self.p = X.shape[1]
-        self.total_weight = float(w.sum())
-        # additive constant in the criterion: n for IPW weights (the full
-        # data size the probabilities refer to), the multiset size otherwise
-        self.n_ref = ds.n if ipw else m
-        ev = np.flatnonzero(status == 1)
-        self.event_rows = ev
-        self.event_weights = w[ev]
-        scatter = np.zeros(m)
-        scatter[ev] = self.event_weights
-        self.event_scatter = scatter
-        self.event_risk_start = np.searchsorted(time, time[ev], side="left")
+            return cls(time, status, X, np.ones(m), m)
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (m,):
+            raise ValueError(f"weights must have length {m}, got {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise ValueError("weights must be finite and positive")
+        return cls(time, status, X, w[order] if subset is not None else w[ds.sort_index], ds.n)
+
+    @classmethod
+    def of_rows(cls, time: np.ndarray, status: np.ndarray, covariates: np.ndarray) -> _SortedRows:
+        """Unit-weight rows given in any order, such as a pilot multiset."""
+        order = _time_order(time, status)
+        return cls(time[order], status[order], covariates[order], np.ones(time.size), time.size)
 
     @property
     def n_events(self) -> int:
@@ -163,21 +165,27 @@ def _suffix_cumsum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1], axis=0)[::-1]
 
 
-def _linear_predictor(ctx: _EvalContext, beta: np.ndarray) -> tuple[np.ndarray, float]:
+def _linear_predictor(rows: _SortedRows, beta: np.ndarray) -> tuple[np.ndarray, float]:
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (ctx.p,):
-        raise ValueError(f"beta must have shape ({ctx.p},), got {beta.shape}")
+    if beta.shape != (rows.p,):
+        raise ValueError(f"beta must have shape ({rows.p},), got {beta.shape}")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
-    eta = ctx.X @ beta
+    eta = rows.X @ beta
     if not np.all(np.isfinite(eta)):
         raise NumericsError("non-finite linear predictor; rescale covariates")
-    shift = float(eta.max()) if ctx.m else 0.0
+    shift = float(eta.max()) if rows.m else 0.0
     return eta, shift
 
 
-class _Evaluation:
-    """Lazy per-beta sweep results shared by criterion/gradient/curvature.
+class _Sweep:
+    """The risk-set sweep over sorted rows at one ``beta``, computed lazily.
+
+    ``g = w * exp(eta - max eta)``; :meth:`s0` and :meth:`means` read the
+    suffix sums of ``g`` and ``g * X`` at tie-group starts, i.e. over every
+    row whose time is at least the group's.  The criterion, gradient and
+    curvature are built on it here, the Breslow hazard and the risk-set mean
+    in :mod:`coxsub.breslow`.
 
     The gradient and curvature avoid per-event second-moment tables: the
     double sum over (event, at-risk record) pairs is re-ordered into a
@@ -185,104 +193,70 @@ class _Evaluation:
     matrix products over the records.
     """
 
-    def __init__(self, ctx: _EvalContext, beta: np.ndarray):
-        self.ctx = ctx
+    def __init__(self, rows: _SortedRows, beta: np.ndarray):
+        self.rows = rows
         self.beta = np.asarray(beta, dtype=np.float64)
-        eta, shift = _linear_predictor(ctx, beta)
+        eta, shift = _linear_predictor(rows, beta)
         self.eta = eta
         self.shift = shift
-        self.g = ctx.w * np.exp(eta - shift)
+        self.g = rows.w * np.exp(eta - shift)
         self._e0 = None
         self._denoms = None
         self._ga = None
 
-    @property
-    def e0(self) -> np.ndarray:
+    def s0(self, starts: np.ndarray) -> np.ndarray:
+        """Shifted at-risk sums ``S0`` at the given tie-group starts."""
         if self._e0 is None:
             self._e0 = _suffix_cumsum(self.g)
-        return self._e0
+        d = self._e0[starts]
+        if d.size and (d.min() <= 0.0 or not np.all(np.isfinite(d))):
+            raise NumericsError("risk-set sum underflowed to zero; rescale covariates")
+        return d
+
+    def means(self, starts: np.ndarray) -> np.ndarray:
+        """At-risk covariate means ``S1 / S0`` at the given tie-group starts."""
+        e1 = _suffix_cumsum(self.g[:, None] * self.rows.X)
+        return e1[starts] / self.s0(starts)[:, None]
 
     def _risk_denominators(self) -> np.ndarray:
         if self._denoms is None:
-            d = self.e0[self.ctx.event_risk_start]
-            if d.size and (d.min() <= 0.0 or not np.all(np.isfinite(d))):
-                raise NumericsError(
-                    "risk-set sum underflowed to zero at an event time; rescale covariates"
-                )
-            self._denoms = d
+            self._denoms = self.s0(self.rows.event_risk_start)
         return self._denoms
 
     def _prefix_factor(self) -> np.ndarray:
         """Per-record weight: sum of w_e/denom_e over events at risk of covering it."""
         if self._ga is None:
-            ctx = self.ctx
-            q = ctx.event_weights / self._risk_denominators()
-            per_pos = np.bincount(ctx.event_risk_start, weights=q, minlength=ctx.m)
+            rows = self.rows
+            q = rows.event_weights / self._risk_denominators()
+            per_pos = np.bincount(rows.event_risk_start, weights=q, minlength=rows.m)
             self._ga = self.g * np.cumsum(per_pos)
         return self._ga
 
     def nll(self) -> float:
-        ctx = self.ctx
-        ev = ctx.event_rows
+        rows = self.rows
+        ev = rows.event_rows
         if ev.size == 0:
             return 0.0
         d = self._risk_denominators()
-        terms = (self.eta[ev] - self.shift) - np.log(d) - np.log(ctx.n_ref / ctx.total_weight)
-        return float(-(ctx.event_weights @ terms) / ctx.total_weight)
+        terms = (self.eta[ev] - self.shift) - np.log(d) - np.log(rows.n_ref / rows.total_weight)
+        return float(-(rows.event_weights @ terms) / rows.total_weight)
 
     def score(self) -> np.ndarray:
-        ctx = self.ctx
-        if ctx.n_events == 0:
-            return np.zeros(ctx.p)
-        return -((ctx.event_scatter - self._prefix_factor()) @ ctx.X) / ctx.total_weight
+        rows = self.rows
+        if rows.n_events == 0:
+            return np.zeros(rows.p)
+        return -((rows.event_scatter - self._prefix_factor()) @ rows.X) / rows.total_weight
 
     def hessian(self) -> np.ndarray:
-        ctx = self.ctx
-        if ctx.n_events == 0:
-            return np.zeros((ctx.p, ctx.p))
+        rows = self.rows
+        if rows.n_events == 0:
+            return np.zeros((rows.p, rows.p))
         ga = self._prefix_factor()
-        moments = ctx.X.T @ (ga[:, None] * ctx.X)
-        d = self._risk_denominators()
-        e1 = _suffix_cumsum(self.g[:, None] * ctx.X)
-        xbar = e1[ctx.event_risk_start] / d[:, None]
-        centering = xbar.T @ (ctx.event_weights[:, None] * xbar)
-        H = (moments - centering) / ctx.total_weight
+        moments = rows.X.T @ (ga[:, None] * rows.X)
+        xbar = self.means(rows.event_risk_start)
+        centering = xbar.T @ (rows.event_weights[:, None] * xbar)
+        H = (moments - centering) / rows.total_weight
         return (H + H.T) / 2.0
-
-
-def risk_set_sums(
-    ds: SurvivalDataset,
-    beta: np.ndarray,
-    weights: np.ndarray | None = None,
-    subset: np.ndarray | None = None,
-) -> RiskSetSums:
-    """Evaluate the at-risk covariate moments at every distinct event time.
-
-    Raises :class:`NumericsError` when ``exp(beta'X)`` cannot be represented
-    even after stabilisation (the moments themselves overflow).
-    """
-    ctx = _EvalContext(ds, weights, subset)
-    state = _Evaluation(ctx, beta)
-    event_times = np.unique(ctx.time[ctx.event_rows])
-    pos = np.searchsorted(ctx.time, event_times, side="left")
-    W = ctx.total_weight
-    iu0, iu1 = np.triu_indices(ctx.p)
-    e1 = _suffix_cumsum(state.g[:, None] * ctx.X)
-    e2 = _suffix_cumsum(state.g[:, None] * (ctx.X[:, iu0] * ctx.X[:, iu1]))
-    try:
-        with np.errstate(over="raise"):
-            scale = np.exp(state.shift) / W
-            s0 = state.e0[pos] * scale
-            s1 = e1[pos] * scale
-            packed = e2[pos] * scale
-    except FloatingPointError:
-        raise NumericsError("exp(beta'X) overflows; rescale covariates") from None
-    d = event_times.size
-    s2 = np.zeros((d, ctx.p, ctx.p))
-    s2[:, iu0, iu1] = packed
-    s2[:, iu1, iu0] = packed
-    tau = float(event_times[-1]) if d else 0.0
-    return RiskSetSums(event_times=event_times, s0=s0, s1=s1, s2=s2, tau=tau)
 
 
 def neg_log_partial_likelihood(
@@ -291,7 +265,7 @@ def neg_log_partial_likelihood(
     weights: np.ndarray | None = None,
     subset: np.ndarray | None = None,
 ) -> float:
-    return _Evaluation(_EvalContext(ds, weights, subset), beta).nll()
+    return _Sweep(_SortedRows.of_dataset(ds, weights, subset), beta).nll()
 
 
 def score(
@@ -301,7 +275,7 @@ def score(
     subset: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the (weighted) negative log partial likelihood."""
-    return _Evaluation(_EvalContext(ds, weights, subset), beta).score()
+    return _Sweep(_SortedRows.of_dataset(ds, weights, subset), beta).score()
 
 
 def hessian(
@@ -311,7 +285,7 @@ def hessian(
     subset: np.ndarray | None = None,
 ) -> np.ndarray:
     """Curvature of the (weighted) negative log partial likelihood (PSD)."""
-    return _Evaluation(_EvalContext(ds, weights, subset), beta).hessian()
+    return _Sweep(_SortedRows.of_dataset(ds, weights, subset), beta).hessian()
 
 
 def _solve_newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -347,14 +321,14 @@ def newton_solve(
     flagged as non-converged.
     """
     opts = opts or SolverOptions()
-    ctx = _EvalContext(ds, weights, subset)
-    if ctx.n_events == 0:
+    rows = _SortedRows.of_dataset(ds, weights, subset)
+    if rows.n_events == 0:
         raise NumericsError("at least one event is required to fit")
-    beta = np.zeros(ctx.p) if opts.init is None else np.asarray(opts.init, dtype=np.float64).copy()
-    if beta.shape != (ctx.p,):
-        raise ValueError(f"init must have shape ({ctx.p},)")
+    beta = np.zeros(rows.p) if opts.init is None else np.asarray(opts.init, dtype=np.float64).copy()
+    if beta.shape != (rows.p,):
+        raise ValueError(f"init must have shape ({rows.p},)")
 
-    state = _Evaluation(ctx, beta)
+    state = _Sweep(rows, beta)
     nll = state.nll()
     g = state.score()
     iterations = 0
@@ -372,7 +346,7 @@ def newton_solve(
         accepted = False
         for _ in range(opts.step_halving_max + 1):
             cand = beta - scale * step
-            cand_state = _Evaluation(ctx, cand)
+            cand_state = _Sweep(rows, cand)
             cand_nll = cand_state.nll()
             if np.isfinite(cand_nll) and cand_nll <= nll + _NLL_SLACK * (1.0 + abs(nll)):
                 accepted = True

@@ -17,14 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .breslow import (
-    PilotContext,
-    RiskSetMean,
-    breslow_cumhaz,
-    pilot_breslow,
-    score_residual_norms,
-    score_residuals,
-)
+from .breslow import PilotContext, RiskSetMean, breslow_cumhaz, score_residual_norms, score_residuals
+from .breslow import pilot_breslow  # noqa: F401  the benchmark's traced mode patches this name here
 from .data import SurvivalDataset, _write_columns
 from .errors import CoxSubError, NumericsError, PilotError, SingularHessianError, TwoStepError
 from .partial_likelihood import CoxFit, SolverOptions, newton_solve
@@ -60,7 +54,7 @@ class SubsamplePlan:
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(probs.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         n = probs.size
@@ -161,19 +155,7 @@ def fit_pilot(ds: SurvivalDataset, pilot: Subsample, opts: SolverOptions | None 
         raise PilotError(f"pilot fit failed ({exc}); increase the pilot size") from exc
     if not fit.converged:
         raise PilotError("pilot fit did not converge; increase the pilot size")
-    cumhaz = pilot_breslow(ds, idx, fit.beta)
-    covariates = np.ascontiguousarray(ds.covariates[idx])
-    xbar = RiskSetMean.build(ds.time[idx], covariates, fit.beta)
-    return PilotContext(
-        pilot_indices=idx,
-        time=ds.time[idx],
-        status=ds.status[idx],
-        covariates=covariates,
-        pilot_beta=fit.beta,
-        fit=fit,
-        pilot_cumhaz=cumhaz,
-        xbar=xbar,
-    )
+    return PilotContext.from_fit(ds, idx, fit)
 
 
 def _mixed_plan(norms: np.ndarray, delta: float, method: str, pilot: PilotContext | None) -> SubsamplePlan:
@@ -190,8 +172,13 @@ def _mixed_plan(norms: np.ndarray, delta: float, method: str, pilot: PilotContex
     return SubsamplePlan(probs=probs, method=method, delta=delta, pilot=pilot)
 
 
-def _approx_residuals(ds: SurvivalDataset, ctx: PilotContext) -> np.ndarray:
-    return score_residuals(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta)
+def _require_positive_definite(curvature: np.ndarray, name: str) -> None:
+    try:
+        np.linalg.cholesky(curvature)
+    except np.linalg.LinAlgError:
+        finite = np.all(np.isfinite(curvature))
+        cond = float(np.linalg.cond(curvature)) if finite else float("inf")
+        raise SingularHessianError(f"{name} curvature matrix is singular", cond=cond) from None
 
 
 def compute_lopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> SubsamplePlan:
@@ -203,28 +190,19 @@ def compute_lopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> 
 
 
 def compute_aopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> SubsamplePlan:
-    """A-optimal plan: residuals premultiplied by the inverse pilot curvature."""
+    """A-optimal plan: residual norms in the metric of the inverse pilot curvature."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    resids = _approx_residuals(ds, ctx)
     psi = ctx.curvature()
-    try:
-        np.linalg.cholesky(psi)
-    except np.linalg.LinAlgError:
-        cond = float(np.linalg.cond(psi)) if np.all(np.isfinite(psi)) else float("inf")
-        raise SingularHessianError("pilot curvature matrix is singular", cond=cond) from None
-    transformed = np.linalg.solve(psi, resids.T).T
-    norms = np.linalg.norm(transformed, axis=1)
+    _require_positive_definite(psi, "pilot")
+    norms = score_residual_norms(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta, curvature=psi)
     return _mixed_plan(norms, delta, AOPT_APPROX, ctx)
 
 
-def _oracle_residual_norms(ds: SurvivalDataset, mpl: CoxFit, premultiply: np.ndarray | None) -> np.ndarray:
+def _oracle_residual_norms(ds: SurvivalDataset, mpl: CoxFit, curvature: np.ndarray | None) -> np.ndarray:
     xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), mpl.beta)
     cumhaz = breslow_cumhaz(ds, mpl.beta)
-    if premultiply is None:
-        return score_residual_norms(ds, xbar, cumhaz, mpl.beta)
-    resids = np.linalg.solve(premultiply, score_residuals(ds, xbar, cumhaz, mpl.beta).T).T
-    return np.linalg.norm(resids, axis=1)
+    return score_residual_norms(ds, xbar, cumhaz, mpl.beta, curvature=curvature)
 
 
 def oracle_lopt_probs(ds: SurvivalDataset, mpl: CoxFit) -> SubsamplePlan:
@@ -238,11 +216,7 @@ def oracle_lopt_probs(ds: SurvivalDataset, mpl: CoxFit) -> SubsamplePlan:
 def oracle_aopt_probs(ds: SurvivalDataset, mpl: CoxFit) -> SubsamplePlan:
     if mpl.role != "full_mpl":
         raise ValueError("oracle plans require a full-data fit")
-    try:
-        np.linalg.cholesky(mpl.hessian)
-    except np.linalg.LinAlgError:
-        cond = float(np.linalg.cond(mpl.hessian)) if np.all(np.isfinite(mpl.hessian)) else float("inf")
-        raise SingularHessianError("full-data curvature matrix is singular", cond=cond) from None
+    _require_positive_definite(mpl.hessian, "full-data")
     norms = _oracle_residual_norms(ds, mpl, mpl.hessian)
     return _mixed_plan(norms, 0.0, AOPT_ORACLE, None)
 
@@ -325,11 +299,7 @@ def estimate_covariance(
     # per-draw curvature: explicit 1/r normalisation against the count, so
     # halving every probability doubles it (and quadruples score_outer)
     curvature = fit.hessian * (sub.weights.sum() / r)
-    try:
-        np.linalg.cholesky(curvature)
-    except np.linalg.LinAlgError:
-        cond = float(np.linalg.cond(curvature)) if np.all(np.isfinite(curvature)) else float("inf")
-        raise SingularHessianError("weighted curvature matrix is singular", cond=cond) from None
+    _require_positive_definite(curvature, "weighted")
     covariance = np.linalg.solve(curvature, np.linalg.solve(curvature, score_outer).T)
     covariance = (covariance + covariance.T) / 2.0
     return CovarianceEstimate(

@@ -5,6 +5,7 @@ no shared code or vectorisation tricks from the package under test.
 """
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,6 +115,56 @@ def naive_score_residual(time, status, X, i, xbar_at, jump_times, jumps, beta):
         if t <= time[i]:
             out -= (X[i] - xbar_at(t)) * risk * dlam
     return out
+
+
+@dataclass(frozen=True)
+class RiskSetSums:
+    """Weighted at-risk covariate moments evaluated at every event time.
+
+    ``s0[j]``, ``s1[j]`` and ``s2[j]`` are the order-0/1/2 moments of the
+    risk set at the j-th distinct event time, over total weight; ``tau`` is
+    the last event time (the horizon of all integrals).
+    """
+
+    event_times: np.ndarray
+    s0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    tau: float
+
+
+def risk_set_sums(ds, beta, weights=None, subset=None):
+    """Direct loop over the records at risk at each distinct event time.
+
+    ``subset`` is a with-replacement multiset of record indices and
+    ``weights`` is aligned with it; no shift, sort or suffix sum.
+    """
+    idx = np.arange(ds.n) if subset is None else np.asarray(subset)
+    w = np.ones(idx.size) if weights is None else np.asarray(weights, float)
+    time, status, X = ds.time[idx], ds.status[idx], ds.covariates[idx]
+    W = w.sum()
+    p = X.shape[1]
+    event_times = np.unique(time[status == 1])
+    s0, s1, s2 = [], [], []
+    for t in event_times:
+        a0, a1, a2 = 0.0, np.zeros(p), np.zeros((p, p))
+        for j in range(idx.size):
+            if time[j] >= t:
+                e = w[j] * np.exp(X[j] @ beta)
+                a0 += e
+                a1 += e * X[j]
+                a2 += e * np.outer(X[j], X[j])
+        s0.append(a0 / W)
+        s1.append(a1 / W)
+        s2.append(a2 / W)
+    tau = float(event_times[-1]) if event_times.size else 0.0
+    return RiskSetSums(
+        event_times=event_times,
+        s0=np.asarray(s0),
+        s1=np.asarray(s1).reshape(-1, p),
+        s2=np.asarray(s2).reshape(-1, p, p),
+        tau=tau,
+    )
 
 
 def finite_diff_grad(f, x, h=1e-6):

@@ -6,18 +6,17 @@ from coxsub import (
     PilotError,
     SurvivalDataset,
     breslow_cumhaz,
+    hessian,
     newton_solve,
     pilot_breslow,
-    pilot_xbar,
     score,
-    score_residual,
     score_residuals,
 )
 from coxsub.breslow import RiskSetMean, score_residual_norms
 from coxsub.subsampling import draw_uniform, fit_pilot
 
 from conftest import random_dataset
-from oracles import naive_breslow, naive_nelson_aalen, naive_score_residual
+from oracles import naive_breslow, naive_nelson_aalen, naive_score_residual, risk_set_sums
 
 
 def full_data_tables(ds, beta):
@@ -145,8 +144,6 @@ class TestRiskSetMean:
         ds = random_dataset(rng, n=40, p=2)
         beta = rng.normal(0, 0.5, 2)
         m = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), beta)
-        from coxsub import risk_set_sums
-
         sums = risk_set_sums(ds, beta)
         for j, t in enumerate(sums.event_times):
             np.testing.assert_allclose(m.at(t), sums.s1[j] / sums.s0[j], rtol=1e-11)
@@ -165,21 +162,13 @@ class TestPilotContext:
         sub = draw_uniform(ds, 500, np.random.default_rng(1))
         ctx = fit_pilot(ds, sub)
         t = float(np.median(ds.time))
-        got = pilot_xbar(ctx, t, ctx.pilot_beta)
+        got = ctx.tables_at(ctx.pilot_beta)[1].at(t)
         # direct ratio over the pilot multiset
         idx = ctx.pilot_indices
         at_risk = ds.time[idx] >= t
         e = np.exp(ds.covariates[idx] @ ctx.pilot_beta)
         expect = (e[at_risk, None] * ds.covariates[idx][at_risk]).sum(0) / e[at_risk].sum()
         np.testing.assert_allclose(got, expect, rtol=1e-10)
-
-    def test_pilot_xbar_strict_beyond_range(self):
-        rng = np.random.default_rng(10)
-        ds = random_dataset(rng, n=60, p=2)
-        sub = draw_uniform(ds, 30, np.random.default_rng(2))
-        ctx = fit_pilot(ds, sub)
-        with pytest.raises(ValueError, match="clamp"):
-            pilot_xbar(ctx, float(ds.time[ctx.pilot_indices].max()) + 1.0, ctx.pilot_beta)
 
     def test_tables_at_other_beta_rebuild(self):
         rng = np.random.default_rng(11)
@@ -191,6 +180,23 @@ class TestPilotContext:
         np.testing.assert_allclose(ch.jumps, direct.jumps, rtol=1e-12)
         same_ch, same_xb = ctx.tables_at(ctx.pilot_beta)
         assert same_ch is ctx.pilot_cumhaz and same_xb is ctx.xbar
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tables_from_one_sweep_match_oracles(self, seed):
+        # hazard and risk-set mean of a tied with-replacement pilot, at the
+        # pilot estimate and at another beta, against the brute-force loops
+        rng = np.random.default_rng(90 + seed)
+        ds = random_dataset(rng, n=80, p=2, ties=True)
+        ctx = fit_pilot(ds, draw_uniform(ds, 50, rng))
+        idx = ctx.pilot_indices
+        for beta in (ctx.pilot_beta, ctx.pilot_beta + rng.normal(0, 0.3, 2)):
+            cumhaz, xbar = ctx.tables_at(beta)
+            times, jumps = naive_breslow(ds.time[idx], ds.status[idx], ds.covariates[idx], beta)
+            assert np.array_equal(cumhaz.jump_times, times)
+            np.testing.assert_allclose(cumhaz.jumps, jumps, rtol=1e-12)
+            sums = risk_set_sums(ds, beta, subset=idx)
+            np.testing.assert_allclose(xbar.at(sums.event_times), sums.s1 / sums.s0[:, None], rtol=1e-11)
+            assert np.array_equal(xbar.times, np.unique(ds.time[idx]))
 
 
 class TestScoreResiduals:
@@ -205,7 +211,7 @@ class TestScoreResiduals:
         beta = rng.normal(0, 0.4, 2)
         xbar, ch = full_data_tables(ds, beta)
         assert ds.time[3] < ch.jump_times[0]
-        assert np.all(score_residual(ds, 3, xbar, ch, beta) == 0.0)
+        assert np.all(score_residuals(ds, xbar, ch, beta, subset=np.array([3]))[0] == 0.0)
 
     def test_zero_covariates_all_residuals_zero(self):
         n = 20
@@ -259,12 +265,15 @@ class TestScoreResiduals:
             idx[0] = int(np.flatnonzero(ds.status == 1)[0])
         ch = pilot_breslow(ds, idx, beta)
         xb1 = RiskSetMean.build(ds.time[idx], np.ascontiguousarray(ds.covariates[idx]), beta)
-        xb2 = RiskSetMean.build(ds.time[idx], np.ascontiguousarray(ds.covariates[idx]), beta)
-        ref = np.linalg.norm(score_residuals(ds, xb1, ch, beta), axis=1)
-        got = score_residual_norms(ds, xb2, ch, beta)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
-        assert np.array_equal(ref == 0.0, got == 0.0)
-        assert xb1.clamped_queries == xb2.clamped_queries
+        resids = score_residuals(ds, xb1, ch, beta)
+        # L-optimal norms, then A-optimal ones in the pilot curvature's metric
+        for psi in (None, hessian(ds, beta, subset=idx)):
+            xb2 = RiskSetMean.build(ds.time[idx], np.ascontiguousarray(ds.covariates[idx]), beta)
+            ref = np.linalg.norm(resids if psi is None else np.linalg.solve(psi, resids.T).T, axis=1)
+            got = score_residual_norms(ds, xb2, ch, beta, psi)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
+            assert np.array_equal(ref == 0.0, got == 0.0)
+            assert xb1.clamped_queries == xb2.clamped_queries
 
     def test_norms_columnwise_branch_agrees(self):
         # oracle-scale tables take the generic branch
@@ -272,17 +281,19 @@ class TestScoreResiduals:
         ds = random_dataset(rng, n=300, p=2)
         beta = rng.normal(0, 0.3, 2)
         xbar, ch = full_data_tables(ds, beta)
-        ref = np.linalg.norm(score_residuals(ds, xbar, ch, beta), axis=1)
+        resids = score_residuals(ds, xbar, ch, beta)
         from coxsub import breslow as mod
 
-        old = mod._BLOCKWISE_MAX_SEGMENTS
-        try:
-            mod._BLOCKWISE_MAX_SEGMENTS = 0
-            xbar2, _ = full_data_tables(ds, beta)
-            got = score_residual_norms(ds, xbar2, ch, beta)
-        finally:
-            mod._BLOCKWISE_MAX_SEGMENTS = old
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13)
+        for psi in (None, hessian(ds, beta)):
+            ref = np.linalg.norm(resids if psi is None else np.linalg.solve(psi, resids.T).T, axis=1)
+            old = mod._BLOCKWISE_MAX_SEGMENTS
+            try:
+                mod._BLOCKWISE_MAX_SEGMENTS = 0
+                xbar2, _ = full_data_tables(ds, beta)
+                got = score_residual_norms(ds, xbar2, ch, beta, psi)
+            finally:
+                mod._BLOCKWISE_MAX_SEGMENTS = old
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13)
 
 
 class TestPilotHazardConsistency:

@@ -264,6 +264,27 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "subsample", "calibrate"])
+def test_threads_only_on_benchmark(command, sim_file, tmp_path, capsys):
+    # only the replication study runs worker processes
+    required = {
+        "simulate": ["-o", str(tmp_path / "x.csv")],
+        "fit": ["-i", str(sim_file)],
+        "subsample": ["-i", str(sim_file)],
+        "calibrate": ["--cr", "0.2"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *required, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"threads": 2}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *required, "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "unknown keys ['threads']" in capsys.readouterr().err
+
+
 def test_threads_env_var(monkeypatch):
     from coxsub.cli import _default_threads
 

@@ -9,9 +9,10 @@ from coxsub import (
     hessian,
     neg_log_partial_likelihood,
     newton_solve,
-    risk_set_sums,
     score,
 )
+from coxsub.breslow import RiskSetMean, breslow_cumhaz, score_residual_norms, score_residuals
+from coxsub.partial_likelihood import _SortedRows, _Sweep
 
 from conftest import random_dataset
 from oracles import (
@@ -20,7 +21,17 @@ from oracles import (
     naive_hessian,
     naive_neg_logpl,
     naive_score,
+    risk_set_sums,
 )
+
+
+def sweep_sums(ds, beta, weights=None, subset=None):
+    """The sweep's S0 and S1 at each distinct event time, scaled like the oracle's."""
+    rows = _SortedRows.of_dataset(ds, weights, subset)
+    sweep = _Sweep(rows, beta)
+    starts = np.unique(rows.event_risk_start)
+    s0 = sweep.s0(starts) * (np.exp(sweep.shift) / rows.total_weight)
+    return rows.time[starts], s0, sweep.means(starts) * s0[:, None]
 
 
 @pytest.fixture
@@ -36,6 +47,10 @@ class TestHandValues:
         assert s.s0.tolist() == [1.0, 0.5]
         assert s.s1.ravel().tolist() == [0.5, 0.0]
         assert s.tau == 2.0
+        times, s0, s1 = sweep_sums(two_record_ds, np.zeros(1))
+        assert times.tolist() == [1.0, 2.0]
+        assert s0.tolist() == [1.0, 0.5]
+        assert s1.ravel().tolist() == [0.5, 0.0]
 
     def test_neg_logpl(self, two_record_ds):
         val = neg_log_partial_likelihood(two_record_ds, np.zeros(1))
@@ -106,16 +121,19 @@ class TestReductions:
         beta = np.array([0.3, -0.4])
         idx = np.arange(ds.n)
         w = rng.uniform(0.5, 2.0, ds.n)
-        base = risk_set_sums(ds, beta, weights=w, subset=idx)
+        base = sweep_sums(ds, beta, weights=w, subset=idx)
         # append a duplicate of record 7, splitting its weight in half
         idx2 = np.concatenate([idx, [7]])
         w2 = w.copy()
         w2[7] /= 2.0
         w2 = np.concatenate([w2, [w2[7]]])
-        dup = risk_set_sums(ds, beta, weights=w2, subset=idx2)
-        np.testing.assert_allclose(dup.s0, base.s0, rtol=1e-12)
-        np.testing.assert_allclose(dup.s1, base.s1, rtol=1e-12)
-        np.testing.assert_allclose(dup.s2, base.s2, rtol=1e-12)
+        dup = sweep_sums(ds, beta, weights=w2, subset=idx2)
+        for a, b in zip(dup, base):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+        np.testing.assert_allclose(hessian(ds, beta, w2, idx2), hessian(ds, beta, w, idx), rtol=1e-12)
+        oracle = risk_set_sums(ds, beta, weights=w2, subset=idx2)
+        np.testing.assert_allclose(dup[1], oracle.s0, rtol=1e-11)
+        np.testing.assert_allclose(dup[2], oracle.s1, rtol=1e-11, atol=1e-14)
 
     def test_unit_vs_explicit_unit_weights(self):
         rng = np.random.default_rng(5)
@@ -164,17 +182,26 @@ class TestInvariants:
         ds = random_dataset(rng, n=60, p=3)
         beta = rng.normal(0, 0.8, 3)
         sums = risk_set_sums(ds, beta)
-        for j in range(sums.event_times.size):
+        curvature = np.zeros((3, 3))
+        for j, t in enumerate(sums.event_times):
             xbar = sums.s1[j] / sums.s0[j]
             bracket = sums.s2[j] / sums.s0[j] - np.outer(xbar, xbar)
             eigs = np.linalg.eigvalsh(bracket)
             assert eigs.min() >= -1e-12
+            curvature += np.count_nonzero((ds.time == t) & (ds.status == 1)) * bracket
+        # the sweep's curvature is the event-weighted sum of these brackets
+        np.testing.assert_allclose(hessian(ds, beta), curvature / ds.n, rtol=1e-10, atol=1e-14)
 
     def test_s0_non_increasing_with_unit_weights(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, n=50, p=2, ties=True)
-        sums = risk_set_sums(ds, rng.normal(0, 0.5, 2))
-        assert np.all(np.diff(sums.s0) <= 1e-15)
+        beta = rng.normal(0, 0.5, 2)
+        times, s0, s1 = sweep_sums(ds, beta)
+        assert np.all(np.diff(s0) <= 1e-15)
+        oracle = risk_set_sums(ds, beta)
+        assert np.array_equal(times, oracle.event_times)
+        np.testing.assert_allclose(s0, oracle.s0, rtol=1e-12)
+        np.testing.assert_allclose(s1, oracle.s1, rtol=1e-11, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_permutation_invariance(self, seed):
@@ -286,8 +313,14 @@ class TestConcurrentReaders:
 class TestNumericalGuards:
     def test_overflow_raises_with_rescaling_advice(self):
         ds = SurvivalDataset(covariates=[[400.0], [-400.0]], time=[1.0, 2.0], status=[1, 1])
+        beta = np.array([2.0])
         with pytest.raises(NumericsError, match="rescal"):
-            risk_set_sums(ds, np.array([2.0]))
+            breslow_cumhaz(ds, beta)  # S0 underflows at the second event
+        xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), np.zeros(1))
+        cumhaz = breslow_cumhaz(ds, np.zeros(1))
+        for residual_pass in (score_residuals, score_residual_norms):
+            with pytest.raises(NumericsError, match="rescal"):
+                residual_pass(ds, xbar, cumhaz, beta)  # exp(800) overflows
 
     def test_nonfinite_beta_rejected(self, two_record_ds):
         with pytest.raises(ValueError, match="finite"):

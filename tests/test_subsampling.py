@@ -251,6 +251,28 @@ class TestOraclePlans:
         plan = oracle_aopt_probs(ds, mpl)
         assert abs(plan.probs.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("max_segments", [None, 0], ids=["default_kernel", "columnwise_kernel"])
+    def test_aopt_plans_match_dense_metric(self, midsize, monkeypatch, max_segments):
+        """Both A-optimal plans are the normalised norms of Psi^-1 times each residual."""
+        from coxsub import breslow
+
+        if max_segments is not None:
+            monkeypatch.setattr(breslow, "_BLOCKWISE_MAX_SEGMENTS", max_segments)
+        ds, mpl = midsize
+        ctx = fit_pilot(ds, draw_uniform(ds, 80, np.random.default_rng(12)))
+        full_xbar = breslow.RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), mpl.beta)
+        full_cumhaz = breslow.breslow_cumhaz(ds, mpl.beta)
+        cases = [
+            (compute_aopt_probs(ds, ctx, 0.1), ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta,
+             ctx.curvature(), 0.1),
+            (oracle_aopt_probs(ds, mpl), full_xbar, full_cumhaz, mpl.beta, mpl.hessian, 0.0),
+        ]
+        for plan, xbar, cumhaz, beta, psi, delta in cases:
+            resids = breslow.score_residuals(ds, xbar, cumhaz, beta)
+            norms = np.linalg.norm(np.linalg.solve(psi, resids.T).T, axis=1)
+            expect = (1.0 - delta) * norms / norms.sum() + delta / ds.n
+            np.testing.assert_allclose(plan.probs, expect, rtol=1e-10)
+
 
 class TestDrawWeighted:
     def test_degenerate_plan(self):
