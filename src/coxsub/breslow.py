@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import partial_likelihood
 from .data import SurvivalDataset, _write_columns
 from .errors import NumericsError, PilotError
 from .partial_likelihood import CoxFit, _SortedRows, _Sweep
@@ -250,12 +251,12 @@ def score_residual_norms(
     """Euclidean norms of all score residuals, in record order.
 
     Equals ``norm(score_residuals(...), axis=1)`` up to floating-point
-    reassociation, but runs over the sorted view: step-function lookups
-    become run-length expansions over segments between jump times.  When
-    the hazard has few jumps relative to the data (the pilot-table case)
-    the compensator part collapses to per-segment scalar tables and one
-    blockwise matrix-vector product, which roughly halves the memory
-    traffic of the pass.
+    reassociation, but runs over the sorted view, where the hazard, the
+    drift and the risk-set mean are constant on runs of records between
+    jump times and knots.  When the tables have few steps relative to the
+    data (the pilot-table case) one cache-resident pass computes each
+    run's residual rows and their norms directly; otherwise the step
+    tables are expanded and the norms accumulated one column at a time.
 
     With a positive definite ``curvature`` matrix ``Psi`` the norms are
     those of ``Psi^-1`` times each residual (the A-optimal metric).  A
@@ -267,43 +268,41 @@ def score_residual_norms(
     ds.check_values()
     time_s, status_s, X_s = ds.sorted_view()
     n, p = ds.n, ds.p
-    risk_s = _risk(X_s, beta)
 
     # hazard accumulated up to each record's time: constant on segments
-    # between jump times, so expand per-segment values by segment length
+    # between jump times
     jt = cumhaz.jump_times
     bounds = np.concatenate(([0], np.searchsorted(time_s, jt, side="left"), [n]))
-    seg_len = np.diff(bounds)
     lam_rows = np.concatenate(([0.0], cumhaz.cumulative))
     cum_mean_haz = np.cumsum(xbar.at(jt) * cumhaz.jumps[:, None], axis=0)
     drift_rows = np.concatenate((np.zeros((1, p)), cum_mean_haz), axis=0)
     mean_rows = xbar.values
+    metric = None
     if curvature is not None:
         metric = np.linalg.inv(curvature).T
-        X_s, drift_rows, mean_rows = X_s @ metric, drift_rows @ metric, mean_rows @ metric
+        drift_rows, mean_rows = drift_rows @ metric, mean_rows @ metric
 
-    # risk-set-mean table rows for the event terms, same expansion trick
-    ev_s = np.flatnonzero(status_s == 1)
-    knots = xbar.times
-    K = knots.size
-    knot_starts = np.searchsorted(time_s, knots, side="right")
-    knot_len = np.diff(np.concatenate(([0], knot_starts, [n])))
-    knot_ids = np.repeat(np.arange(K + 1), knot_len)[ev_s]
-    n_over = int(np.count_nonzero(knot_ids >= K))
-    if n_over:
-        xbar.clamped_queries += n_over
-        knot_ids = np.minimum(knot_ids, K - 1)
+    # the risk-set mean for the event terms is constant between its knots;
+    # events after the last knot clamp to its value
+    K = xbar.times.size
+    knot_starts = np.searchsorted(time_s, xbar.times, side="right")
 
-    if seg_len.size + K <= _BLOCKWISE_MAX_SEGMENTS:
+    if bounds.size - 1 + K <= _BLOCKWISE_MAX_SEGMENTS:
         norm2 = _norms_blockwise(
-            X_s, status_s, risk_s, bounds, lam_rows, drift_rows, knot_starts, mean_rows
+            X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows
         )
     else:
+        risk_s = _risk(X_s, beta)
+        ev_s = np.flatnonzero(status_s == 1)
+        knot_ids = np.minimum(np.searchsorted(knot_starts, ev_s, side="right"), K - 1)
+        X_m = X_s if metric is None else X_s @ metric
         norm2 = _norms_columnwise(
-            X_s, risk_s, ev_s, mean_rows[knot_ids], seg_len, lam_rows, drift_rows
+            X_m, risk_s, ev_s, mean_rows[knot_ids], np.diff(bounds), lam_rows, drift_rows
         )
+    # one clamped query per event after the last knot, once the pass succeeds
+    xbar.clamped_queries += int(np.count_nonzero(status_s[knot_starts[-1] :] == 1))
     out = np.empty(n)
-    out[ds.sort_index] = np.sqrt(np.maximum(norm2, 0.0, out=norm2), out=norm2)
+    out[ds.sort_index] = np.sqrt(norm2, out=norm2)
     return out
 
 
@@ -321,53 +320,44 @@ def _norms_columnwise(X_s, risk_s, ev_s, event_means, seg_len, lam_rows, drift_r
     return norm2
 
 
-def _norms_blockwise(X_s, status_s, risk_s, bounds, lam_rows, drift_rows, knot_starts, mean_rows):
-    """Few-segment path: squared norms from per-record scalars.
+def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows):
+    """Few-segment path: squared residual norms, run by run.
 
-    Writing the residual as ``X*(status - Lam*risk) + (risk*drift -
-    status*xbar)`` with ``drift`` and ``xbar`` constant on runs of the
-    sorted records, the squared norm is a quadratic in per-record scalars:
-    three blockwise record-by-table products plus run-length-expanded
-    per-segment tables.  One pass over the covariates replaces the
-    per-column streaming of the generic path.
+    The residual of a sorted record is ``X*(status - Lam*risk) +
+    risk*drift - status*xbar``, where ``Lam`` and ``drift`` are constant on
+    hazard segments and ``xbar`` between knots.  Blocks of
+    ``partial_likelihood._BLOCK_ROWS`` records are taken in turn: first the
+    block's risk and metric-transformed covariates, then each merged run of
+    segments and knots inside it, whose residual rows and squared norms are
+    computed directly.  ``metric`` is ``None`` or the transposed inverse
+    curvature.
     """
-    n, p = X_s.shape
-    seg_len = np.diff(bounds)
-    delta = status_s.astype(np.float64)
-    lam_risk = np.repeat(lam_rows, seg_len)
-    lam_risk *= risk_s
-    alpha = delta - lam_risk
-
+    block = partial_likelihood._BLOCK_ROWS
+    n = X_s.shape[0]
     K = mean_rows.shape[0]
-    knot_bounds = np.concatenate(([0], knot_starts, [n]))
-    knot_len = np.diff(knot_bounds)
-
-    x_sq = np.einsum("ij,ij->i", X_s, X_s)
-    xdot_drift = np.empty(n)
-    for s in range(seg_len.size):
-        a, b = bounds[s], bounds[s + 1]
-        if a < b:
-            xdot_drift[a:b] = X_s[a:b] @ drift_rows[s]
-    xdot_mean = np.empty(n)
-    for k in range(knot_len.size):
-        a, b = knot_bounds[k], knot_bounds[k + 1]
-        if a < b:
-            xdot_mean[a:b] = X_s[a:b] @ mean_rows[min(k, K - 1)]
-
-    drift_sq_seg = np.repeat(np.einsum("ij,ij->i", drift_rows, drift_rows), seg_len)
-    mean_sq = np.einsum("ij,ij->i", mean_rows, mean_rows)
-    mean_sq_knot = np.repeat(np.concatenate((mean_sq, mean_sq[-1:])), knot_len)
-
-    # drift . xbar is constant on the merged run structure of both tables
-    edges = np.unique(np.concatenate((bounds, knot_bounds)))
+    # merged runs: cut at every segment bound, knot start and block start
+    edges = np.unique(np.concatenate((bounds, knot_starts, np.arange(0, n, block))))
     seg_ids = np.searchsorted(bounds[1:-1], edges[:-1], side="right")
     knot_ids = np.minimum(np.searchsorted(knot_starts, edges[:-1], side="right"), K - 1)
-    pair = np.einsum("ij,ij->i", drift_rows[seg_ids], mean_rows[knot_ids])
-    pair_dot = np.repeat(pair, np.diff(edges))
-
-    norm2 = alpha * alpha * x_sq
-    norm2 += 2.0 * alpha * (risk_s * xdot_drift - delta * xdot_mean)
-    norm2 += risk_s * risk_s * drift_sq_seg
-    norm2 -= 2.0 * (risk_s * delta) * pair_dot
-    norm2 += delta * mean_sq_knot
+    runs = zip(edges[:-1].tolist(), edges[1:].tolist(), seg_ids.tolist(), knot_ids.tolist())
+    lam = lam_rows.tolist()
+    drift_cols, mean_cols = drift_rows[:, :, None], mean_rows[:, :, None]
+    norm2 = np.empty(n)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        risk = _risk(X_s[a:b], beta)
+        delta = status_s[a:b].astype(np.float64)
+        # covariates as p rows of the block's length: the arithmetic below
+        # then runs along the records, not along the p covariates
+        X_t = X_s[a:b].T.copy() if metric is None else metric.T @ X_s[a:b].T
+        # no run crosses a block start, so the block's runs end with one at b
+        for lo, hi, s, k in runs:
+            r, d = risk[lo - a : hi - a], delta[lo - a : hi - a]
+            resid = X_t[:, lo - a : hi - a] * (d - lam[s] * r)
+            resid += drift_cols[s] * r
+            resid -= mean_cols[k] * d
+            resid *= resid
+            norm2[lo:hi] = resid.sum(axis=0)
+            if hi == b:
+                break
     return norm2

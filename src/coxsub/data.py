@@ -57,7 +57,8 @@ class SurvivalDataset:
             X = X[:, None]
         if X.ndim != 2:
             raise ValueError("covariates must be a 2-D array")
-        # column-major: the sweeps stream one covariate column at a time;
+        # column-major, so the row gathers into the C-order sorted view that
+        # the sweeps read (:func:`_gather_rows`) stream one column at a time;
         # inputs are copied so freezing never touches caller-owned arrays
         X = np.array(X, order="F", copy=True)
         t = np.array(self.time, dtype=np.float64, copy=True)
@@ -103,10 +104,7 @@ class SurvivalDataset:
         cached = getattr(self, "_sorted_view", None)
         if cached is None:
             order = self.sort_index
-            X = np.empty((self.n, self.covariates.shape[1]))
-            for j in range(X.shape[1]):
-                X[:, j] = self.covariates[:, j][order]
-            cached = (self.time[order], self.status[order], X)
+            cached = (self.time[order], self.status[order], _gather_rows(self.covariates, order))
             for arr in cached:
                 arr.setflags(write=False)
             object.__setattr__(self, "_sorted_view", cached)
@@ -134,6 +132,18 @@ class SurvivalDataset:
     @property
     def censoring_rate(self) -> float:
         return 1.0 - self.n_events / self.n
+
+
+def _gather_rows(X: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Rows ``X[order]`` as a C-order array, gathered one column at a time.
+
+    Column by column suits the F-order covariates of a dataset; the C-order
+    result suits the row-wise sweeps.
+    """
+    out = np.empty((order.size, X.shape[1]))
+    for j in range(X.shape[1]):
+        out[:, j] = X[:, j][order]
+    return out
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, _gather_rows
 from .errors import NumericsError, SingularHessianError
 
 _NLL_SLACK = 1e-12  # relative slack when judging a step-halving candidate
+# rows per block of the curvature and residual-norm passes, small enough
+# that each block's temporaries stay in cache
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,6 @@ class CoxFit:
     def standard_errors(self, n: int) -> np.ndarray:
         """Model-based SEs for a full-data fit: inverse curvature over n."""
         return np.sqrt(np.diag(np.linalg.inv(self.hessian)) / n)
-
-
-def _gather_rows(X: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Row gather into a C-order array, column-wise when the source is F-order."""
-    out = np.empty((order.size, X.shape[1]))
-    for j in range(X.shape[1]):
-        out[:, j] = X[:, j][order]
-    return out
 
 
 def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:
@@ -189,8 +184,10 @@ class _Sweep:
 
     The gradient and curvature avoid per-event second-moment tables: the
     double sum over (event, at-risk record) pairs is re-ordered into a
-    prefix-accumulated per-record factor, reducing everything to dense
-    matrix products over the records.
+    prefix-accumulated per-record factor, leaving a matrix-vector product
+    for the gradient.  The suffix sums of ``g * X`` and the curvature come
+    from one reverse pass over blocks of ``_BLOCK_ROWS`` rows
+    (:meth:`_s1_blocks`), so no n-by-p temporary is formed.
     """
 
     def __init__(self, rows: _SortedRows, beta: np.ndarray):
@@ -214,9 +211,32 @@ class _Sweep:
         return d
 
     def means(self, starts: np.ndarray) -> np.ndarray:
-        """At-risk covariate means ``S1 / S0`` at the given tie-group starts."""
-        e1 = _suffix_cumsum(self.g[:, None] * self.rows.X)
-        return e1[starts] / self.s0(starts)[:, None]
+        """At-risk covariate means ``S1 / S0`` at ascending tie-group starts."""
+        s1 = np.empty((starts.size, self.rows.p))
+        for _, _, lo, hi, block_s1 in self._s1_blocks(starts):
+            s1[lo:hi] = block_s1
+        return s1 / self.s0(starts)[:, None]
+
+    def _s1_blocks(self, starts: np.ndarray):
+        """Suffix sums ``S1`` of ``g * X`` at ascending ``starts``, block by block.
+
+        Walks blocks of ``_BLOCK_ROWS`` rows from the last to the first and
+        yields ``(a, b, lo, hi, s1)``: the block is rows ``a:b``,
+        ``starts[lo:hi]`` are the starts inside it and ``s1`` holds their
+        sums.  Each block is suffix-summed on its own and a carry adds the
+        sum over all later blocks.
+        """
+        X, g = self.rows.X, self.g
+        carry = np.zeros(self.rows.p)
+        hi = starts.size
+        for a in range((self.rows.m - 1) // _BLOCK_ROWS * _BLOCK_ROWS, -1, -_BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, self.rows.m)
+            # reversed running sum: row i of the block sits at index b - 1 - i
+            tail = np.cumsum((g[a:b, None] * X[a:b])[::-1], axis=0)
+            lo = int(np.searchsorted(starts[:hi], a, side="left"))
+            yield a, b, lo, hi, tail[(b - 1) - starts[lo:hi]] + carry
+            carry = carry + tail[-1]
+            hi = lo
 
     def _risk_denominators(self) -> np.ndarray:
         if self._denoms is None:
@@ -248,13 +268,23 @@ class _Sweep:
         return -((rows.event_scatter - self._prefix_factor()) @ rows.X) / rows.total_weight
 
     def hessian(self) -> np.ndarray:
+        """``sum_i ga_i X_i X_i' - sum_e w_e xbar_e xbar_e'`` over total weight.
+
+        Both sums are accumulated block by block in the pass that yields the
+        risk-set means ``xbar_e`` of the events whose risk sets start there.
+        """
         rows = self.rows
         if rows.n_events == 0:
             return np.zeros((rows.p, rows.p))
         ga = self._prefix_factor()
-        moments = rows.X.T @ (ga[:, None] * rows.X)
-        xbar = self.means(rows.event_risk_start)
-        centering = xbar.T @ (rows.event_weights[:, None] * xbar)
+        denoms = self._risk_denominators()
+        moments = np.zeros((rows.p, rows.p))
+        centering = np.zeros((rows.p, rows.p))
+        for a, b, lo, hi, s1 in self._s1_blocks(rows.event_risk_start):
+            Xb = rows.X[a:b]
+            moments += Xb.T @ (ga[a:b, None] * Xb)
+            xbar = s1 / denoms[lo:hi, None]
+            centering += xbar.T @ (rows.event_weights[lo:hi, None] * xbar)
         H = (moments - centering) / rows.total_weight
         return (H + H.T) / 2.0
 

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxsub import breslow, partial_likelihood
 from coxsub import (
     NumericsError,
     PilotError,
@@ -294,6 +299,105 @@ class TestScoreResiduals:
             finally:
                 mod._BLOCKWISE_MAX_SEGMENTS = old
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13)
+
+
+# fixed example sequence and no example database: the same cases every run
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# (rows per block, blockwise kernel?): tiny blocks split every run, and the
+# columnwise kernel serves as a second reference for the clamp count
+BLOCK_ROWS = partial_likelihood._BLOCK_ROWS
+KERNELS = [(1, True), (2, True), (3, True), (BLOCK_ROWS, True), (BLOCK_ROWS, False)]
+
+
+@st.composite
+def pilot_cases(draw):
+    """Data with ties, a small pilot multiset holding an event, a beta and a metric.
+
+    The pilot rows are data rows, so records tie with jump times and knots.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 3))
+    ds = random_dataset(rng, n=n, p=p, cr=draw(st.sampled_from([0.0, 0.3, 2.0])), ties=draw(st.booleans()))
+    idx = rng.integers(0, n, draw(st.integers(1, 8)))
+    if not np.any(ds.status[idx] == 1):
+        idx[0] = rng.choice(np.flatnonzero(ds.status == 1))
+    beta = rng.normal(0.0, 0.5, p)
+    M = rng.normal(size=(p, p))
+    metric = M @ M.T + np.eye(p) if draw(st.booleans()) else None
+    return ds, idx, beta, metric
+
+
+def pilot_tables(ds, idx, beta):
+    xbar = RiskSetMean.build(ds.time[idx], np.ascontiguousarray(ds.covariates[idx]), beta)
+    return xbar, pilot_breslow(ds, idx, beta)
+
+
+def dense_norms(ds, idx, beta, psi):
+    """Norms of the dense residual matrix, in the metric when one is given."""
+    xbar, cumhaz = pilot_tables(ds, idx, beta)
+    resids = score_residuals(ds, xbar, cumhaz, beta)
+    return np.linalg.norm(resids if psi is None else np.linalg.solve(psi, resids.T).T, axis=1)
+
+
+def clamped_events(ds, xbar):
+    """Events after the last knot, whose risk-set mean is clamped."""
+    return int(np.count_nonzero((ds.status == 1) & (ds.time > xbar.times[-1])))
+
+
+class TestBlockedNormPass:
+    @pytest.mark.parametrize("block, blockwise", KERNELS)
+    @PROPERTY
+    @given(case=pilot_cases())
+    def test_matches_dense_residuals(self, block, blockwise, case):
+        ds, idx, beta, psi = case
+        ref = dense_norms(ds, idx, beta, psi)
+        xbar, cumhaz = pilot_tables(ds, idx, beta)
+        max_segments = breslow._BLOCKWISE_MAX_SEGMENTS if blockwise else 0
+        with (
+            mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block),
+            mock.patch.object(breslow, "_BLOCKWISE_MAX_SEGMENTS", max_segments),
+        ):
+            got = score_residual_norms(ds, xbar, cumhaz, beta, psi)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
+        # censored before the first jump: no term at all, so exactly zero
+        assert np.all(got[(ds.status == 0) & (ds.time < cumhaz.jump_times[0])] == 0.0)
+        assert xbar.clamped_queries == clamped_events(ds, xbar)
+
+    def test_runs_longer_than_a_block(self):
+        # three pilot records leave runs of thousands of records, which the
+        # pass splits at block boundaries
+        rng = np.random.default_rng(18)
+        ds = random_dataset(rng, n=30_000, p=3, ties=True)
+        events = np.flatnonzero(ds.status == 1)
+        idx = np.array([events[0], events[1], int(np.argmax(ds.time))])
+        beta = rng.normal(0.0, 0.4, 3)
+        xbar, cumhaz = pilot_tables(ds, idx, beta)
+        time_s = np.sort(ds.time)
+        cuts = np.concatenate(
+            ([0, ds.n], np.searchsorted(time_s, cumhaz.jump_times), np.searchsorted(time_s, xbar.times, "right"))
+        )
+        assert np.diff(np.unique(cuts)).max() > BLOCK_ROWS
+        psi = hessian(ds, beta, subset=events[:50])
+        for metric in (None, psi):
+            ref = dense_norms(ds, idx, beta, metric)
+            got = score_residual_norms(ds, xbar, cumhaz, beta, metric)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
+
+    def test_events_after_last_knot_are_counted_once_each(self):
+        # the pilot misses the latest records: every event after its last
+        # time is one clamped query, whichever kernel runs
+        rng = np.random.default_rng(19)
+        ds = random_dataset(rng, n=200, p=2, ties=True)
+        order = np.argsort(ds.time, kind="stable")
+        early = order[: ds.n // 2]
+        idx = early[np.isin(early, np.flatnonzero(ds.status == 1))][:10]
+        beta = rng.normal(0.0, 0.4, 2)
+        for max_segments in (breslow._BLOCKWISE_MAX_SEGMENTS, 0):
+            xbar, cumhaz = pilot_tables(ds, idx, beta)
+            with mock.patch.object(breslow, "_BLOCKWISE_MAX_SEGMENTS", max_segments):
+                score_residual_norms(ds, xbar, cumhaz, beta)
+            assert xbar.clamped_queries == clamped_events(ds, xbar) > 0
 
 
 class TestPilotHazardConsistency:

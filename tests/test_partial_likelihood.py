@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxsub import partial_likelihood
 from coxsub import (
     NumericsError,
     SingularHessianError,
@@ -97,6 +102,80 @@ class TestAgainstNaiveOracle:
         )
         assert neg_log_partial_likelihood(ds, beta, weights=w, subset=idx) == pytest.approx(
             naive_neg_logpl(t, s, X, beta, w, n_ref=ds.n), rel=1e-12
+        )
+
+
+# fixed example sequence and no example database: the same cases every run
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+BLOCK_SIZES = [1, 2, 3, partial_likelihood._BLOCK_ROWS]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small dataset, an optional multiset and IPW weights, and a beta.
+
+    Covers ties, a single event, every record an event and covariates far
+    from the origin or on a tiny scale.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    p = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        time = rng.integers(0, max(2, n // 3), n).astype(float)  # many ties
+    else:
+        time = rng.exponential(1.0, n)
+    events = draw(st.sampled_from(["one", "some", "all"]))
+    if events == "one":
+        status = np.zeros(n, dtype=int)
+        status[rng.integers(n)] = 1
+    elif events == "some":
+        status = (rng.random(n) < 0.5).astype(int)
+    else:
+        status = np.ones(n, dtype=int)
+    offset = draw(st.sampled_from([0.0, 30.0, -30.0]))
+    scale = draw(st.sampled_from([1.0, 1e-3]))
+    X = offset + scale * rng.normal(size=(n, p))
+    # on a tiny scale beta grows so that the risks still differ, but not
+    # with an offset, where the unshifted oracle would overflow
+    beta = rng.uniform(-1.0, 1.0, p) / (scale if offset == 0.0 else 1.0)
+    subset = rng.integers(0, n, draw(st.integers(1, 30))) if draw(st.booleans()) else None
+    m = n if subset is None else subset.size
+    weights = rng.uniform(0.2, 3.0, m) if draw(st.booleans()) else None
+    return SurvivalDataset(covariates=X, time=time, status=status), beta, weights, subset
+
+
+class TestBlockedSweepAgainstOracle:
+    """Criterion, score, curvature and risk-set means at any block size
+    equal the double loops.
+
+    Blocks of one to three rows put tie groups across block boundaries and
+    risk-set starts in earlier blocks than their events.  Tolerances scale
+    with the covariate magnitude, the cancellation both sides share.
+    """
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @PROPERTY
+    @given(case=sweep_cases())
+    def test_matches_double_loops(self, block, case):
+        ds, beta, weights, subset = case
+        idx = np.arange(ds.n) if subset is None else subset
+        t, s, X = ds.time[idx], ds.status[idx], ds.covariates[idx]
+        mag = 1.0 + float(np.abs(X).max())
+        with mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block):
+            nll = neg_log_partial_likelihood(ds, beta, weights, subset)
+            grad = score(ds, beta, weights, subset)
+            curv = hessian(ds, beta, weights, subset)
+            times, s0, s1 = sweep_sums(ds, beta, weights, subset)
+        n_ref = None if weights is None else ds.n
+        expect_nll = naive_neg_logpl(t, s, X, beta, weights, n_ref)
+        assert nll == pytest.approx(expect_nll, rel=1e-10, abs=1e-12 * mag)
+        np.testing.assert_allclose(grad, naive_score(t, s, X, beta, weights), rtol=1e-9, atol=1e-12 * mag)
+        expect_curv = naive_hessian(t, s, X, beta, weights)
+        np.testing.assert_allclose(curv, expect_curv, rtol=1e-9, atol=1e-12 * mag**2)
+        oracle = risk_set_sums(ds, beta, weights, subset)
+        assert np.array_equal(times, oracle.event_times)
+        np.testing.assert_allclose(
+            s1 / s0[:, None], oracle.s1 / oracle.s0[:, None], rtol=1e-10, atol=1e-12 * mag
         )
 
 
