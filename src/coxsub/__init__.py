@@ -57,9 +57,6 @@ from .subsampling import (
     draw_weighted,
     estimate_covariance,
     fit_pilot,
-    oracle_aopt_probs,
-    oracle_lopt_probs,
-    trace_score_variance,
     two_step,
     uniform_plan,
     weighted_fit,

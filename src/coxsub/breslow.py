@@ -189,10 +189,15 @@ def _pilot_tables(
     return _breslow(sweep, PILOT_UNIFORM), _risk_set_mean(sweep)
 
 
-def _risk(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Unshifted ``exp(beta'X)`` per row: residuals need its absolute scale."""
-    eta = X @ np.asarray(beta, dtype=np.float64)
-    if not np.all(np.isfinite(eta)):
+def _risk(X_t: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unshifted ``exp(beta'X)`` per record from the p-by-m transposed covariates.
+
+    Residuals need its absolute scale.  Each row of ``X_t`` is one covariate
+    over the records, so the linear predictor is a sum of p contiguous rows.
+    """
+    eta = np.matmul(np.asarray(beta, dtype=np.float64), X_t, out=out)
+    # a finite sum means finite entries; only a non-finite one needs the scan
+    if not np.isfinite(eta.sum()) and not np.all(np.isfinite(eta)):
         raise NumericsError("non-finite linear predictor; rescale covariates")
     with np.errstate(over="raise"):
         try:
@@ -221,7 +226,7 @@ def score_residuals(
     else:
         idx = np.asarray(subset)
         time, status, X = ds.time[idx], ds.status[idx], ds.covariates[idx]
-    risk = _risk(X, beta)
+    risk = _risk(X.T, beta)
     out = np.zeros((time.size, X.shape[1]))
     events = status == 1
     if np.any(events):
@@ -238,7 +243,10 @@ def score_residuals(
     return out
 
 
-_BLOCKWISE_MAX_SEGMENTS = 4096
+# runs of at most this many sorted records go through one gathered pass per
+# block instead of the run loop, whose numpy calls cost more than such a
+# run's arithmetic
+_SHORT_RUN_ROWS = 2
 
 
 def score_residual_norms(
@@ -253,17 +261,15 @@ def score_residual_norms(
     Equals ``norm(score_residuals(...), axis=1)`` up to floating-point
     reassociation, but runs over the sorted view, where the hazard, the
     drift and the risk-set mean are constant on runs of records between
-    jump times and knots.  When the tables have few steps relative to the
-    data (the pilot-table case) one cache-resident pass computes each
-    run's residual rows and their norms directly; otherwise the step
-    tables are expanded and the norms accumulated one column at a time.
+    jump times and knots.  This is the kernel for pilot tables, whose few
+    steps make few long runs; it stays correct for tables with a step at
+    every record (full-data tables), only slower.
 
     With a positive definite ``curvature`` matrix ``Psi`` the norms are
     those of ``Psi^-1`` times each residual (the A-optimal metric).  A
     residual is linear in the record's covariates, the drift and the
-    risk-set mean, so these three are transformed by ``Psi^-1`` and the
-    same kernels run; the risk ``exp(beta'X)`` stays on the untransformed
-    covariates.
+    risk-set mean, so these three are transformed by ``Psi^-1``; the risk
+    ``exp(beta'X)`` stays on the untransformed covariates.
     """
     ds.check_values()
     time_s, status_s, X_s = ds.sorted_view()
@@ -279,26 +285,13 @@ def score_residual_norms(
     mean_rows = xbar.values
     metric = None
     if curvature is not None:
-        metric = np.linalg.inv(curvature).T
-        drift_rows, mean_rows = drift_rows @ metric, mean_rows @ metric
+        metric = np.linalg.inv(curvature)
+        drift_rows, mean_rows = drift_rows @ metric.T, mean_rows @ metric.T
 
     # the risk-set mean for the event terms is constant between its knots;
     # events after the last knot clamp to its value
-    K = xbar.times.size
     knot_starts = np.searchsorted(time_s, xbar.times, side="right")
-
-    if bounds.size - 1 + K <= _BLOCKWISE_MAX_SEGMENTS:
-        norm2 = _norms_blockwise(
-            X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows
-        )
-    else:
-        risk_s = _risk(X_s, beta)
-        ev_s = np.flatnonzero(status_s == 1)
-        knot_ids = np.minimum(np.searchsorted(knot_starts, ev_s, side="right"), K - 1)
-        X_m = X_s if metric is None else X_s @ metric
-        norm2 = _norms_columnwise(
-            X_m, risk_s, ev_s, mean_rows[knot_ids], np.diff(bounds), lam_rows, drift_rows
-        )
+    norm2 = _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows)
     # one clamped query per event after the last knot, once the pass succeeds
     xbar.clamped_queries += int(np.count_nonzero(status_s[knot_starts[-1] :] == 1))
     out = np.empty(n)
@@ -306,58 +299,75 @@ def score_residual_norms(
     return out
 
 
-def _norms_columnwise(X_s, risk_s, ev_s, event_means, seg_len, lam_rows, drift_rows):
-    """Generic path: expand the step tables and stream one column at a time."""
-    lam_risk = np.repeat(lam_rows, seg_len)
-    lam_risk *= risk_s
-    norm2 = np.zeros(X_s.shape[0])
-    for j in range(X_s.shape[1]):
-        col = X_s[:, j]
-        rj = risk_s * np.repeat(drift_rows[:, j], seg_len)
-        rj -= col * lam_risk
-        rj[ev_s] += col[ev_s] - event_means[:, j]
-        norm2 += rj * rj
-    return norm2
-
-
 def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows):
-    """Few-segment path: squared residual norms, run by run.
+    """Squared residual norms of the sorted records, block by block.
 
-    The residual of a sorted record is ``X*(status - Lam*risk) +
-    risk*drift - status*xbar``, where ``Lam`` and ``drift`` are constant on
-    hazard segments and ``xbar`` between knots.  Blocks of
-    ``partial_likelihood._BLOCK_ROWS`` records are taken in turn: first the
-    block's risk and metric-transformed covariates, then each merged run of
-    segments and knots inside it, whose residual rows and squared norms are
-    computed directly.  ``metric`` is ``None`` or the transposed inverse
-    curvature.
+    The residual of a sorted record is ``M X c + risk*drift - status*xbar``
+    with ``c = status - Lam*risk``, where ``Lam`` and ``drift`` are constant
+    on hazard segments, ``xbar`` between knots, and ``M`` is the inverse
+    curvature ``metric`` (the identity when it is ``None``).  The records
+    are cut into runs at every segment bound, knot start and block start,
+    so a run has one ``Lam``, ``drift`` and ``xbar``, and its residuals are
+    ``W @ Z`` with ``W = [M, drift, -xbar]`` and ``Z`` the stacked rows
+    ``X c``, ``risk`` and ``status``.
+
+    Blocks of ``partial_likelihood._BLOCK_ROWS`` records are taken in turn.
+    Each block builds its ``Z`` from its p-by-block view of the
+    column-major ``X_s``; then its long runs take one matrix product each,
+    and its short runs, of at most ``_SHORT_RUN_ROWS`` records, one
+    gathered pass together.
     """
     block = partial_likelihood._BLOCK_ROWS
-    n = X_s.shape[0]
-    K = mean_rows.shape[0]
-    # merged runs: cut at every segment bound, knot start and block start
+    n, p = X_s.shape
     edges = np.unique(np.concatenate((bounds, knot_starts, np.arange(0, n, block))))
-    seg_ids = np.searchsorted(bounds[1:-1], edges[:-1], side="right")
-    knot_ids = np.minimum(np.searchsorted(knot_starts, edges[:-1], side="right"), K - 1)
-    runs = zip(edges[:-1].tolist(), edges[1:].tolist(), seg_ids.tolist(), knot_ids.tolist())
-    lam = lam_rows.tolist()
-    drift_cols, mean_cols = drift_rows[:, :, None], mean_rows[:, :, None]
+    los, lens = edges[:-1], np.diff(edges)
+    seg_ids = np.searchsorted(bounds[1:-1], los, side="right")
+    knot_ids = np.minimum(np.searchsorted(knot_starts, los, side="right"), mean_rows.shape[0] - 1)
+    lam_runs = lam_rows[seg_ids]
+    block_starts = np.arange(0, n + block, block)
+    run_cuts = np.searchsorted(los, block_starts).tolist()
+    short = lens <= _SHORT_RUN_ROWS
+
+    # short runs: every record with its run's table rows, in sorted order
+    s_lens = lens[short]
+    s_rows = np.repeat(los[short] - (np.cumsum(s_lens) - s_lens), s_lens) + np.arange(s_lens.sum())
+    s_drift = np.repeat(drift_rows[seg_ids[short]], s_lens, axis=0).T
+    s_mean = np.repeat(mean_rows[knot_ids[short]], s_lens, axis=0).T
+    s_cuts = np.searchsorted(s_rows, block_starts).tolist()
+
+    # long runs: one W each; no run crosses a block start
+    long_ids = np.flatnonzero(~short)
+    W = np.empty((long_ids.size, p, p + 2))
+    W[:, :, :p] = np.eye(p) if metric is None else metric
+    W[:, :, p] = drift_rows[seg_ids[long_ids]]
+    W[:, :, p + 1] = -mean_rows[knot_ids[long_ids]]
+    l_runs = zip(W, los[long_ids].tolist(), (los + lens)[long_ids].tolist())
+    l_cuts = np.searchsorted(los[long_ids], block_starts).tolist()
+
     norm2 = np.empty(n)
-    for a in range(0, n, block):
+    # per block: Z = [X c; risk; status] and the residuals R = W @ Z
+    Z, R = np.empty((p + 2, block)), np.empty((p, block))
+    for k, a in enumerate(range(0, n, block)):
         b = min(a + block, n)
-        risk = _risk(X_s[a:b], beta)
-        delta = status_s[a:b].astype(np.float64)
-        # covariates as p rows of the block's length: the arithmetic below
-        # then runs along the records, not along the p covariates
-        X_t = X_s[a:b].T.copy() if metric is None else metric.T @ X_s[a:b].T
-        # no run crosses a block start, so the block's runs end with one at b
-        for lo, hi, s, k in runs:
-            r, d = risk[lo - a : hi - a], delta[lo - a : hi - a]
-            resid = X_t[:, lo - a : hi - a] * (d - lam[s] * r)
-            resid += drift_cols[s] * r
-            resid -= mean_cols[k] * d
-            resid *= resid
-            norm2[lo:hi] = resid.sum(axis=0)
-            if hi == b:
-                break
+        X_t, z, resid = X_s[a:b].T, Z[:, : b - a], R[:, : b - a]
+        risk = _risk(X_t, beta, out=z[p])
+        delta = z[p + 1]
+        delta[:] = status_s[a:b]
+        i, j = run_cuts[k], run_cuts[k + 1]
+        c = np.repeat(lam_runs[i:j], lens[i:j])
+        c *= risk
+        np.subtract(delta, c, out=c)
+        np.multiply(X_t, c, out=z[:p])
+        for _ in range(l_cuts[k + 1] - l_cuts[k]):
+            w, lo, hi = next(l_runs)
+            np.matmul(w, z[:, lo - a : hi - a], out=resid[:, lo - a : hi - a])
+        i, j = s_cuts[k], s_cuts[k + 1]
+        if j > i:
+            at = s_rows[i:j] - a
+            zs = z[:, at]
+            rs = zs[:p] if metric is None else metric @ zs[:p]
+            rs += s_drift[:, i:j] * zs[p]
+            rs -= s_mean[:, i:j] * zs[p + 1]
+            resid[:, at] = rs
+        np.einsum("ij,ij->j", resid, resid, out=norm2[a:b])
     return norm2

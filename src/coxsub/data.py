@@ -57,9 +57,10 @@ class SurvivalDataset:
             X = X[:, None]
         if X.ndim != 2:
             raise ValueError("covariates must be a 2-D array")
-        # column-major, so the row gathers into the C-order sorted view that
-        # the sweeps read (:func:`_gather_rows`) stream one column at a time;
-        # inputs are copied so freezing never touches caller-owned arrays
+        # column-major, like the sorted view the sweeps read, so the row
+        # gather between them (:func:`_gather_rows`) streams one contiguous
+        # column at a time; inputs are copied so freezing never touches
+        # caller-owned arrays
         X = np.array(X, order="F", copy=True)
         t = np.array(self.time, dtype=np.float64, copy=True)
         s = np.array(self.status, copy=True)
@@ -135,14 +136,17 @@ class SurvivalDataset:
 
 
 def _gather_rows(X: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Rows ``X[order]`` as a C-order array, gathered one column at a time.
+    """Rows ``X[order]`` as an F-order array, gathered one column at a time.
 
-    Column by column suits the F-order covariates of a dataset; the C-order
-    result suits the row-wise sweeps.
+    Column by column suits the F-order covariates of a dataset.  The F-order
+    result gives every pass over a block of sorted rows each covariate as
+    one contiguous run of records (``X[a:b].T`` is a view, not a copy).
     """
-    out = np.empty((order.size, X.shape[1]))
+    out = np.empty((order.size, X.shape[1]), order="F")
     for j in range(X.shape[1]):
-        out[:, j] = X[:, j][order]
+        # callers pass indices already known to be in range; "clip" writes
+        # straight into ``out`` instead of through a checked buffer
+        np.take(X[:, j], order, out=out[:, j], mode="clip")
     return out
 
 

@@ -76,7 +76,12 @@ def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:
 
 
 class _SortedRows:
-    """Time-sorted multiset of the records entering one risk-set sweep."""
+    """Time-sorted multiset of the records entering one risk-set sweep.
+
+    ``X`` is column-major for the dataset and its subsets (see
+    :func:`coxsub.data._gather_rows`), so each covariate of a block of
+    sorted rows is one contiguous run.
+    """
 
     __slots__ = (
         "time",
@@ -110,8 +115,13 @@ class _SortedRows:
         scatter = np.zeros(self.m)
         scatter[ev] = self.event_weights
         self.event_scatter = scatter
-        # first row of each event's tie group: its risk set is that row onwards
-        self.event_risk_start = np.searchsorted(time, time[ev], side="left")
+        # first row of each event's tie group: its risk set is that row onwards;
+        # one pass carries each group's first row forward over its ties
+        group_start = np.zeros(self.m, dtype=np.intp)
+        new_group = np.flatnonzero(time[1:] != time[:-1]) + 1
+        group_start[new_group] = new_group
+        np.maximum.accumulate(group_start, out=group_start)
+        self.event_risk_start = group_start[ev]
 
     @classmethod
     def of_dataset(
@@ -187,7 +197,9 @@ class _Sweep:
     prefix-accumulated per-record factor, leaving a matrix-vector product
     for the gradient.  The suffix sums of ``g * X`` and the curvature come
     from one reverse pass over blocks of ``_BLOCK_ROWS`` rows
-    (:meth:`_s1_blocks`), so no n-by-p temporary is formed.
+    (:meth:`_s1_blocks`), so no n-by-p temporary is formed; on the
+    column-major rows each block's products and running sums run along
+    contiguous columns.
     """
 
     def __init__(self, rows: _SortedRows, beta: np.ndarray):

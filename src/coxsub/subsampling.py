@@ -2,9 +2,9 @@
 
 The selection probabilities are driven by per-record martingale score
 residual norms: records whose residuals are large carry more information
-about the coefficients and are sampled more often.  Approximated plans
-build the residuals from pilot-subsample tables only; oracle plans use
-full-data tables and exist for optimality testing, not production.
+about the coefficients and are sampled more often.  The plans build the
+residuals from pilot-subsample tables only; the full-data (oracle) plans
+of the optimality tests live with the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .breslow import PilotContext, RiskSetMean, breslow_cumhaz, score_residual_norms, score_residuals
+from .breslow import PilotContext, score_residual_norms, score_residuals
 from .breslow import pilot_breslow  # noqa: F401  the benchmark's traced mode patches this name here
 from .data import SurvivalDataset, _write_columns
 from .errors import CoxSubError, NumericsError, PilotError, SingularHessianError, TwoStepError
@@ -26,8 +26,6 @@ from .partial_likelihood import CoxFit, SolverOptions, newton_solve
 UNIFORM = "uniform"
 LOPT_APPROX = "lopt_approx"
 AOPT_APPROX = "aopt_approx"
-LOPT_ORACLE = "lopt_oracle"
-AOPT_ORACLE = "aopt_oracle"
 
 _SUM_TOL = 1e-12
 _FLOOR_TOL = 1e-15
@@ -39,7 +37,9 @@ class SubsamplePlan:
 
     ``delta`` is the uniform-mixing rate: 0 is a pure residual-driven plan,
     1 is pure uniform.  Mixed plans have every probability floored at
-    ``delta/n`` so importance weights stay bounded.
+    ``delta/n`` so importance weights stay bounded.  ``probs`` is stored
+    read-only: a read-only float64 array that owns its data is kept as it
+    is, any other input is copied.
     """
 
     probs: np.ndarray
@@ -48,19 +48,25 @@ class SubsamplePlan:
     pilot: PilotContext | None = None
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64, copy=True)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        # a view, or an array still open to writes, may change under the plan
+        if probs.flags.writeable or not probs.flags.owndata:
+            probs = probs.copy()
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D array")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(probs.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
+        # every check reads one sum and one minimum: a finite sum means
+        # finite entries, and a NaN entry makes the minimum NaN
+        total, low = float(probs.sum()), float(probs.min())
+        if not (np.isfinite(total) and low >= 0.0):
+            if not np.all(np.isfinite(probs)) or low < 0.0:
+                raise ValueError("probabilities must be finite and nonnegative")
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        n = probs.size
-        if probs.min() < self.delta / n - _FLOOR_TOL:
+        if low < self.delta / probs.size - _FLOOR_TOL:
             raise ValueError("mixed plan violates the delta/n probability floor")
-        if self.delta > 0 and probs.min() <= 0.0:
+        if self.delta > 0 and low <= 0.0:
             raise ValueError("mixed plans must have strictly positive probabilities")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -159,17 +165,24 @@ def fit_pilot(ds: SurvivalDataset, pilot: Subsample, opts: SolverOptions | None 
 
 
 def _mixed_plan(norms: np.ndarray, delta: float, method: str, pilot: PilotContext | None) -> SubsamplePlan:
+    """``(1 - delta) * norms / sum(norms) + delta / n``, computed in place.
+
+    ``norms`` (a float64 array the caller hands over) becomes the plan's
+    frozen probability vector.
+    """
     n = norms.size
     total = norms.sum()
     if total <= 0.0:
         warnings.warn(
             "all residual norms are zero; falling back to uniform probabilities", stacklevel=3
         )
-        base = np.full(n, 1.0 / n)
+        norms.fill(1.0 / n)
     else:
-        base = norms / total
-    probs = (1.0 - delta) * base + delta / n
-    return SubsamplePlan(probs=probs, method=method, delta=delta, pilot=pilot)
+        norms /= total
+    norms *= 1.0 - delta
+    norms += delta / n
+    norms.setflags(write=False)
+    return SubsamplePlan(probs=norms, method=method, delta=delta, pilot=pilot)
 
 
 def _require_positive_definite(curvature: np.ndarray, name: str) -> None:
@@ -197,54 +210,6 @@ def compute_aopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> 
     _require_positive_definite(psi, "pilot")
     norms = score_residual_norms(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta, curvature=psi)
     return _mixed_plan(norms, delta, AOPT_APPROX, ctx)
-
-
-def _oracle_residual_norms(ds: SurvivalDataset, mpl: CoxFit, curvature: np.ndarray | None) -> np.ndarray:
-    xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), mpl.beta)
-    cumhaz = breslow_cumhaz(ds, mpl.beta)
-    return score_residual_norms(ds, xbar, cumhaz, mpl.beta, curvature=curvature)
-
-
-def oracle_lopt_probs(ds: SurvivalDataset, mpl: CoxFit) -> SubsamplePlan:
-    """Unmixed L-optimal plan built from full-data tables (testing only)."""
-    if mpl.role != "full_mpl":
-        raise ValueError("oracle plans require a full-data fit")
-    norms = _oracle_residual_norms(ds, mpl, None)
-    return _mixed_plan(norms, 0.0, LOPT_ORACLE, None)
-
-
-def oracle_aopt_probs(ds: SurvivalDataset, mpl: CoxFit) -> SubsamplePlan:
-    if mpl.role != "full_mpl":
-        raise ValueError("oracle plans require a full-data fit")
-    _require_positive_definite(mpl.hessian, "full-data")
-    norms = _oracle_residual_norms(ds, mpl, mpl.hessian)
-    return _mixed_plan(norms, 0.0, AOPT_ORACLE, None)
-
-
-def trace_score_variance(
-    ds: SurvivalDataset,
-    plan: SubsamplePlan,
-    mpl: CoxFit,
-    r: int,
-    norms: np.ndarray | None = None,
-) -> float:
-    """L-optimality objective of a plan: trace of the sampling covariance
-    of the importance-weighted score for a subsample of size ``r``.
-
-    Records with a zero residual contribute nothing regardless of their
-    probability; a zero probability on a contributing record makes the
-    objective infinite.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if norms is None:
-        norms = _oracle_residual_norms(ds, mpl, None)
-    active = norms > 0.0
-    if np.any(active & (plan.probs == 0.0)):
-        return float("inf")
-    sq = np.zeros_like(norms)
-    sq[active] = norms[active] ** 2 / plan.probs[active]
-    return float(sq.sum() / (r * ds.n**2))
 
 
 def draw_weighted(plan: SubsamplePlan, r: int, rng: np.random.Generator) -> Subsample:

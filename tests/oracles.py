@@ -1,13 +1,20 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here is written as direct loops over the defining formulas, with
-no shared code or vectorisation tricks from the package under test.
+no shared code or vectorisation tricks from the package under test.  The
+exception is the last section: the oracle plans of the optimality tests,
+built from the package's dense per-record residuals (themselves checked
+against :func:`naive_score_residual`) and full-data tables.
 """
 
 import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from coxsub import breslow_cumhaz, score_residuals
+from coxsub.breslow import RiskSetMean
+from coxsub.subsampling import _mixed_plan, _require_positive_definite
 
 
 def naive_neg_logpl(time, status, X, beta, weights=None, n_ref=None):
@@ -99,6 +106,21 @@ def naive_breslow(time, status, X, beta):
                 total += 1.0 / denom
         jumps.append(total)
     return event_times, np.asarray(jumps)
+
+
+def naive_risk_set_mean(time, X, beta, t):
+    """Exp-weighted mean covariate of the rows with time at least ``t``.
+
+    Beyond the last time the mean is that of the rows at the last time (the
+    clamp of a step-function table).
+    """
+    at_risk = [j for j in range(len(time)) if time[j] >= min(t, max(time))]
+    total, weighted = 0.0, np.zeros(X.shape[1])
+    for j in at_risk:
+        e = np.exp(X[j] @ beta)
+        total += e
+        weighted += e * X[j]
+    return weighted / total
 
 
 def naive_score_residual(time, status, X, i, xbar_at, jump_times, jumps, beta):
@@ -223,3 +245,57 @@ def oracle_write_cumhaz_csv(jump_times, cumulative, path):
         writer.writerow(["time", "cumhaz"])
         for t, v in zip(jump_times, cumulative):
             writer.writerow([repr(float(t)), repr(float(v))])
+
+
+# ------------------------------------------------------------------ oracle plans
+
+LOPT_ORACLE = "lopt_oracle"
+AOPT_ORACLE = "aopt_oracle"
+
+
+def oracle_residual_norms(ds, mpl, curvature=None):
+    """Norms of the full-data score residuals at ``mpl.beta``.
+
+    With a ``curvature`` matrix ``Psi`` the norms are those of ``Psi^-1``
+    times each residual (the A-optimal metric).
+    """
+    xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), mpl.beta)
+    resids = score_residuals(ds, xbar, breslow_cumhaz(ds, mpl.beta), mpl.beta)
+    if curvature is not None:
+        resids = np.linalg.solve(curvature, resids.T).T
+    return np.linalg.norm(resids, axis=1)
+
+
+def oracle_lopt_probs(ds, mpl):
+    """Unmixed L-optimal plan built from full-data tables."""
+    if mpl.role != "full_mpl":
+        raise ValueError("oracle plans require a full-data fit")
+    return _mixed_plan(oracle_residual_norms(ds, mpl), 0.0, LOPT_ORACLE, None)
+
+
+def oracle_aopt_probs(ds, mpl):
+    """Unmixed A-optimal plan built from full-data tables."""
+    if mpl.role != "full_mpl":
+        raise ValueError("oracle plans require a full-data fit")
+    _require_positive_definite(mpl.hessian, "full-data")
+    return _mixed_plan(oracle_residual_norms(ds, mpl, mpl.hessian), 0.0, AOPT_ORACLE, None)
+
+
+def trace_score_variance(ds, plan, mpl, r, norms=None):
+    """L-optimality objective of a plan: trace of the sampling covariance
+    of the importance-weighted score for a subsample of size ``r``.
+
+    Records with a zero residual contribute nothing regardless of their
+    probability; a zero probability on a contributing record makes the
+    objective infinite.
+    """
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if norms is None:
+        norms = oracle_residual_norms(ds, mpl)
+    active = norms > 0.0
+    if np.any(active & (plan.probs == 0.0)):
+        return float("inf")
+    sq = np.zeros_like(norms)
+    sq[active] = norms[active] ** 2 / plan.probs[active]
+    return float(sq.sum() / (r * ds.n**2))

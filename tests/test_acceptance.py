@@ -14,10 +14,16 @@ from scipy import stats
 
 import coxsub as cs
 from coxsub.breslow import RiskSetMean
-from coxsub.subsampling import _oracle_residual_norms
 
 from conftest import random_dataset
-from oracles import finite_diff_grad, finite_diff_jacobian, naive_nelson_aalen
+from oracles import (
+    finite_diff_grad,
+    finite_diff_jacobian,
+    naive_nelson_aalen,
+    oracle_lopt_probs,
+    oracle_residual_norms,
+    trace_score_variance,
+)
 
 
 def report(cid, desc, ok):
@@ -92,19 +98,19 @@ def test_c05_optimal_plan_minimises_trace():
     for _ in range(20):
         ds = random_dataset(rng, n=500, p=3, cr=0.3)
         mpl = cs.newton_solve(ds)
-        plan = cs.oracle_lopt_probs(ds, mpl)
-        norms = _oracle_residual_norms(ds, mpl, None)
-        t_opt = cs.trace_score_variance(ds, plan, mpl, r, norms=norms)
+        plan = oracle_lopt_probs(ds, mpl)
+        norms = oracle_residual_norms(ds, mpl)
+        t_opt = trace_score_variance(ds, plan, mpl, r, norms=norms)
         closed = norms.sum() ** 2 / (r * ds.n**2)
         ok_closed &= abs(t_opt - closed) <= 1e-10 * closed
-        t_unif = cs.trace_score_variance(ds, cs.uniform_plan(ds.n), mpl, r, norms=norms)
+        t_unif = trace_score_variance(ds, cs.uniform_plan(ds.n), mpl, r, norms=norms)
         ok_order &= t_opt < t_unif
         dirichlet = rng.dirichlet(np.ones(ds.n), size=1000)
         traces = (norms**2 / dirichlet).sum(axis=1) / (r * ds.n**2)
         ok_order &= bool(np.all(t_opt <= traces + 1e-18))
         for probe in dirichlet[:3]:
             probe_plan = cs.SubsamplePlan(probs=probe, method="lopt_oracle", delta=0.0)
-            t_probe = cs.trace_score_variance(ds, probe_plan, mpl, r, norms=norms)
+            t_probe = trace_score_variance(ds, probe_plan, mpl, r, norms=norms)
             ok_order &= t_opt <= t_probe
     report("C05", "trace minimised at the optimal plan, closed form exact",
            ok_order and ok_closed)

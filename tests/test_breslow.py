@@ -17,11 +17,17 @@ from coxsub import (
     score,
     score_residuals,
 )
-from coxsub.breslow import RiskSetMean, score_residual_norms
+from coxsub.breslow import RiskSetMean, _pilot_tables, score_residual_norms
 from coxsub.subsampling import draw_uniform, fit_pilot
 
 from conftest import random_dataset
-from oracles import naive_breslow, naive_nelson_aalen, naive_score_residual, risk_set_sums
+from oracles import (
+    naive_breslow,
+    naive_nelson_aalen,
+    naive_risk_set_mean,
+    naive_score_residual,
+    risk_set_sums,
+)
 
 
 def full_data_tables(ds, beta):
@@ -280,33 +286,13 @@ class TestScoreResiduals:
             assert np.array_equal(ref == 0.0, got == 0.0)
             assert xb1.clamped_queries == xb2.clamped_queries
 
-    def test_norms_columnwise_branch_agrees(self):
-        # oracle-scale tables take the generic branch
-        rng = np.random.default_rng(15)
-        ds = random_dataset(rng, n=300, p=2)
-        beta = rng.normal(0, 0.3, 2)
-        xbar, ch = full_data_tables(ds, beta)
-        resids = score_residuals(ds, xbar, ch, beta)
-        from coxsub import breslow as mod
-
-        for psi in (None, hessian(ds, beta)):
-            ref = np.linalg.norm(resids if psi is None else np.linalg.solve(psi, resids.T).T, axis=1)
-            old = mod._BLOCKWISE_MAX_SEGMENTS
-            try:
-                mod._BLOCKWISE_MAX_SEGMENTS = 0
-                xbar2, _ = full_data_tables(ds, beta)
-                got = score_residual_norms(ds, xbar2, ch, beta, psi)
-            finally:
-                mod._BLOCKWISE_MAX_SEGMENTS = old
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13)
-
 
 # fixed example sequence and no example database: the same cases every run
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-# (rows per block, blockwise kernel?): tiny blocks split every run, and the
-# columnwise kernel serves as a second reference for the clamp count
+# (rows per block, short runs gathered?): tiny blocks split every run into
+# short ones; without the gathered pass every run goes through the run loop
 BLOCK_ROWS = partial_likelihood._BLOCK_ROWS
-KERNELS = [(1, True), (2, True), (3, True), (BLOCK_ROWS, True), (BLOCK_ROWS, False)]
+KERNELS = [(1, True), (2, True), (3, True), (BLOCK_ROWS, True), (3, False), (BLOCK_ROWS, False)]
 
 
 @st.composite
@@ -346,17 +332,17 @@ def clamped_events(ds, xbar):
 
 
 class TestBlockedNormPass:
-    @pytest.mark.parametrize("block, blockwise", KERNELS)
+    @pytest.mark.parametrize("block, gathered", KERNELS)
     @PROPERTY
     @given(case=pilot_cases())
-    def test_matches_dense_residuals(self, block, blockwise, case):
+    def test_matches_dense_residuals(self, block, gathered, case):
         ds, idx, beta, psi = case
         ref = dense_norms(ds, idx, beta, psi)
         xbar, cumhaz = pilot_tables(ds, idx, beta)
-        max_segments = breslow._BLOCKWISE_MAX_SEGMENTS if blockwise else 0
+        short_rows = breslow._SHORT_RUN_ROWS if gathered else 0
         with (
             mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block),
-            mock.patch.object(breslow, "_BLOCKWISE_MAX_SEGMENTS", max_segments),
+            mock.patch.object(breslow, "_SHORT_RUN_ROWS", short_rows),
         ):
             got = score_residual_norms(ds, xbar, cumhaz, beta, psi)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
@@ -384,20 +370,90 @@ class TestBlockedNormPass:
             got = score_residual_norms(ds, xbar, cumhaz, beta, metric)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_data_tables(self, seed):
+        # a step at every record: runs of one or two records, gathered or looped
+        rng = np.random.default_rng(20 + seed)
+        ds = random_dataset(rng, n=300, p=3, ties=bool(seed % 2))
+        beta = rng.normal(0.0, 0.3, 3)
+        resids = score_residuals(ds, *full_data_tables(ds, beta), beta)
+        for psi in (None, hessian(ds, beta)):
+            ref = np.linalg.norm(resids if psi is None else np.linalg.solve(psi, resids.T).T, axis=1)
+            for short_rows in (breslow._SHORT_RUN_ROWS, 0):
+                with mock.patch.object(breslow, "_SHORT_RUN_ROWS", short_rows):
+                    got = score_residual_norms(ds, *full_data_tables(ds, beta), beta, psi)
+                np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13)
+
     def test_events_after_last_knot_are_counted_once_each(self):
         # the pilot misses the latest records: every event after its last
-        # time is one clamped query, whichever kernel runs
+        # time is one clamped query, whether its run is gathered or looped
         rng = np.random.default_rng(19)
         ds = random_dataset(rng, n=200, p=2, ties=True)
         order = np.argsort(ds.time, kind="stable")
         early = order[: ds.n // 2]
         idx = early[np.isin(early, np.flatnonzero(ds.status == 1))][:10]
         beta = rng.normal(0.0, 0.4, 2)
-        for max_segments in (breslow._BLOCKWISE_MAX_SEGMENTS, 0):
+        for short_rows in (breslow._SHORT_RUN_ROWS, 0, ds.n):
             xbar, cumhaz = pilot_tables(ds, idx, beta)
-            with mock.patch.object(breslow, "_BLOCKWISE_MAX_SEGMENTS", max_segments):
+            with mock.patch.object(breslow, "_SHORT_RUN_ROWS", short_rows):
                 score_residual_norms(ds, xbar, cumhaz, beta)
             assert xbar.clamped_queries == clamped_events(ds, xbar) > 0
+
+
+@st.composite
+def hazard_cases(draw):
+    """Data with ties, a with-replacement pilot multiset holding an event, a beta."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    p = draw(st.integers(1, 3))
+    ds = random_dataset(rng, n=n, p=p, cr=draw(st.sampled_from([0.0, 0.3, 2.0])), ties=draw(st.booleans()))
+    idx = rng.integers(0, n, draw(st.integers(1, 12)))
+    if not np.any(ds.status[idx] == 1):
+        idx[0] = rng.choice(np.flatnonzero(ds.status == 1))
+    return ds, idx, rng.normal(0.0, 0.5, p)
+
+
+class TestHazardAndResidualsAgainstOracle:
+    """Full-data and pilot hazards, the pilot risk-set mean and per-record
+    residuals at any block size equal the brute-force loops."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, BLOCK_ROWS])
+    @PROPERTY
+    @given(case=hazard_cases())
+    def test_matches_naive(self, block, case):
+        ds, idx, beta = case
+        t, s, X = ds.time[idx], ds.status[idx], ds.covariates[idx]
+        with mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block):
+            full = breslow_cumhaz(ds, beta)
+            pilot = pilot_breslow(ds, idx, beta)
+            pilot_cumhaz, pilot_xbar = _pilot_tables(t, s, np.ascontiguousarray(X), beta)
+            full_xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), beta)
+            full_resids = score_residuals(ds, full_xbar, full, beta)
+            pilot_resids = score_residuals(ds, pilot_xbar, pilot_cumhaz, beta)
+            subset_resids = score_residuals(ds, pilot_xbar, pilot_cumhaz, beta, subset=idx)
+
+        rows = {"full": (ds.time, ds.status, ds.covariates), "pilot": (t, s, X)}
+        for got, source in [(full, "full"), (pilot, "pilot"), (pilot_cumhaz, "pilot")]:
+            jump_times, jumps = naive_breslow(*rows[source], beta)
+            assert np.array_equal(got.jump_times, jump_times)
+            np.testing.assert_allclose(got.jumps, jumps, rtol=1e-11)
+
+        # the pilot mean at every data time, including times past its last knot
+        queries = np.concatenate((ds.time, t, [ds.time.max() + 1.0]))
+        expect = np.array([naive_risk_set_mean(t, X, beta, q) for q in queries])
+        np.testing.assert_allclose(pilot_xbar.at(queries), expect, rtol=1e-10, atol=1e-12)
+
+        for got, source in [(full_resids, "full"), (pilot_resids, "pilot")]:
+            times, status, covariates = rows[source]
+            jump_times, jumps = naive_breslow(times, status, covariates, beta)
+
+            def xbar_at(q):
+                return naive_risk_set_mean(times, covariates, beta, q)
+
+            for i in range(ds.n):
+                expect = naive_score_residual(ds.time, ds.status, ds.covariates, i, xbar_at, jump_times, jumps, beta)
+                np.testing.assert_allclose(got[i], expect, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(subset_resids, pilot_resids[idx], rtol=1e-12, atol=0.0)
 
 
 class TestPilotHazardConsistency:

@@ -13,9 +13,12 @@ from coxsub import (
     SubsamplePlan,
     SurvivalDataset,
     breslow_cumhaz,
+    hessian,
     load_csv,
+    neg_log_partial_likelihood,
     newton_solve,
     pilot_breslow,
+    score,
     score_residuals,
     two_step,
     validate,
@@ -199,6 +202,71 @@ def test_dataset_is_immutable(case1_ds):
         case1_ds.time[0] = -1.0
     with pytest.raises(ValueError):
         case1_ds.covariates[0, 0] = 5.0
+
+
+# ---- layout of the sorted view
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sorted_view_is_a_frozen_column_major_gather(seed):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n=int(rng.integers(1, 50)), p=int(rng.integers(1, 5)), ties=bool(seed % 2))
+    time_s, status_s, X_s = ds.sorted_view()
+    assert X_s.flags.f_contiguous and X_s.shape == (ds.n, ds.p)
+    assert np.array_equal(X_s, ds.covariates[ds.sort_index])
+    assert np.array_equal(time_s, ds.time[ds.sort_index])
+    assert np.array_equal(status_s, ds.status[ds.sort_index])
+    for arr in (time_s, status_s, X_s):
+        assert not arr.flags.writeable
+    assert ds.sorted_view()[2] is X_s  # cached
+    # a block of sorted rows, transposed, is a view with contiguous rows
+    block = X_s[1:].T
+    assert np.shares_memory(block, X_s) and block.strides[1] == X_s.itemsize
+
+
+def covariate_layouts(X):
+    """``X`` as a C-order, an F-order, a column-strided and a row-strided array."""
+    n, p = X.shape
+    wide = np.zeros((n, 2 * p))
+    wide[:, ::2] = X
+    tall = np.zeros((2 * n, p))
+    tall[::2] = X
+    return {
+        "C": np.ascontiguousarray(X),
+        "F": np.asfortranarray(X),
+        "column-strided": wide[:, ::2],
+        "row-strided": tall[::2],
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), p=st.integers(1, 4), ties=st.booleans())
+def test_estimators_agree_across_covariate_layouts(seed, n, p, ties):
+    rng = np.random.default_rng(seed)
+    base = random_dataset(rng, n=n, p=p, ties=ties)
+    beta = rng.normal(0.0, 0.5, p)
+    idx = np.concatenate(([rng.choice(np.flatnonzero(base.status == 1))], rng.integers(0, n, 5)))
+    M = rng.normal(size=(p, p))
+    metric = M @ M.T + np.eye(p)
+
+    def estimates(ds):
+        xbar = RiskSetMean.build(ds.time[idx], np.ascontiguousarray(ds.covariates[idx]), beta)
+        cumhaz = pilot_breslow(ds, idx, beta)
+        return [
+            np.atleast_1d(neg_log_partial_likelihood(ds, beta)),
+            score(ds, beta),
+            hessian(ds, beta).ravel(),
+            score_residual_norms(ds, xbar, cumhaz, beta),
+            score_residual_norms(ds, xbar, cumhaz, beta, metric),
+        ]
+
+    layouts = covariate_layouts(base.covariates)
+    assert not layouts["column-strided"].flags.c_contiguous and not layouts["row-strided"].flags.f_contiguous
+    ref = estimates(SurvivalDataset(covariates=layouts.pop("C"), time=base.time, status=base.status))
+    for X in layouts.values():
+        got = estimates(SurvivalDataset(covariates=X, time=base.time, status=base.status))
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 # ---- input contract on the library path

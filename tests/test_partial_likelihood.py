@@ -179,6 +179,20 @@ class TestBlockedSweepAgainstOracle:
         )
 
 
+class TestSortedRows:
+    @PROPERTY
+    @given(case=sweep_cases())
+    def test_event_risk_start_is_first_row_of_tie_group(self, case):
+        # tied times, index subsets and with-replacement multisets
+        ds, _, weights, subset = case
+        rows = [_SortedRows.of_dataset(ds, weights, subset)]
+        if subset is not None:
+            rows.append(_SortedRows.of_rows(ds.time[subset], ds.status[subset], ds.covariates[subset]))
+        for r in rows:
+            expect = np.searchsorted(r.time, r.time[r.event_rows], side="left")
+            assert np.array_equal(r.event_risk_start, expect)
+
+
 class TestReductions:
     def test_zero_covariates_nll_matches_risk_counts(self):
         rng = np.random.default_rng(3)
@@ -400,6 +414,17 @@ class TestNumericalGuards:
         for residual_pass in (score_residuals, score_residual_norms):
             with pytest.raises(NumericsError, match="rescal"):
                 residual_pass(ds, xbar, cumhaz, beta)  # exp(800) overflows
+
+    def test_overflowing_linear_predictor_names_it(self):
+        # finite covariates whose linear predictor is +-inf (or inf - inf)
+        X = [[1e200, 1e200], [-1e200, 1e200], [0.0, 0.0], [1.0, 1.0]]
+        ds = SurvivalDataset(covariates=X, time=[1.0, 2.0, 3.0, 4.0], status=[1, 1, 1, 1])
+        xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), np.zeros(2))
+        cumhaz = breslow_cumhaz(ds, np.zeros(2))
+        for beta in ([1e200, 0.0], [1e200, 1e200]):
+            for residual_pass in (score_residuals, score_residual_norms):
+                with pytest.raises(NumericsError, match="non-finite linear predictor; rescale covariates"):
+                    residual_pass(ds, xbar, cumhaz, np.array(beta))
 
     def test_nonfinite_beta_rejected(self, two_record_ds):
         with pytest.raises(ValueError, match="finite"):

@@ -16,9 +16,6 @@ from coxsub import (
     estimate_covariance,
     fit_pilot,
     newton_solve,
-    oracle_aopt_probs,
-    oracle_lopt_probs,
-    trace_score_variance,
     two_step,
     uniform_plan,
     weighted_fit,
@@ -27,6 +24,7 @@ from coxsub import SurvivalDataset
 from coxsub.subsampling import _mixed_plan
 
 from conftest import random_dataset
+from oracles import oracle_aopt_probs, oracle_lopt_probs, oracle_residual_norms, trace_score_variance
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +50,56 @@ class TestPlanValidation:
         assert plan.n == 3
         with pytest.raises(ValueError, match="floor|positive"):
             SubsamplePlan(probs=probs, method="lopt_approx", delta=0.1)
+
+    # one case per message, each raised by the first check the probabilities
+    # fail; a negative entry in a vector that sums to 1 must still name the sign
+    @pytest.mark.parametrize(
+        "probs, delta, message",
+        [
+            ([], 0.0, "probs must be a non-empty 1-D array"),
+            ([[0.5, 0.5]], 0.0, "probs must be a non-empty 1-D array"),
+            ([np.nan, 0.5, 0.5], 0.0, "probabilities must be finite and nonnegative"),
+            ([np.inf, 0.5], 0.0, "probabilities must be finite and nonnegative"),
+            ([-np.inf, np.inf, 1.0], 0.0, "probabilities must be finite and nonnegative"),
+            ([-0.1, 0.6, 0.5], 0.0, "probabilities must be finite and nonnegative"),
+            ([np.nan, -1.0, 2.0], 1.5, "probabilities must be finite and nonnegative"),
+            ([0.5, 0.6], 0.0, "probabilities sum to 1.1, not 1"),
+            ([1e308, 1e308], 0.0, "probabilities sum to inf, not 1"),
+            ([0.5, 0.6], 1.5, "probabilities sum to 1.1, not 1"),
+            ([0.5, 0.5], 1.5, "delta must lie in [0, 1]"),
+            ([0.5, 0.5], -0.1, "delta must lie in [0, 1]"),
+            ([0.9, 0.08, 0.02], 0.5, "mixed plan violates the delta/n probability floor"),
+            ([0.0, 0.4, 0.6], 0.5, "mixed plan violates the delta/n probability floor"),
+            ([0.0, 0.4, 0.6], 1e-16, "mixed plans must have strictly positive probabilities"),
+        ],
+        ids=[
+            "empty", "2-d", "nan", "inf", "inf-minus-inf", "negative", "nan-before-delta", "bad-sum",
+            "sum-overflows", "sum-before-delta", "delta-above", "delta-below", "floor", "zero-floor",
+            "zero-positive",
+        ],
+    )
+    def test_each_message(self, probs, delta, message):
+        with pytest.raises(ValueError) as info:
+            SubsamplePlan(probs=np.array(probs, dtype=np.float64), method="lopt_approx", delta=delta)
+        assert str(info.value) == message
+
+    def test_plan_keeps_its_own_frozen_probabilities(self):
+        mine = np.array([0.25, 0.75])
+        plan = SubsamplePlan(probs=mine, method="uniform", delta=0.0)
+        mine[0] = 0.5
+        assert plan.probs.tolist() == [0.25, 0.75]
+        assert not plan.probs.flags.writeable
+        # a view of a writeable buffer is copied even when the view is read-only
+        view = mine[:]
+        view.setflags(write=False)
+        mine[:] = [0.5, 0.5]
+        plan = SubsamplePlan(probs=view, method="uniform", delta=0.0)
+        mine[0] = 0.0
+        assert plan.probs.tolist() == [0.5, 0.5]
+        # a frozen array that owns its data is adopted as it is
+        frozen = np.array([0.5, 0.5])
+        frozen.setflags(write=False)
+        assert SubsamplePlan(probs=frozen, method="uniform", delta=0.0).probs is frozen
 
     @pytest.mark.parametrize("seed", range(10))
     def test_fuzzed_plans_satisfy_invariants(self, seed):
@@ -146,8 +194,8 @@ class TestApproxPlans:
 
     def test_scale_invariance_of_selection(self):
         norms = np.array([1.0, 2.0, 3.0, 4.0])
-        a = _mixed_plan(norms, 0.2, "lopt_approx", None)
         b = _mixed_plan(norms * 37.5, 0.2, "lopt_approx", None)
+        a = _mixed_plan(norms, 0.2, "lopt_approx", None)
         np.testing.assert_allclose(a.probs, b.probs, rtol=1e-15)
 
     def test_aopt_equals_lopt_when_p_is_one(self):
@@ -201,9 +249,7 @@ class TestOraclePlans:
         ds, mpl = midsize
         plan = oracle_lopt_probs(ds, mpl)
         r = 50
-        from coxsub.subsampling import _oracle_residual_norms
-
-        norms = _oracle_residual_norms(ds, mpl, None)
+        norms = oracle_residual_norms(ds, mpl)
         expect = norms.sum() ** 2 / (r * ds.n**2)
         got = trace_score_variance(ds, plan, mpl, r)
         assert got == pytest.approx(expect, rel=1e-10)
@@ -217,9 +263,7 @@ class TestOraclePlans:
 
     def test_uniform_trace_formula(self, midsize):
         ds, mpl = midsize
-        from coxsub.subsampling import _oracle_residual_norms
-
-        norms = _oracle_residual_norms(ds, mpl, None)
+        norms = oracle_residual_norms(ds, mpl)
         r = 70
         expect = (norms**2).sum() / (r * ds.n)
         got = trace_score_variance(ds, uniform_plan(ds.n), mpl, r)
@@ -251,27 +295,26 @@ class TestOraclePlans:
         plan = oracle_aopt_probs(ds, mpl)
         assert abs(plan.probs.sum() - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("max_segments", [None, 0], ids=["default_kernel", "columnwise_kernel"])
-    def test_aopt_plans_match_dense_metric(self, midsize, monkeypatch, max_segments):
-        """Both A-optimal plans are the normalised norms of Psi^-1 times each residual."""
+    def test_aopt_plans_match_dense_metric(self, midsize):
+        """The A-optimal plan, and the norm kernel on full-data tables, are the
+        normalised norms of Psi^-1 times each residual."""
         from coxsub import breslow
 
-        if max_segments is not None:
-            monkeypatch.setattr(breslow, "_BLOCKWISE_MAX_SEGMENTS", max_segments)
         ds, mpl = midsize
         ctx = fit_pilot(ds, draw_uniform(ds, 80, np.random.default_rng(12)))
         full_xbar = breslow.RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), mpl.beta)
         full_cumhaz = breslow.breslow_cumhaz(ds, mpl.beta)
+        full_norms = breslow.score_residual_norms(ds, full_xbar, full_cumhaz, mpl.beta, mpl.hessian)
         cases = [
-            (compute_aopt_probs(ds, ctx, 0.1), ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta,
+            (compute_aopt_probs(ds, ctx, 0.1).probs, ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta,
              ctx.curvature(), 0.1),
-            (oracle_aopt_probs(ds, mpl), full_xbar, full_cumhaz, mpl.beta, mpl.hessian, 0.0),
+            (full_norms / full_norms.sum(), full_xbar, full_cumhaz, mpl.beta, mpl.hessian, 0.0),
         ]
-        for plan, xbar, cumhaz, beta, psi, delta in cases:
+        for probs, xbar, cumhaz, beta, psi, delta in cases:
             resids = breslow.score_residuals(ds, xbar, cumhaz, beta)
             norms = np.linalg.norm(np.linalg.solve(psi, resids.T).T, axis=1)
             expect = (1.0 - delta) * norms / norms.sum() + delta / ds.n
-            np.testing.assert_allclose(plan.probs, expect, rtol=1e-10)
+            np.testing.assert_allclose(probs, expect, rtol=1e-10)
 
 
 class TestDrawWeighted:
