@@ -19,11 +19,7 @@ import numpy as np
 from . import partial_likelihood
 from .data import SurvivalDataset, _write_columns
 from .errors import NumericsError, PilotError
-from .partial_likelihood import CoxFit, _SortedRows, _Sweep
-
-FULL_DATA = "full_data"
-PILOT_UNIFORM = "pilot_uniform"
-TRUE_SIMULATED = "true_simulated"
+from .partial_likelihood import CoxFit, _run_starts, _SortedRows, _Sweep
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,6 @@ class CumulativeHazard:
 
     jump_times: np.ndarray
     jumps: np.ndarray
-    source: str = FULL_DATA
     cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -67,12 +62,11 @@ class RiskSetMean:
     value and are counted in ``clamped_queries``.
     """
 
-    __slots__ = ("times", "values", "beta", "clamped_queries")
+    __slots__ = ("times", "values", "clamped_queries")
 
-    def __init__(self, times: np.ndarray, values: np.ndarray, beta: np.ndarray):
+    def __init__(self, times: np.ndarray, values: np.ndarray):
         self.times = times
         self.values = values
-        self.beta = beta
         self.clamped_queries = 0
 
     @classmethod
@@ -97,23 +91,25 @@ class RiskSetMean:
 def _risk_set_mean(sweep: _Sweep) -> RiskSetMean:
     """``S1 / S0`` at every distinct time of the swept rows."""
     time = sweep.rows.time
-    starts = np.flatnonzero(np.concatenate(([True], time[1:] != time[:-1])))
-    return RiskSetMean(times=time[starts], values=sweep.means(starts), beta=sweep.beta)
+    starts = _run_starts(time)
+    return RiskSetMean(times=time[starts], values=sweep.means(starts))
 
 
-def _breslow(sweep: _Sweep, source: str) -> CumulativeHazard:
+def _breslow(sweep: _Sweep) -> CumulativeHazard:
     """Breslow jumps: events over ``S0`` at every distinct event time."""
     rows = sweep.rows
     if rows.n_events == 0:
         raise NumericsError("no events: cumulative hazard is identically zero")
-    starts, counts = np.unique(rows.event_risk_start, return_counts=True)
+    first = _run_starts(rows.event_risk_start)  # one run per tied event time
+    starts = rows.event_risk_start[first]
+    counts = np.diff(first, append=rows.n_events)
     denom = sweep.s0(starts)
     try:
         with np.errstate(over="raise"):
             jumps = counts * np.exp(-sweep.shift) / denom
     except FloatingPointError:
         raise NumericsError("hazard increments overflow; rescale covariates") from None
-    return CumulativeHazard(jump_times=rows.time[starts], jumps=jumps, source=source)
+    return CumulativeHazard(jump_times=rows.time[starts], jumps=jumps)
 
 
 def breslow_cumhaz(ds: SurvivalDataset, beta: np.ndarray) -> CumulativeHazard:
@@ -121,7 +117,7 @@ def breslow_cumhaz(ds: SurvivalDataset, beta: np.ndarray) -> CumulativeHazard:
 
     At ``beta = 0`` this reduces exactly to the Nelson-Aalen estimator.
     """
-    return _breslow(_Sweep(_SortedRows.of_dataset(ds), beta), FULL_DATA)
+    return _breslow(_Sweep(_SortedRows.of_dataset(ds), beta))
 
 
 def pilot_breslow(ds: SurvivalDataset, pilot_indices: np.ndarray, beta: np.ndarray) -> CumulativeHazard:
@@ -136,7 +132,7 @@ def pilot_breslow(ds: SurvivalDataset, pilot_indices: np.ndarray, beta: np.ndarr
     rows = _SortedRows.of_dataset(ds, subset=idx)
     if rows.n_events == 0:
         raise PilotError("pilot uninformative (no events); increase the pilot size")
-    return _breslow(_Sweep(rows, beta), PILOT_UNIFORM)
+    return _breslow(_Sweep(rows, beta))
 
 
 @dataclass
@@ -186,7 +182,7 @@ def _pilot_tables(
 ) -> tuple[CumulativeHazard, RiskSetMean]:
     """Hazard and risk-set mean of the pilot rows from one sweep."""
     sweep = _Sweep(_SortedRows.of_rows(time, status, covariates), beta)
-    return _breslow(sweep, PILOT_UNIFORM), _risk_set_mean(sweep)
+    return _breslow(sweep), _risk_set_mean(sweep)
 
 
 def _risk(X_t: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -77,9 +77,7 @@ class SurvivalDataset:
             )
         if len(t) == 0:
             raise ValueError("dataset must contain at least one record")
-        # time ascending; events (status=1) before censorings at ties;
-        # lexsort is stable, so original order breaks remaining ties.
-        order = np.lexsort((1 - (s == 1).astype(np.int8), t))
+        order = _time_order(t, s)
         for arr in (X, t, s, order):
             arr.setflags(write=False)
         object.__setattr__(self, "covariates", X)
@@ -133,6 +131,11 @@ class SurvivalDataset:
     @property
     def censoring_rate(self) -> float:
         return 1.0 - self.n_events / self.n
+
+
+def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """Time ascending, events before censorings at ties, then input order (a stable sort)."""
+    return np.lexsort((1 - (status == 1).astype(np.int8), time))
 
 
 def _gather_rows(X: np.ndarray, order: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, _gather_rows
+from .data import SurvivalDataset, _gather_rows, _time_order
 from .errors import NumericsError, SingularHessianError
 
 _NLL_SLACK = 1e-12  # relative slack when judging a step-halving candidate
@@ -70,9 +70,12 @@ class CoxFit:
         return np.sqrt(np.diag(np.linalg.inv(self.hessian)) / n)
 
 
-def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:
-    """Time ascending, events before censorings at ties, then input order."""
-    return np.lexsort((1 - (status == 1).astype(np.int8), time))
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """First index of each run of equal values in ``a``; one pass, no sort."""
+    new_run = np.empty(a.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new_run[1:])
+    return np.flatnonzero(new_run)
 
 
 class _SortedRows:
@@ -118,7 +121,7 @@ class _SortedRows:
         # first row of each event's tie group: its risk set is that row onwards;
         # one pass carries each group's first row forward over its ties
         group_start = np.zeros(self.m, dtype=np.intp)
-        new_group = np.flatnonzero(time[1:] != time[:-1]) + 1
+        new_group = _run_starts(time)
         group_start[new_group] = new_group
         np.maximum.accumulate(group_start, out=group_start)
         self.event_risk_start = group_start[ev]

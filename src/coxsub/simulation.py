@@ -16,19 +16,20 @@ import os
 import time as _time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import multiprocessing
 import numpy as np
 
 from .data import SurvivalDataset
 from .errors import CalibrationError, CoxSubError
-from .partial_likelihood import SolverOptions, newton_solve
+from .partial_likelihood import newton_solve
 from .subsampling import SubsamplePlan, two_step
 
 CASES = ("I", "II", "III", "IV")
 DEFAULT_BETA = (-1.0, -0.5, 0.0, 0.5, 1.0)
 _CALIBRATION_STREAM = 0x1CA1  # entropy domain separating calibration from data draws
+_CALIBRATION_BATCH = 100_000  # Monte Carlo records behind each calibrated c0
 
 
 def ar1_covariance(p: int, rho: float = 0.5) -> np.ndarray:
@@ -50,7 +51,6 @@ class SimConfig:
     target_cr: float = 0.2
     c0: float | None = None
     seed: int = 0
-    heavy_tail_cov: str = "match"  # "match": covariance equals the AR(1) target; "scale": raw scale matrix
 
     def __post_init__(self):
         case = str(self.case).upper()
@@ -63,8 +63,6 @@ class SimConfig:
             raise ValueError("target_cr must lie in (0, 1)")
         if self.c0 is not None and self.c0 <= 0:
             raise ValueError("c0 must be positive")
-        if self.heavy_tail_cov not in ("match", "scale"):
-            raise ValueError("heavy_tail_cov must be 'match' or 'scale'")
         object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
 
     @property
@@ -76,20 +74,13 @@ class SimConfig:
         return np.asarray(self.beta_true)
 
 
-def gen_covariates(
-    case: str,
-    n: int,
-    rng: np.random.Generator,
-    p: int = 5,
-    heavy_tail_cov: str = "match",
-) -> np.ndarray:
+def gen_covariates(case: str, n: int, rng: np.random.Generator, p: int = 5) -> np.ndarray:
     """Draw n i.i.d. covariate rows for the given simulation case.
 
     Cases: I uniform(-1,1); II equal mixture of two correlated normals
     centred at -1 and +1; III independent exponentials with rate 2;
-    IV correlated heavy-tailed rows (multivariate t, 10 df), scaled so the
-    covariance matrix equals the AR(1) target unless ``heavy_tail_cov`` is
-    "scale".
+    IV correlated heavy-tailed rows (multivariate t, 10 df), scaled by
+    ``(df - 2) / df`` so the covariance matrix equals the AR(1) target.
     """
     case = str(case).upper()
     if case == "I":
@@ -105,8 +96,7 @@ def gen_covariates(
         df = 10
         z = rng.standard_normal((n, p)) @ chol.T
         mix = rng.chisquare(df, size=n)
-        scale = (df - 2.0) if heavy_tail_cov == "match" else float(df)
-        return z * np.sqrt(scale / mix)[:, None]
+        return z * np.sqrt((df - 2.0) / mix)[:, None]
     raise ValueError(f"case must be one of {CASES}, got {case!r}")
 
 
@@ -138,40 +128,38 @@ def calibrate_c0(
     case: str,
     beta: np.ndarray,
     target_cr: float,
-    rng: np.random.Generator | None = None,
+    *,
+    seed: int,
     tol: float = 0.002,
-    batch: int = 100_000,
-    seed: int | None = None,
     cache_path: str | os.PathLike | None = None,
-    heavy_tail_cov: str = "match",
 ) -> float:
     """Bisection search for the censoring upper bound hitting ``target_cr``.
 
-    The Monte Carlo batch is drawn once and held fixed across evaluations,
+    A batch of 100 000 records is drawn once from a stream derived from
+    ``seed`` in its own entropy domain and held fixed across evaluations,
     so the empirical censoring rate is exactly monotone in ``c0`` and the
-    search is deterministic given the seed.  Results keyed by the full
-    configuration can be cached on disk.
+    search is deterministic given the seed.  With ``cache_path`` the result
+    is cached on disk, keyed by the full configuration.
     """
     if not 0.01 < target_cr < 0.99:
         raise ValueError("target_cr must lie in (0.01, 0.99)")
     beta = np.asarray(beta, dtype=np.float64)
     key = None
-    if rng is None:
-        # own stream derivation: safe to key a cache entry on the seed
-        if cache_path is not None and seed is not None:
-            raw = json.dumps(
-                ["v2", str(case).upper(), beta.tolist(), target_cr, tol, batch, seed, heavy_tail_cov]
-            )
-            key = hashlib.sha256(raw.encode()).hexdigest()[:24]
-            cached = _cache_get(cache_path, key)
-            if cached is not None:
-                return cached
-        entropy = None if seed is None else [int(seed), _CALIBRATION_STREAM]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    if cache_path is not None:
+        # byte for byte the key of when the batch and the case-IV scaling were
+        # settable (100 000 and "match" in their old places), so old entries hit
+        raw = json.dumps(
+            ["v2", str(case).upper(), beta.tolist(), target_cr, tol, _CALIBRATION_BATCH, seed, "match"]
+        )
+        key = hashlib.sha256(raw.encode()).hexdigest()[:24]
+        cached = _cache_get(cache_path, key)
+        if cached is not None:
+            return cached
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _CALIBRATION_STREAM]))
 
-    X = gen_covariates(case, batch, rng, p=beta.size, heavy_tail_cov=heavy_tail_cov)
+    X = gen_covariates(case, _CALIBRATION_BATCH, rng, p=beta.size)
     t_fail = gen_failure_times(X, beta, rng)
-    unit_censor = rng.random(batch)
+    unit_censor = rng.random(_CALIBRATION_BATCH)
 
     lo, hi = 1e-9, 1.0
     for _ in range(200):
@@ -232,14 +220,7 @@ def resolve_c0(cfg: SimConfig, cache_path: str | os.PathLike | None = None) -> S
     """
     if cfg.c0 is not None:
         return cfg
-    c0 = calibrate_c0(
-        cfg.case,
-        cfg.beta,
-        cfg.target_cr,
-        seed=cfg.seed,
-        cache_path=cache_path,
-        heavy_tail_cov=cfg.heavy_tail_cov,
-    )
+    c0 = calibrate_c0(cfg.case, cfg.beta, cfg.target_cr, seed=cfg.seed, cache_path=cache_path)
     return replace(cfg, c0=c0)
 
 
@@ -252,7 +233,7 @@ def gen_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
     """
     if cfg.c0 is None:
         raise ValueError("cfg.c0 is unset; call resolve_c0 first")
-    X = gen_covariates(cfg.case, cfg.n, rng, p=cfg.p, heavy_tail_cov=cfg.heavy_tail_cov)
+    X = gen_covariates(cfg.case, cfg.n, rng, p=cfg.p)
     t_fail = gen_failure_times(X, cfg.beta, rng)
     censor = cfg.c0 * rng.random(cfg.n)
     time = np.minimum(t_fail, censor)
@@ -279,24 +260,6 @@ class ReplicationReport:
     r: int | None = None
     delta: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "mode": self.mode,
-            "reference": self.reference,
-            "n_reps": self.n_reps,
-            "n_failures": self.n_failures,
-            "mse": self.mse,
-            "bias": list(self.bias),
-            "ese": list(self.ese),
-            "mean_se": list(self.mean_se),
-            "coverage": list(self.coverage),
-            "timings": dict(self.timings),
-            "r0": self.r0,
-            "r": self.r,
-            "delta": self.delta,
-        }
-
 
 _METHODS = ("lopt", "aopt", "unif", "full")
 
@@ -313,7 +276,6 @@ def _rep_once(
     delta: float,
     seed_seq: np.random.SeedSequence,
     mode: str,
-    solver_opts: SolverOptions | None,
 ):
     """One replication; returns (estimate, standard errors, timings)."""
     rng = np.random.default_rng(seed_seq)
@@ -321,13 +283,21 @@ def _rep_once(
         ds = gen_dataset(cfg, rng)
     if method == "full":
         t0 = _time.perf_counter()
-        fit = newton_solve(ds, opts=solver_opts)
+        fit = newton_solve(ds)
         wall = _time.perf_counter() - t0
         return fit.beta, fit.standard_errors(ds.n), {"full_fit": wall}
-    res = two_step(ds, r0, r, delta, method, rng, opts=solver_opts)
+    res = two_step(ds, r0, r, delta, method, rng)
     if res.covariance is None:
         raise CoxSubError("two-step fit did not converge")
     return res.fit.beta, res.covariance.standard_errors, res.timings
+
+
+def _rep_or_failure(ds, cfg, method, r0, r, delta, seed_seq, mode):
+    """:func:`_rep_once`, or ``("failure", reason)`` if it raises a :class:`CoxSubError`."""
+    try:
+        return _rep_once(ds, cfg, method, r0, r, delta, seed_seq, mode)
+    except CoxSubError as exc:
+        return ("failure", str(exc))
 
 
 def _worker_init(cfg, data_seq, mode):
@@ -338,11 +308,7 @@ def _worker_init(cfg, data_seq, mode):
 
 
 def _worker_run(payload):
-    cfg, method, r0, r, delta, seed_seq, mode, solver_opts = payload
-    try:
-        return _rep_once(_SHARED["ds"], cfg, method, r0, r, delta, seed_seq, mode, solver_opts)
-    except CoxSubError as exc:
-        return ("failure", str(exc))
+    return _rep_or_failure(_SHARED["ds"], *payload)
 
 
 def run_replications(
@@ -355,7 +321,6 @@ def run_replications(
     seed: int | None = None,
     mode: str = "fixed",
     threads: int = 1,
-    solver_opts: SolverOptions | None = None,
     cache_path: str | os.PathLike | None = None,
 ) -> ReplicationReport:
     """Run a replication study of one estimator and aggregate the results.
@@ -365,7 +330,9 @@ def run_replications(
     ``mode="fresh"`` regenerates the data each replication and measures
     against the known true coefficients.  Replications are independent
     tasks with per-replication derived seeds; parallel runs aggregate in
-    replication order, so results match a serial run exactly.
+    replication order, so results match a serial run exactly.  Every fit
+    uses the default solver options; a replication that raises a
+    :class:`CoxSubError` counts in ``n_failures`` and nowhere else.
     """
     method = method.lower()
     if method not in _METHODS:
@@ -383,17 +350,16 @@ def run_replications(
     ref = cfg.beta
     if mode == "fixed":
         ds = gen_dataset(cfg, np.random.default_rng(data_seq))
-        mpl = newton_solve(ds, opts=solver_opts)
+        mpl = newton_solve(ds)
         reference = "mpl"
         ref = mpl.beta
 
-    results: list = []
     if mode == "fixed" and method == "full":
         # deterministic: every replication refits the same data
-        one = _rep_once(ds, cfg, method, r0, r, delta, rep_seqs[0], mode, solver_opts)
+        one = _rep_once(ds, cfg, method, r0, r, delta, rep_seqs[0], mode)
         results = [one] * n_reps
     elif threads > 1:
-        payloads = [(cfg, method, r0, r, delta, s, mode, solver_opts) for s in rep_seqs]
+        payloads = [(cfg, method, r0, r, delta, s, mode) for s in rep_seqs]
         mp_ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
             max_workers=threads,
@@ -403,11 +369,7 @@ def run_replications(
         ) as pool:
             results = list(pool.map(_worker_run, payloads, chunksize=8))
     else:
-        for s in rep_seqs:
-            try:
-                results.append(_rep_once(ds, cfg, method, r0, r, delta, s, mode, solver_opts))
-            except CoxSubError as exc:
-                results.append(("failure", str(exc)))
+        results = [_rep_or_failure(ds, cfg, method, r0, r, delta, s, mode) for s in rep_seqs]
 
     estimates, ses, timing_rows = [], [], []
     n_failures = 0

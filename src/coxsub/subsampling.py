@@ -9,7 +9,6 @@ of the optimality tests live with the tests.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time as _time
 import warnings
@@ -133,8 +132,8 @@ class TwoStepResult:
     timings: dict
 
 
-def uniform_plan(n: int, delta: float = 1.0) -> SubsamplePlan:
-    return SubsamplePlan(probs=np.full(n, 1.0 / n), method=UNIFORM, delta=delta)
+def uniform_plan(n: int) -> SubsamplePlan:
+    return SubsamplePlan(probs=np.full(n, 1.0 / n), method=UNIFORM, delta=1.0)
 
 
 def draw_uniform(ds: SurvivalDataset, r0: int, rng: np.random.Generator) -> Subsample:
@@ -145,7 +144,7 @@ def draw_uniform(ds: SurvivalDataset, r0: int, rng: np.random.Generator) -> Subs
     return Subsample(indices=indices, weights=np.ones(r0), plan_method=UNIFORM)
 
 
-def fit_pilot(ds: SurvivalDataset, pilot: Subsample, opts: SolverOptions | None = None) -> PilotContext:
+def fit_pilot(ds: SurvivalDataset, pilot: Subsample) -> PilotContext:
     """Fit the pilot estimating equation and precompute the pilot tables.
 
     The pilot solve is the plain (unit-weight) partial likelihood on the
@@ -156,7 +155,7 @@ def fit_pilot(ds: SurvivalDataset, pilot: Subsample, opts: SolverOptions | None 
     if not np.any(ds.status[idx] == 1):
         raise PilotError("pilot uninformative (no events); increase the pilot size")
     try:
-        fit = newton_solve(ds, weights=None, subset=idx, opts=opts, role="pilot")
+        fit = newton_solve(ds, weights=None, subset=idx, role="pilot")
     except NumericsError as exc:
         raise PilotError(f"pilot fit failed ({exc}); increase the pilot size") from exc
     if not fit.converged:
@@ -227,21 +226,17 @@ def draw_weighted(plan: SubsamplePlan, r: int, rng: np.random.Generator) -> Subs
     return Subsample(indices=indices, weights=weights, plan_method=plan.method)
 
 
-def weighted_fit(
-    ds: SurvivalDataset,
-    sub: Subsample,
-    init: np.ndarray | None = None,
-    opts: SolverOptions | None = None,
-) -> CoxFit:
+def weighted_fit(ds: SurvivalDataset, sub: Subsample, init: np.ndarray | None = None) -> CoxFit:
     """Solve the inverse-probability-weighted estimating equation on a subsample.
 
     Risk sets are formed within the subsample multiset only; the weights
     make the weighted score conditionally unbiased for the full-data one.
+    Newton starts from ``init`` (zero when ``None``); every other solver
+    setting is the :class:`SolverOptions` default.
     """
     if sub.size < 2:
         raise NumericsError("subsample too small: no risk-set variation with fewer than 2 draws")
-    if init is not None:
-        opts = dataclasses.replace(opts or SolverOptions(), init=init)
+    opts = SolverOptions(init=init)
     return newton_solve(ds, weights=sub.weights, subset=sub.indices, opts=opts, role="two_step")
 
 
@@ -297,7 +292,6 @@ def two_step(
     delta: float,
     criterion: str,
     rng: np.random.Generator,
-    opts: SolverOptions | None = None,
 ) -> TwoStepResult:
     """Run the full two-step procedure: pilot, plan, draw, fit, covariance.
 
@@ -305,7 +299,8 @@ def two_step(
     subsample never enters the second-stage estimating equation except
     through the pilot estimate and its hazard/risk-set tables.  A dataset
     with a broken value raises ``ValueError`` before anything is drawn (see
-    :meth:`SurvivalDataset.check_values`).
+    :meth:`SurvivalDataset.check_values`).  Both fits run with the default
+    :class:`SolverOptions`; the second starts from the pilot estimate.
     """
     crit = criterion.lower()
     if crit not in ("lopt", "aopt", "unif"):
@@ -316,7 +311,7 @@ def two_step(
     timings: dict = {}
     with _phase(timings, "pilot_fit"):
         pilot_sub = draw_uniform(ds, r0, rng)
-        ctx = fit_pilot(ds, pilot_sub, opts=opts)
+        ctx = fit_pilot(ds, pilot_sub)
     with _phase(timings, "probability_pass"):
         if crit == "lopt":
             plan = compute_lopt_probs(ds, ctx, delta)
@@ -327,7 +322,7 @@ def two_step(
     with _phase(timings, "draw"):
         sub = draw_weighted(plan, r, rng)
     with _phase(timings, "second_fit"):
-        fit = weighted_fit(ds, sub, init=ctx.pilot_beta, opts=opts)
+        fit = weighted_fit(ds, sub, init=ctx.pilot_beta)
     covariance = None
     if fit.converged:
         with _phase(timings, "covariance"):

@@ -5,7 +5,6 @@ from coxsub import (
     NumericsError,
     PilotError,
     SingularHessianError,
-    SolverOptions,
     Subsample,
     SubsamplePlan,
     TwoStepError,
@@ -373,13 +372,6 @@ class TestWeightedFit:
         sub = draw_weighted(plan, 150, rng)
         fit = weighted_fit(ds, sub, init=ctx.pilot_beta)
         assert fit.converged and fit.role == "two_step"
-
-    def test_init_keeps_the_other_options(self, midsize):
-        ds, _ = midsize
-        sub = draw_uniform(ds, 120, np.random.default_rng(1))
-        with pytest.warns(UserWarning, match="max_iter"):
-            fit = weighted_fit(ds, sub, init=np.full(ds.p, 3.0), opts=SolverOptions(max_iter=1))
-        assert fit.iterations == 1 and not fit.converged
 
 
 class TestCovariance:
