@@ -124,7 +124,8 @@ def pilot_breslow(ds: SurvivalDataset, pilot_indices: np.ndarray, beta: np.ndarr
     """Cumulative hazard estimate from a with-replacement pilot multiset.
 
     Repeated indices contribute repeatedly, both as events and to the
-    at-risk sums.
+    at-risk sums.  The sweep runs over the sorted rows a
+    :class:`PilotContext` keeps, so the jumps equal its ``tables_at(beta)``.
     """
     idx = np.asarray(pilot_indices)
     if idx.ndim != 1 or idx.size == 0:
@@ -139,49 +140,34 @@ def pilot_breslow(ds: SurvivalDataset, pilot_indices: np.ndarray, beta: np.ndarr
 class PilotContext:
     """Everything the second sampling stage needs from the pilot subsample.
 
-    The pilot rows are kept so the risk-set mean and hazard tables can be
-    re-evaluated at a different coefficient vector (the covariance
-    estimator needs them at the final estimate).
+    ``fit`` holds the pilot estimate ``fit.beta`` and its curvature
+    ``fit.hessian``; ``rows`` the time-sorted pilot multiset the fit swept,
+    from which :meth:`tables_at` re-evaluates the hazard and risk-set mean
+    at another coefficient vector, such as the final two-step estimate.
     """
 
     pilot_indices: np.ndarray
-    time: np.ndarray
-    status: np.ndarray
-    covariates: np.ndarray
-    pilot_beta: np.ndarray
+    rows: _SortedRows
     fit: CoxFit
     pilot_cumhaz: CumulativeHazard
     xbar: RiskSetMean
 
     @classmethod
     def from_fit(cls, ds: SurvivalDataset, pilot_indices: np.ndarray, fit: CoxFit) -> "PilotContext":
-        """The pilot rows and their tables at the pilot estimate ``fit.beta``."""
-        idx = pilot_indices
-        time, status = ds.time[idx], ds.status[idx]
-        covariates = np.ascontiguousarray(ds.covariates[idx])
-        cumhaz, xbar = _pilot_tables(time, status, covariates, fit.beta)
-        return cls(idx, time, status, covariates, fit.beta, fit, cumhaz, xbar)
-
-    @property
-    def size(self) -> int:
-        return self.pilot_indices.size
-
-    def curvature(self) -> np.ndarray:
-        """Event-weighted at-risk curvature of the pilot fit."""
-        return self.fit.hessian
+        """The sorted pilot rows and their tables at the pilot estimate ``fit.beta``."""
+        rows = _SortedRows.of_dataset(ds, subset=pilot_indices)
+        return cls(pilot_indices, rows, fit, *_pilot_tables(rows, fit.beta))
 
     def tables_at(self, beta: np.ndarray) -> tuple[CumulativeHazard, RiskSetMean]:
         """Pilot hazard and risk-set mean re-evaluated at ``beta``."""
-        if np.array_equal(np.asarray(beta, dtype=np.float64), self.pilot_beta):
+        if np.array_equal(np.asarray(beta, dtype=np.float64), self.fit.beta):
             return self.pilot_cumhaz, self.xbar
-        return _pilot_tables(self.time, self.status, self.covariates, beta)
+        return _pilot_tables(self.rows, beta)
 
 
-def _pilot_tables(
-    time: np.ndarray, status: np.ndarray, covariates: np.ndarray, beta: np.ndarray
-) -> tuple[CumulativeHazard, RiskSetMean]:
-    """Hazard and risk-set mean of the pilot rows from one sweep."""
-    sweep = _Sweep(_SortedRows.of_rows(time, status, covariates), beta)
+def _pilot_tables(rows: _SortedRows, beta: np.ndarray) -> tuple[CumulativeHazard, RiskSetMean]:
+    """Hazard and risk-set mean of the sorted pilot rows from one sweep."""
+    sweep = _Sweep(rows, beta)
     return _breslow(sweep), _risk_set_mean(sweep)
 
 
@@ -228,15 +214,22 @@ def score_residuals(
     if np.any(events):
         out[events] = X[events] - xbar.at(time[events])
 
-    jt = cumhaz.jump_times
-    mean_at_jumps = xbar.at(jt)
-    cum_mean_haz = np.cumsum(mean_at_jumps * cumhaz.jumps[:, None], axis=0)
-    pos = np.searchsorted(jt, time, side="right") - 1
-    seen = pos >= 0
-    lam = np.where(seen, cumhaz.cumulative[np.maximum(pos, 0)], 0.0)
-    drift = np.where(seen[:, None], cum_mean_haz[np.maximum(pos, 0)], 0.0)
-    out -= risk[:, None] * (X * lam[:, None] - drift)
+    lam_rows, drift_rows = _hazard_rows(xbar, cumhaz)
+    k = np.searchsorted(cumhaz.jump_times, time, side="right")
+    out -= risk[:, None] * (X * lam_rows[k, None] - drift_rows[k])
     return out
+
+
+def _hazard_rows(xbar: RiskSetMean, cumhaz: CumulativeHazard) -> tuple[np.ndarray, np.ndarray]:
+    """Hazard and drift ``sum xbar(t_j) dLambda_j`` over the first k jumps, k = 0..K.
+
+    A record at time t reads row ``searchsorted(jump_times, t, side="right")``.
+    """
+    p = xbar.values.shape[1]
+    lam_rows = np.concatenate(([0.0], cumhaz.cumulative))
+    cum_mean_haz = np.cumsum(xbar.at(cumhaz.jump_times) * cumhaz.jumps[:, None], axis=0)
+    drift_rows = np.concatenate((np.zeros((1, p)), cum_mean_haz), axis=0)
+    return lam_rows, drift_rows
 
 
 # runs of at most this many sorted records go through one gathered pass per
@@ -269,15 +262,12 @@ def score_residual_norms(
     """
     ds.check_values()
     time_s, status_s, X_s = ds.sorted_view()
-    n, p = ds.n, ds.p
+    n = ds.n
 
     # hazard accumulated up to each record's time: constant on segments
     # between jump times
-    jt = cumhaz.jump_times
-    bounds = np.concatenate(([0], np.searchsorted(time_s, jt, side="left"), [n]))
-    lam_rows = np.concatenate(([0.0], cumhaz.cumulative))
-    cum_mean_haz = np.cumsum(xbar.at(jt) * cumhaz.jumps[:, None], axis=0)
-    drift_rows = np.concatenate((np.zeros((1, p)), cum_mean_haz), axis=0)
+    bounds = np.concatenate(([0], np.searchsorted(time_s, cumhaz.jump_times, side="left"), [n]))
+    lam_rows, drift_rows = _hazard_rows(xbar, cumhaz)
     mean_rows = xbar.values
     metric = None
     if curvature is not None:

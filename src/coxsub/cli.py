@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time as _time
@@ -36,11 +37,15 @@ def _default_threads() -> int:
         return 1
 
 
-def _parse_floats(text, p: int | None = None) -> np.ndarray:
-    if isinstance(text, (list, tuple)):
-        vals = np.asarray([float(v) for v in text])
-    else:
-        vals = np.asarray([float(v) for v in str(text).split(",") if v != ""])
+def _parse_floats(text, parser, flag: str, p: int | None = None) -> np.ndarray:
+    """The finite numbers a coefficient flag lists; a usage error naming ``flag`` otherwise."""
+    items = text if isinstance(text, (list, tuple)) else [v for v in str(text).split(",") if v != ""]
+    try:
+        vals = np.asarray([float(v) for v in items])
+    except (TypeError, ValueError):
+        parser.error(f"{flag}: expected comma-separated numbers, got {text!r}")
+    if vals.size == 0 or not np.all(np.isfinite(vals)):
+        parser.error(f"{flag}: expected one or more finite numbers, got {text!r}")
     if p is not None and vals.size == 1 and p > 1:
         vals = np.full(p, vals[0])
     return vals
@@ -109,7 +114,8 @@ def cmd_simulate(args) -> int:
     p = args._parser
     _check(0.0 < args.cr < 1.0, p, "--cr must lie in (0, 1)")
     _check(args.n >= 1, p, "--n must be at least 1")
-    beta = _parse_floats(args.beta) if args.beta is not None else np.asarray(simulation.DEFAULT_BETA)
+    _check(args.c0 is None or (math.isfinite(args.c0) and args.c0 > 0), p, "--c0 must be finite and positive")
+    beta = _parse_floats(args.beta, p, "--beta") if args.beta is not None else np.asarray(simulation.DEFAULT_BETA)
     cfg = SimConfig(
         case=args.case,
         n=args.n,
@@ -145,7 +151,7 @@ def cmd_fit(args) -> int:
     ds = load_csv(args.input, _schema_from_args(args))
     t0 = _time.perf_counter()
     if args.fix_beta is not None:
-        beta = _parse_floats(args.fix_beta, p=ds.p)
+        beta = _parse_floats(args.fix_beta, args._parser, "--fix-beta", p=ds.p)
         if beta.shape != (ds.p,):
             args._parser.error(f"--fix-beta needs 1 or {ds.p} values")
         from .partial_likelihood import hessian, neg_log_partial_likelihood
@@ -354,7 +360,8 @@ def _timing_table(args, case: str, r: int, path: str) -> None:
 def cmd_calibrate(args) -> int:
     p = args._parser
     _check(0.01 < args.cr < 0.99, p, "--cr must lie in (0.01, 0.99)")
-    beta = _parse_floats(args.beta) if args.beta is not None else np.asarray(simulation.DEFAULT_BETA)
+    _check(math.isfinite(args.tol) and args.tol > 0, p, "--tol must be finite and positive")
+    beta = _parse_floats(args.beta, p, "--beta") if args.beta is not None else np.asarray(simulation.DEFAULT_BETA)
     c0 = simulation.calibrate_c0(
         args.case, beta, args.cr, seed=args.seed, tol=args.tol, cache_path=_CACHE_PATH
     )

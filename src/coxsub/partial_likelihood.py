@@ -160,7 +160,7 @@ class _SortedRows:
 
     @classmethod
     def of_rows(cls, time: np.ndarray, status: np.ndarray, covariates: np.ndarray) -> _SortedRows:
-        """Unit-weight rows given in any order, such as a pilot multiset."""
+        """Unit-weight rows given in any order, such as those of :meth:`RiskSetMean.build`."""
         order = _time_order(time, status)
         return cls(time[order], status[order], covariates[order], np.ones(time.size), time.size)
 

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-import time as _time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -61,9 +60,12 @@ class SimConfig:
             raise ValueError("n must be at least 1")
         if not 0.0 < self.target_cr < 1.0:
             raise ValueError("target_cr must lie in (0, 1)")
-        if self.c0 is not None and self.c0 <= 0:
-            raise ValueError("c0 must be positive")
-        object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
+        if self.c0 is not None and not (math.isfinite(self.c0) and self.c0 > 0):
+            raise ValueError(f"c0 must be finite and positive, got {self.c0!r}")
+        beta = tuple(float(b) for b in self.beta_true)
+        if not beta or not all(map(math.isfinite, beta)):
+            raise ValueError(f"beta_true must be one or more finite values, got {self.beta_true!r}")
+        object.__setattr__(self, "beta_true", beta)
 
     @property
     def p(self) -> int:
@@ -100,23 +102,15 @@ def gen_covariates(case: str, n: int, rng: np.random.Generator, p: int = 5) -> n
     raise ValueError(f"case must be one of {CASES}, got {case!r}")
 
 
-def gen_failure_times(
-    X: np.ndarray,
-    beta: np.ndarray,
-    rng: np.random.Generator | None = None,
-    u: np.ndarray | None = None,
-) -> np.ndarray:
+def gen_failure_times(X: np.ndarray, beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Invert the cumulative hazard at a uniform draw.
 
     With cumulative baseline hazard ``0.25*t**2`` the failure time is
-    ``2*sqrt(-log(u))*exp(-beta'x/2)``.  ``u`` may be passed explicitly for
-    testing; otherwise it is drawn on (0, 1].
+    ``2*sqrt(-log(u))*exp(-beta'x/2)``, with ``u = 1 - rng.random(n)`` on
+    (0, 1], one draw per row of ``X``.
     """
     eta = np.asarray(X) @ np.asarray(beta)
-    if u is None:
-        if rng is None:
-            raise ValueError("either rng or u must be provided")
-        u = 1.0 - rng.random(eta.shape[0])
+    u = 1.0 - rng.random(eta.shape[0])
     return 2.0 * np.sqrt(-np.log(u)) * np.exp(-eta / 2.0)
 
 
@@ -138,11 +132,15 @@ def calibrate_c0(
     A batch of 100 000 records is drawn once from a stream derived from
     ``seed`` in its own entropy domain and held fixed across evaluations,
     so the empirical censoring rate is exactly monotone in ``c0`` and the
-    search is deterministic given the seed.  With ``cache_path`` the result
-    is cached on disk, keyed by the full configuration.
+    search is deterministic given the seed.  ``tol`` is the accepted
+    distance from ``target_cr`` and must be finite and positive.  With
+    ``cache_path`` the result is cached on disk, keyed by the full
+    configuration.
     """
     if not 0.01 < target_cr < 0.99:
         raise ValueError("target_cr must lie in (0.01, 0.99)")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     beta = np.asarray(beta, dtype=np.float64)
     key = None
     if cache_path is not None:
@@ -243,10 +241,11 @@ def gen_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
 
 @dataclass(frozen=True)
 class ReplicationReport:
-    """Aggregated estimates across replications of one method."""
+    """Error summaries of one estimator across replications.
 
-    method: str
-    mode: str  # "fixed": one dataset, sampling varies; "fresh": new data each rep
+    The study's settings are the caller's arguments and are not echoed back.
+    """
+
     reference: str  # what mse/bias/ese are measured against: "mpl" or "truth"
     n_reps: int
     n_failures: int
@@ -255,10 +254,6 @@ class ReplicationReport:
     ese: np.ndarray
     mean_se: np.ndarray
     coverage: np.ndarray
-    timings: dict
-    r0: int | None = None
-    r: int | None = None
-    delta: float | None = None
 
 
 _METHODS = ("lopt", "aopt", "unif", "full")
@@ -277,19 +272,17 @@ def _rep_once(
     seed_seq: np.random.SeedSequence,
     mode: str,
 ):
-    """One replication; returns (estimate, standard errors, timings)."""
+    """One replication; returns (estimate, standard errors)."""
     rng = np.random.default_rng(seed_seq)
     if mode == "fresh":
         ds = gen_dataset(cfg, rng)
     if method == "full":
-        t0 = _time.perf_counter()
         fit = newton_solve(ds)
-        wall = _time.perf_counter() - t0
-        return fit.beta, fit.standard_errors(ds.n), {"full_fit": wall}
+        return fit.beta, fit.standard_errors(ds.n)
     res = two_step(ds, r0, r, delta, method, rng)
     if res.covariance is None:
         raise CoxSubError("two-step fit did not converge")
-    return res.fit.beta, res.covariance.standard_errors, res.timings
+    return res.fit.beta, res.covariance.standard_errors
 
 
 def _rep_or_failure(ds, cfg, method, r0, r, delta, seed_seq, mode):
@@ -323,7 +316,7 @@ def run_replications(
     threads: int = 1,
     cache_path: str | os.PathLike | None = None,
 ) -> ReplicationReport:
-    """Run a replication study of one estimator and aggregate the results.
+    """Run a replication study of one estimator and aggregate its errors.
 
     ``mode="fixed"`` generates one dataset and lets only the subsampling
     randomness vary, measuring error against the full-data estimate;
@@ -332,7 +325,8 @@ def run_replications(
     tasks with per-replication derived seeds; parallel runs aggregate in
     replication order, so results match a serial run exactly.  Every fit
     uses the default solver options; a replication that raises a
-    :class:`CoxSubError` counts in ``n_failures`` and nowhere else.
+    :class:`CoxSubError` counts in ``n_failures`` and nowhere else.  The
+    report holds the error summaries only, not the settings passed here.
     """
     method = method.lower()
     if method not in _METHODS:
@@ -371,32 +365,19 @@ def run_replications(
     else:
         results = [_rep_or_failure(ds, cfg, method, r0, r, delta, s, mode) for s in rep_seqs]
 
-    estimates, ses, timing_rows = [], [], []
-    n_failures = 0
-    for item in results:
-        if isinstance(item, tuple) and len(item) == 2 and item[0] == "failure":
-            n_failures += 1
-            continue
-        est, se, timings = item
-        estimates.append(est)
-        ses.append(se)
-        timing_rows.append(timings)
-    if len(estimates) < 2:
+    done = [item for item in results if not isinstance(item[0], str)]  # not ("failure", reason)
+    n_failures = n_reps - len(done)
+    if len(done) < 2:
         raise CoxSubError(f"too many failed replications ({n_failures} of {n_reps})")
 
-    est = np.asarray(estimates)
-    se = np.asarray(ses)
+    est, se = map(np.asarray, zip(*done))
     truth = cfg.beta
     mse = float(np.mean(np.sum((est - ref) ** 2, axis=1)))
     bias = est.mean(axis=0) - ref
     ese = est.std(axis=0, ddof=1)
     mean_se = se.mean(axis=0)
     covered = np.abs(est - truth) <= 1.96 * se
-    phase_keys = sorted({k for row in timing_rows for k in row})
-    timings = {k: float(np.mean([row.get(k, 0.0) for row in timing_rows])) for k in phase_keys}
     return ReplicationReport(
-        method=method,
-        mode=mode,
         reference=reference,
         n_reps=n_reps,
         n_failures=n_failures,
@@ -405,10 +386,6 @@ def run_replications(
         ese=ese,
         mean_se=mean_se,
         coverage=covered.mean(axis=0),
-        timings=timings,
-        r0=None if method == "full" else r0,
-        r=None if method == "full" else r,
-        delta=None if method == "full" else delta,
     )
 
 

@@ -22,17 +22,13 @@ from .data import SurvivalDataset, _write_columns
 from .errors import CoxSubError, NumericsError, PilotError, SingularHessianError, TwoStepError
 from .partial_likelihood import CoxFit, SolverOptions, newton_solve
 
-UNIFORM = "uniform"
-LOPT_APPROX = "lopt_approx"
-AOPT_APPROX = "aopt_approx"
-
 _SUM_TOL = 1e-12
 _FLOOR_TOL = 1e-15
 
 
 @dataclass(frozen=True)
 class SubsamplePlan:
-    """A probability vector over the records plus its construction recipe.
+    """Selection probabilities over the records and their uniform-mixing rate.
 
     ``delta`` is the uniform-mixing rate: 0 is a pure residual-driven plan,
     1 is pure uniform.  Mixed plans have every probability floored at
@@ -42,9 +38,7 @@ class SubsamplePlan:
     """
 
     probs: np.ndarray
-    method: str
     delta: float
-    pilot: PilotContext | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -86,11 +80,10 @@ class SubsamplePlan:
 
 @dataclass(frozen=True)
 class Subsample:
-    """Drawn record indices (with replacement) and their importance weights."""
+    """Drawn record indices (with replacement) and their importance weights ``1/(n*pi)``."""
 
     indices: np.ndarray
     weights: np.ndarray
-    plan_method: str
 
     def __post_init__(self):
         idx = np.asarray(self.indices)
@@ -133,7 +126,7 @@ class TwoStepResult:
 
 
 def uniform_plan(n: int) -> SubsamplePlan:
-    return SubsamplePlan(probs=np.full(n, 1.0 / n), method=UNIFORM, delta=1.0)
+    return SubsamplePlan(probs=np.full(n, 1.0 / n), delta=1.0)
 
 
 def draw_uniform(ds: SurvivalDataset, r0: int, rng: np.random.Generator) -> Subsample:
@@ -141,7 +134,7 @@ def draw_uniform(ds: SurvivalDataset, r0: int, rng: np.random.Generator) -> Subs
     if r0 < 1:
         raise ValueError("subsample size must be at least 1")
     indices = rng.integers(0, ds.n, size=r0)
-    return Subsample(indices=indices, weights=np.ones(r0), plan_method=UNIFORM)
+    return Subsample(indices=indices, weights=np.ones(r0))
 
 
 def fit_pilot(ds: SurvivalDataset, pilot: Subsample) -> PilotContext:
@@ -163,7 +156,7 @@ def fit_pilot(ds: SurvivalDataset, pilot: Subsample) -> PilotContext:
     return PilotContext.from_fit(ds, idx, fit)
 
 
-def _mixed_plan(norms: np.ndarray, delta: float, method: str, pilot: PilotContext | None) -> SubsamplePlan:
+def _mixed_plan(norms: np.ndarray, delta: float) -> SubsamplePlan:
     """``(1 - delta) * norms / sum(norms) + delta / n``, computed in place.
 
     ``norms`` (a float64 array the caller hands over) becomes the plan's
@@ -181,7 +174,7 @@ def _mixed_plan(norms: np.ndarray, delta: float, method: str, pilot: PilotContex
     norms *= 1.0 - delta
     norms += delta / n
     norms.setflags(write=False)
-    return SubsamplePlan(probs=norms, method=method, delta=delta, pilot=pilot)
+    return SubsamplePlan(probs=norms, delta=delta)
 
 
 def _require_positive_definite(curvature: np.ndarray, name: str) -> None:
@@ -197,18 +190,18 @@ def compute_lopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> 
     """L-optimal plan approximated through the pilot tables, mixed with uniform."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    norms = score_residual_norms(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta)
-    return _mixed_plan(norms, delta, LOPT_APPROX, ctx)
+    norms = score_residual_norms(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.fit.beta)
+    return _mixed_plan(norms, delta)
 
 
 def compute_aopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> SubsamplePlan:
     """A-optimal plan: residual norms in the metric of the inverse pilot curvature."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    psi = ctx.curvature()
+    psi = ctx.fit.hessian
     _require_positive_definite(psi, "pilot")
-    norms = score_residual_norms(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta, curvature=psi)
-    return _mixed_plan(norms, delta, AOPT_APPROX, ctx)
+    norms = score_residual_norms(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.fit.beta, curvature=psi)
+    return _mixed_plan(norms, delta)
 
 
 def draw_weighted(plan: SubsamplePlan, r: int, rng: np.random.Generator) -> Subsample:
@@ -223,7 +216,7 @@ def draw_weighted(plan: SubsamplePlan, r: int, rng: np.random.Generator) -> Subs
     indices = np.searchsorted(cdf, rng.random(r) * cdf[-1], side="right")
     indices = np.minimum(indices, plan.n - 1)
     weights = 1.0 / (plan.n * plan.probs[indices])
-    return Subsample(indices=indices, weights=weights, plan_method=plan.method)
+    return Subsample(indices=indices, weights=weights)
 
 
 def weighted_fit(ds: SurvivalDataset, sub: Subsample, init: np.ndarray | None = None) -> CoxFit:
@@ -322,7 +315,7 @@ def two_step(
     with _phase(timings, "draw"):
         sub = draw_weighted(plan, r, rng)
     with _phase(timings, "second_fit"):
-        fit = weighted_fit(ds, sub, init=ctx.pilot_beta)
+        fit = weighted_fit(ds, sub, init=ctx.fit.beta)
     covariance = None
     if fit.converged:
         with _phase(timings, "covariance"):

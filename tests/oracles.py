@@ -249,9 +249,6 @@ def oracle_write_cumhaz_csv(jump_times, cumulative, path):
 
 # ------------------------------------------------------------------ oracle plans
 
-LOPT_ORACLE = "lopt_oracle"
-AOPT_ORACLE = "aopt_oracle"
-
 
 def oracle_residual_norms(ds, mpl, curvature=None):
     """Norms of the full-data score residuals at ``mpl.beta``.
@@ -270,7 +267,7 @@ def oracle_lopt_probs(ds, mpl):
     """Unmixed L-optimal plan built from full-data tables."""
     if mpl.role != "full_mpl":
         raise ValueError("oracle plans require a full-data fit")
-    return _mixed_plan(oracle_residual_norms(ds, mpl), 0.0, LOPT_ORACLE, None)
+    return _mixed_plan(oracle_residual_norms(ds, mpl), 0.0)
 
 
 def oracle_aopt_probs(ds, mpl):
@@ -278,7 +275,7 @@ def oracle_aopt_probs(ds, mpl):
     if mpl.role != "full_mpl":
         raise ValueError("oracle plans require a full-data fit")
     _require_positive_definite(mpl.hessian, "full-data")
-    return _mixed_plan(oracle_residual_norms(ds, mpl, mpl.hessian), 0.0, AOPT_ORACLE, None)
+    return _mixed_plan(oracle_residual_norms(ds, mpl, mpl.hessian), 0.0)
 
 
 def trace_score_variance(ds, plan, mpl, r, norms=None):

@@ -109,7 +109,7 @@ def test_c05_optimal_plan_minimises_trace():
         traces = (norms**2 / dirichlet).sum(axis=1) / (r * ds.n**2)
         ok_order &= bool(np.all(t_opt <= traces + 1e-18))
         for probe in dirichlet[:3]:
-            probe_plan = cs.SubsamplePlan(probs=probe, method="lopt_oracle", delta=0.0)
+            probe_plan = cs.SubsamplePlan(probs=probe, delta=0.0)
             t_probe = trace_score_variance(ds, probe_plan, mpl, r, norms=norms)
             ok_order &= t_opt <= t_probe
     report("C05", "trace minimised at the optimal plan, closed form exact",
@@ -153,8 +153,7 @@ def test_c07_conditional_unbiasedness_of_weighted_score():
 
 
 def test_c08_weighted_fit_reduction(case1_ds, case1_mpl):
-    sub = cs.Subsample(indices=np.arange(case1_ds.n), weights=np.ones(case1_ds.n),
-                       plan_method="uniform")
+    sub = cs.Subsample(indices=np.arange(case1_ds.n), weights=np.ones(case1_ds.n))
     fit = cs.weighted_fit(case1_ds, sub)
     dev = np.abs(fit.beta - case1_mpl.beta).max()
     report("C08", f"each-once uniform subsample reproduces the full fit (dev {dev:.2e})",

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from coxsub import (
     score,
     score_residuals,
 )
-from coxsub.breslow import RiskSetMean, _pilot_tables, score_residual_norms
+from coxsub.breslow import PilotContext, RiskSetMean, _pilot_tables, score_residual_norms
 from coxsub.subsampling import draw_uniform, fit_pilot
 
 from conftest import random_dataset
@@ -173,11 +174,11 @@ class TestPilotContext:
         sub = draw_uniform(ds, 500, np.random.default_rng(1))
         ctx = fit_pilot(ds, sub)
         t = float(np.median(ds.time))
-        got = ctx.tables_at(ctx.pilot_beta)[1].at(t)
+        got = ctx.tables_at(ctx.fit.beta)[1].at(t)
         # direct ratio over the pilot multiset
         idx = ctx.pilot_indices
         at_risk = ds.time[idx] >= t
-        e = np.exp(ds.covariates[idx] @ ctx.pilot_beta)
+        e = np.exp(ds.covariates[idx] @ ctx.fit.beta)
         expect = (e[at_risk, None] * ds.covariates[idx][at_risk]).sum(0) / e[at_risk].sum()
         np.testing.assert_allclose(got, expect, rtol=1e-10)
 
@@ -185,11 +186,16 @@ class TestPilotContext:
         rng = np.random.default_rng(11)
         ds = random_dataset(rng, n=60, p=2)
         ctx = fit_pilot(ds, draw_uniform(ds, 40, np.random.default_rng(3)))
-        other = ctx.pilot_beta + 0.25
+        other = ctx.fit.beta + 0.25
         ch, xb = ctx.tables_at(other)
+        # the same sorted pilot rows behind all three: equal to the last bit
         direct = pilot_breslow(ds, ctx.pilot_indices, other)
-        np.testing.assert_allclose(ch.jumps, direct.jumps, rtol=1e-12)
-        same_ch, same_xb = ctx.tables_at(ctx.pilot_beta)
+        assert np.array_equal(ch.jump_times, direct.jump_times)
+        assert np.array_equal(ch.jumps, direct.jumps)
+        rebuilt = PilotContext.from_fit(ds, ctx.pilot_indices, replace(ctx.fit, beta=other))
+        assert np.array_equal(xb.times, rebuilt.xbar.times)
+        assert np.array_equal(xb.values, rebuilt.xbar.values)
+        same_ch, same_xb = ctx.tables_at(ctx.fit.beta)
         assert same_ch is ctx.pilot_cumhaz and same_xb is ctx.xbar
 
     @pytest.mark.parametrize("seed", range(3))
@@ -200,7 +206,7 @@ class TestPilotContext:
         ds = random_dataset(rng, n=80, p=2, ties=True)
         ctx = fit_pilot(ds, draw_uniform(ds, 50, rng))
         idx = ctx.pilot_indices
-        for beta in (ctx.pilot_beta, ctx.pilot_beta + rng.normal(0, 0.3, 2)):
+        for beta in (ctx.fit.beta, ctx.fit.beta + rng.normal(0, 0.3, 2)):
             cumhaz, xbar = ctx.tables_at(beta)
             times, jumps = naive_breslow(ds.time[idx], ds.status[idx], ds.covariates[idx], beta)
             assert np.array_equal(cumhaz.jump_times, times)
@@ -426,7 +432,8 @@ class TestHazardAndResidualsAgainstOracle:
         with mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block):
             full = breslow_cumhaz(ds, beta)
             pilot = pilot_breslow(ds, idx, beta)
-            pilot_cumhaz, pilot_xbar = _pilot_tables(t, s, np.ascontiguousarray(X), beta)
+            pilot_rows = partial_likelihood._SortedRows.of_dataset(ds, subset=idx)
+            pilot_cumhaz, pilot_xbar = _pilot_tables(pilot_rows, beta)
             full_xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), beta)
             full_resids = score_residuals(ds, full_xbar, full, beta)
             pilot_resids = score_residuals(ds, pilot_xbar, pilot_cumhaz, beta)

@@ -250,6 +250,30 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["fit", "-i", "{data}", "--fix-beta", "abc"], "--fix-beta"),
+        (["fit", "-i", "{data}", "--fix-beta", "nan"], "--fix-beta"),
+        (["simulate", "--n", "50", "--c0", "1", "--beta", "1,x", "-o", "{out}"], "--beta"),
+        (["simulate", "--n", "50", "--c0", "1", "--beta", "", "-o", "{out}"], "--beta"),
+        (["simulate", "--n", "50", "--c0", "nan", "-o", "{out}"], "--c0"),
+        (["simulate", "--n", "50", "--c0", "-1", "-o", "{out}"], "--c0"),
+        (["calibrate", "--cr", "0.2", "--beta", "a"], "--beta"),
+        (["calibrate", "--cr", "0.2", "--tol", "-1"], "--tol"),
+        (["calibrate", "--cr", "0.2", "--tol", "nan"], "--tol"),
+    ],
+)
+def test_bad_number_flag_exits_2(args, flag, sim_file, tmp_path, capsys):
+    # a usage error naming the flag, and no output written
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([a.format(data=sim_file, out=out) for a in args])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # perfectly collinear covariates make the curvature singular
     rng = np.random.default_rng(0)

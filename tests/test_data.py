@@ -546,7 +546,7 @@ def test_dataset_writer_matches_row_loop(rows, delimiter, has_header):
 )
 def test_plan_writer_matches_row_loop(weights, with_status):
     w = np.array([x if np.isfinite(x) and x > 0 else 1.0 for x in weights])
-    plan = SubsamplePlan(probs=w / w.sum(), method="uniform", delta=0.0)
+    plan = SubsamplePlan(probs=w / w.sum(), delta=0.0)
     status = np.arange(plan.n) % 2 if with_status else None
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"

@@ -63,15 +63,19 @@ class TestCovariates:
 
 class TestFailureTimes:
     def test_analytic_inversion(self):
-        # cumulative hazard 0.25*t^2: u = exp(-0.25) inverts to t = 1
-        X = np.zeros((1, 2))
-        t = gen_failure_times(X, np.zeros(2), u=np.array([np.exp(-0.25)]))
-        assert t[0] == pytest.approx(1.0, rel=1e-14)
+        # cumulative hazard 0.25*t^2 inverts u to t = 2*sqrt(-log u)*exp(-beta'x/2),
+        # with u = 1 - U for the generator's uniform draw U
+        X = np.random.default_rng(21).normal(size=(50, 2))
+        beta = np.array([0.7, -0.3])
+        t = gen_failure_times(X, beta, np.random.default_rng(4))
+        u = 1.0 - np.random.default_rng(4).random(50)
+        np.testing.assert_allclose(t, 2.0 * np.sqrt(-np.log(u)) * np.exp(-(X @ beta) / 2.0), rtol=1e-14)
 
     def test_monotone_in_linear_predictor(self):
+        # one seed for every record, so each inverts the same uniform draw
         beta = np.array([1.0])
         grid = np.linspace(-3, 3, 25)[:, None]
-        t = gen_failure_times(grid, beta, u=np.full(25, 0.37))
+        t = np.array([gen_failure_times(x[None], beta, np.random.default_rng(37))[0] for x in grid])
         assert np.all(np.diff(t) < 0)
 
     def test_probability_integral_transform(self):
@@ -81,10 +85,6 @@ class TestFailureTimes:
         t = gen_failure_times(X, beta, rng)
         z = true_cumulative_hazard(t) * np.exp(X @ beta)
         assert stats.kstest(z, "expon").pvalue > 0.001
-
-    def test_requires_rng_or_u(self):
-        with pytest.raises(ValueError, match="rng or u"):
-            gen_failure_times(np.zeros((3, 1)), np.zeros(1))
 
 
 class TestCalibration:
@@ -113,6 +113,11 @@ class TestCalibration:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             calibrate_c0("I", np.zeros(5), 0.999, seed=0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_invalid_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            calibrate_c0("I", np.zeros(5), 0.2, seed=0, tol=tol)
 
     def test_cache_round_trip(self, tmp_path):
         beta = np.array([0.5, -0.5])
@@ -257,3 +262,13 @@ class TestConfigValidation:
     def test_bad_cr(self):
         with pytest.raises(ValueError, match="target_cr"):
             SimConfig(target_cr=1.2)
+
+    @pytest.mark.parametrize("c0", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_c0(self, c0):
+        with pytest.raises(ValueError, match="c0"):
+            SimConfig(c0=c0)
+
+    @pytest.mark.parametrize("beta", [(), (1.0, float("nan")), (float("-inf"),)])
+    def test_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="beta_true"):
+            SimConfig(beta_true=beta)

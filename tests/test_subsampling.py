@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,19 +38,19 @@ def midsize():
 class TestPlanValidation:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
-            SubsamplePlan(probs=np.array([0.5, 0.6]), method="uniform", delta=0.0)
+            SubsamplePlan(probs=np.array([0.5, 0.6]), delta=0.0)
 
     def test_floor_enforced(self):
         probs = np.array([0.9, 0.08, 0.02])
         with pytest.raises(ValueError, match="floor"):
-            SubsamplePlan(probs=probs, method="lopt_approx", delta=0.5)
+            SubsamplePlan(probs=probs, delta=0.5)
 
     def test_zero_prob_allowed_only_unmixed(self):
         probs = np.array([0.0, 0.4, 0.6])
-        plan = SubsamplePlan(probs=probs, method="lopt_oracle", delta=0.0)
+        plan = SubsamplePlan(probs=probs, delta=0.0)
         assert plan.n == 3
         with pytest.raises(ValueError, match="floor|positive"):
-            SubsamplePlan(probs=probs, method="lopt_approx", delta=0.1)
+            SubsamplePlan(probs=probs, delta=0.1)
 
     # one case per message, each raised by the first check the probabilities
     # fail; a negative entry in a vector that sums to 1 must still name the sign
@@ -79,12 +81,12 @@ class TestPlanValidation:
     )
     def test_each_message(self, probs, delta, message):
         with pytest.raises(ValueError) as info:
-            SubsamplePlan(probs=np.array(probs, dtype=np.float64), method="lopt_approx", delta=delta)
+            SubsamplePlan(probs=np.array(probs, dtype=np.float64), delta=delta)
         assert str(info.value) == message
 
     def test_plan_keeps_its_own_frozen_probabilities(self):
         mine = np.array([0.25, 0.75])
-        plan = SubsamplePlan(probs=mine, method="uniform", delta=0.0)
+        plan = SubsamplePlan(probs=mine, delta=0.0)
         mine[0] = 0.5
         assert plan.probs.tolist() == [0.25, 0.75]
         assert not plan.probs.flags.writeable
@@ -92,13 +94,13 @@ class TestPlanValidation:
         view = mine[:]
         view.setflags(write=False)
         mine[:] = [0.5, 0.5]
-        plan = SubsamplePlan(probs=view, method="uniform", delta=0.0)
+        plan = SubsamplePlan(probs=view, delta=0.0)
         mine[0] = 0.0
         assert plan.probs.tolist() == [0.5, 0.5]
         # a frozen array that owns its data is adopted as it is
         frozen = np.array([0.5, 0.5])
         frozen.setflags(write=False)
-        assert SubsamplePlan(probs=frozen, method="uniform", delta=0.0).probs is frozen
+        assert SubsamplePlan(probs=frozen, delta=0.0).probs is frozen
 
     @pytest.mark.parametrize("seed", range(10))
     def test_fuzzed_plans_satisfy_invariants(self, seed):
@@ -142,22 +144,22 @@ class TestDrawUniform:
 class TestFitPilot:
     def test_full_data_each_once_equals_mpl(self, midsize):
         ds, mpl = midsize
-        pilot = Subsample(indices=np.arange(ds.n), weights=np.ones(ds.n), plan_method="uniform")
+        pilot = Subsample(indices=np.arange(ds.n), weights=np.ones(ds.n))
         ctx = fit_pilot(ds, pilot)
-        np.testing.assert_allclose(ctx.pilot_beta, mpl.beta, atol=1e-8)
+        np.testing.assert_allclose(ctx.fit.beta, mpl.beta, atol=1e-8)
 
     def test_eventless_pilot_raises(self):
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, n=80, p=2, cr=0.5)
         censored = np.flatnonzero(ds.status == 0)[:20]
-        pilot = Subsample(indices=censored, weights=np.ones(20), plan_method="uniform")
+        pilot = Subsample(indices=censored, weights=np.ones(20))
         with pytest.raises(PilotError, match="increase the pilot"):
             fit_pilot(ds, pilot)
 
     def test_pilot_estimate_sanity_band(self, case1_ds, case1_cfg):
         rng = np.random.default_rng(2)
         ctx = fit_pilot(case1_ds, draw_uniform(case1_ds, 300, rng))
-        assert np.linalg.norm(ctx.pilot_beta - case1_cfg.beta) < 0.5
+        assert np.linalg.norm(ctx.fit.beta - case1_cfg.beta) < 0.5
 
 
 class TestApproxPlans:
@@ -185,7 +187,7 @@ class TestApproxPlans:
         status = (rng.random(n) < 0.7).astype(int)
         status[0] = 1
         ds = SurvivalDataset(covariates=np.zeros((n, 2)), time=time, status=status)
-        pilot = Subsample(indices=np.arange(n), weights=np.ones(n), plan_method="uniform")
+        pilot = Subsample(indices=np.arange(n), weights=np.ones(n))
         ctx = fit_pilot(ds, pilot)
         with pytest.warns(UserWarning, match="uniform"):
             plan = compute_lopt_probs(ds, ctx, 0.1)
@@ -193,8 +195,8 @@ class TestApproxPlans:
 
     def test_scale_invariance_of_selection(self):
         norms = np.array([1.0, 2.0, 3.0, 4.0])
-        b = _mixed_plan(norms * 37.5, 0.2, "lopt_approx", None)
-        a = _mixed_plan(norms, 0.2, "lopt_approx", None)
+        b = _mixed_plan(norms * 37.5, 0.2)
+        a = _mixed_plan(norms, 0.2)
         np.testing.assert_allclose(a.probs, b.probs, rtol=1e-15)
 
     def test_aopt_equals_lopt_when_p_is_one(self):
@@ -209,10 +211,7 @@ class TestApproxPlans:
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, n=60, p=2)
         ctx = fit_pilot(ds, draw_uniform(ds, 40, rng))
-        monkeypatch.setattr(ctx, "fit", None, raising=False)
-        monkeypatch.setattr(
-            type(ctx), "curvature", lambda self: np.zeros((2, 2)), raising=False
-        )
+        monkeypatch.setattr(ctx, "fit", replace(ctx.fit, hessian=np.zeros((2, 2))))
         with pytest.raises(SingularHessianError, match="condition"):
             compute_aopt_probs(ds, ctx, 0.1)
 
@@ -241,7 +240,7 @@ class TestOraclePlans:
         rng = np.random.default_rng(10)
         for _ in range(200):
             probs = rng.dirichlet(np.ones(ds.n))
-            rand_plan = SubsamplePlan(probs=probs, method="lopt_oracle", delta=0.0)
+            rand_plan = SubsamplePlan(probs=probs, delta=0.0)
             assert t_opt <= trace_score_variance(ds, rand_plan, mpl, r) + 1e-18
 
     def test_closed_form_equality_at_optimum(self, midsize):
@@ -305,8 +304,8 @@ class TestOraclePlans:
         full_cumhaz = breslow.breslow_cumhaz(ds, mpl.beta)
         full_norms = breslow.score_residual_norms(ds, full_xbar, full_cumhaz, mpl.beta, mpl.hessian)
         cases = [
-            (compute_aopt_probs(ds, ctx, 0.1).probs, ctx.xbar, ctx.pilot_cumhaz, ctx.pilot_beta,
-             ctx.curvature(), 0.1),
+            (compute_aopt_probs(ds, ctx, 0.1).probs, ctx.xbar, ctx.pilot_cumhaz, ctx.fit.beta,
+             ctx.fit.hessian, 0.1),
             (full_norms / full_norms.sum(), full_xbar, full_cumhaz, mpl.beta, mpl.hessian, 0.0),
         ]
         for probs, xbar, cumhaz, beta, psi, delta in cases:
@@ -320,7 +319,7 @@ class TestDrawWeighted:
     def test_degenerate_plan(self):
         probs = np.zeros(8)
         probs[5] = 1.0
-        plan = SubsamplePlan(probs=probs, method="lopt_oracle", delta=0.0)
+        plan = SubsamplePlan(probs=probs, delta=0.0)
         sub = draw_weighted(plan, 20, np.random.default_rng(0))
         assert np.all(sub.indices == 5)
         np.testing.assert_allclose(sub.weights, 1.0 / 8.0)
@@ -335,7 +334,7 @@ class TestDrawWeighted:
 
         rng = np.random.default_rng(2)
         probs = rng.dirichlet(np.ones(100) * 5)
-        plan = SubsamplePlan(probs=probs, method="lopt_oracle", delta=0.0)
+        plan = SubsamplePlan(probs=probs, delta=0.0)
         draws = 200_000
         sub = draw_weighted(plan, draws, np.random.default_rng(3))
         counts = np.bincount(sub.indices, minlength=100)
@@ -346,7 +345,7 @@ class TestDrawWeighted:
     def test_weights_match_inverse_probabilities(self):
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(40))
-        plan = SubsamplePlan(probs=probs, method="lopt_oracle", delta=0.0)
+        plan = SubsamplePlan(probs=probs, delta=0.0)
         sub = draw_weighted(plan, 60, rng)
         np.testing.assert_allclose(sub.weights, 1.0 / (40 * probs[sub.indices]), rtol=1e-15)
 
@@ -354,13 +353,13 @@ class TestDrawWeighted:
 class TestWeightedFit:
     def test_full_data_each_once_uniform_reproduces_mpl(self, midsize):
         ds, mpl = midsize
-        sub = Subsample(indices=np.arange(ds.n), weights=np.ones(ds.n), plan_method="uniform")
+        sub = Subsample(indices=np.arange(ds.n), weights=np.ones(ds.n))
         fit = weighted_fit(ds, sub)
         np.testing.assert_allclose(fit.beta, mpl.beta, atol=1e-8)
 
     def test_single_draw_raises(self, midsize):
         ds, _ = midsize
-        sub = Subsample(indices=np.array([0]), weights=np.array([1.0]), plan_method="uniform")
+        sub = Subsample(indices=np.array([0]), weights=np.array([1.0]))
         with pytest.raises(NumericsError, match="risk-set variation"):
             weighted_fit(ds, sub)
 
@@ -370,7 +369,7 @@ class TestWeightedFit:
         ctx = fit_pilot(ds, draw_uniform(ds, 80, rng))
         plan = compute_lopt_probs(ds, ctx, 0.1)
         sub = draw_weighted(plan, 150, rng)
-        fit = weighted_fit(ds, sub, init=ctx.pilot_beta)
+        fit = weighted_fit(ds, sub, init=ctx.fit.beta)
         assert fit.converged and fit.role == "two_step"
 
 
@@ -381,7 +380,7 @@ class TestCovariance:
         ctx = fit_pilot(ds, draw_uniform(ds, 80, rng))
         plan = compute_lopt_probs(ds, ctx, 0.1)
         sub = draw_weighted(plan, r, rng)
-        fit = weighted_fit(ds, sub, init=ctx.pilot_beta)
+        fit = weighted_fit(ds, sub, init=ctx.fit.beta)
         return ds, ctx, plan, sub, fit
 
     def test_shapes_and_symmetry(self):
@@ -411,7 +410,7 @@ class TestCovariance:
         ds, ctx, plan, sub, fit = self._pieces()
         cov = estimate_covariance(ds, ctx, sub, fit)
         doubled = Subsample(
-            indices=sub.indices, weights=2.0 * sub.weights, plan_method=sub.plan_method
+            indices=sub.indices, weights=2.0 * sub.weights
         )
         fit2 = weighted_fit(ds, doubled, init=fit.beta)
         np.testing.assert_allclose(fit2.beta, fit.beta, atol=1e-9)
@@ -485,7 +484,7 @@ class TestTwoStep:
         ds, _ = midsize
         res = two_step(ds, 60, 150, 0.1, "lopt", np.random.default_rng(9))
         assert res.subsample.size == 150
-        assert res.pilot.size == 60
+        assert res.pilot.pilot_indices.size == 60
 
     def test_invalid_arguments(self, midsize):
         ds, _ = midsize
