@@ -257,6 +257,9 @@ def cmd_benchmark(args) -> int:
     p = args._parser
     cases = [c.strip().upper() for c in args.cases.split(",") if c.strip()]
     _check(bool(cases), p, "--cases must name at least one case")
+    _check(0.01 < args.cr < 0.99, p, "--cr must lie in (0.01, 0.99)")
+    _check(args.n >= 1, p, "--n must be at least 1")
+    _check(args.r0 >= 1, p, "--r0 must be at least 1")
     r_grid = [int(v) for v in str(args.r_grid).split(",") if v != ""]
     delta_grid = [float(v) for v in str(args.delta_grid).split(",") if v != ""]
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]

@@ -33,6 +33,9 @@ from .data import SurvivalDataset, _gather_rows, _time_order
 from .errors import NumericsError, SingularHessianError
 
 _NLL_SLACK = 1e-12  # relative slack when judging a step-halving candidate
+# curvature trace, relative to its value at the start, below which a still
+# growing |beta| is read as a monotone likelihood (separated data)
+_CURVATURE_COLLAPSE = 1e-4
 # rows per block of the curvature and residual-norm passes, small enough
 # that each block's temporaries stay in cache
 _BLOCK_ROWS = 8192
@@ -198,11 +201,16 @@ class _Sweep:
     The gradient and curvature avoid per-event second-moment tables: the
     double sum over (event, at-risk record) pairs is re-ordered into a
     prefix-accumulated per-record factor, leaving a matrix-vector product
-    for the gradient.  The suffix sums of ``g * X`` and the curvature come
-    from one reverse pass over blocks of ``_BLOCK_ROWS`` rows
-    (:meth:`_s1_blocks`), so no n-by-p temporary is formed; on the
-    column-major rows each block's products and running sums run along
-    contiguous columns.
+    for the gradient.  The curvature's centering term, a sum over events of
+    the outer products of their risk-set means, is regrouped the same way:
+    it is ``sum_j c_j S1_j S1_j'`` over rows, with the per-row weight
+    ``c_j = sum_e w_e / S0_j**2`` over the events whose risk sets start at
+    row ``j``.  One reverse pass over blocks of ``_BLOCK_ROWS`` rows
+    (:meth:`_s1_blocks`) yields each block's running sum of ``g * X`` and
+    the carry from later blocks; :meth:`means` reads the suffix sums at its
+    starts and :meth:`hessian` weights every row, so no n-by-p temporary is
+    formed.  On the column-major rows each block's products and running
+    sums run along contiguous columns.
     """
 
     def __init__(self, rows: _SortedRows, beta: np.ndarray):
@@ -228,30 +236,29 @@ class _Sweep:
     def means(self, starts: np.ndarray) -> np.ndarray:
         """At-risk covariate means ``S1 / S0`` at ascending tie-group starts."""
         s1 = np.empty((starts.size, self.rows.p))
-        for _, _, lo, hi, block_s1 in self._s1_blocks(starts):
-            s1[lo:hi] = block_s1
+        hi = starts.size
+        for a, b, tail, carry in self._s1_blocks():
+            lo = int(np.searchsorted(starts[:hi], a, side="left"))
+            s1[lo:hi] = tail[(b - 1) - starts[lo:hi]] + carry
+            hi = lo
         return s1 / self.s0(starts)[:, None]
 
-    def _s1_blocks(self, starts: np.ndarray):
-        """Suffix sums ``S1`` of ``g * X`` at ascending ``starts``, block by block.
+    def _s1_blocks(self):
+        """Suffix sums ``S1`` of ``g * X``, block by block from the last.
 
         Walks blocks of ``_BLOCK_ROWS`` rows from the last to the first and
-        yields ``(a, b, lo, hi, s1)``: the block is rows ``a:b``,
-        ``starts[lo:hi]`` are the starts inside it and ``s1`` holds their
-        sums.  Each block is suffix-summed on its own and a carry adds the
-        sum over all later blocks.
+        yields ``(a, b, tail, carry)``: the block is rows ``a:b``, ``tail``
+        its reversed running sum (row ``i`` of the block sits at index
+        ``b - 1 - i``) and ``carry`` the sum over all later blocks, so the
+        suffix sum at row ``i`` is ``tail[b - 1 - i] + carry``.
         """
         X, g = self.rows.X, self.g
         carry = np.zeros(self.rows.p)
-        hi = starts.size
         for a in range((self.rows.m - 1) // _BLOCK_ROWS * _BLOCK_ROWS, -1, -_BLOCK_ROWS):
             b = min(a + _BLOCK_ROWS, self.rows.m)
-            # reversed running sum: row i of the block sits at index b - 1 - i
             tail = np.cumsum((g[a:b, None] * X[a:b])[::-1], axis=0)
-            lo = int(np.searchsorted(starts[:hi], a, side="left"))
-            yield a, b, lo, hi, tail[(b - 1) - starts[lo:hi]] + carry
+            yield a, b, tail, carry
             carry = carry + tail[-1]
-            hi = lo
 
     def _risk_denominators(self) -> np.ndarray:
         if self._denoms is None:
@@ -283,23 +290,31 @@ class _Sweep:
         return -((rows.event_scatter - self._prefix_factor()) @ rows.X) / rows.total_weight
 
     def hessian(self) -> np.ndarray:
-        """``sum_i ga_i X_i X_i' - sum_e w_e xbar_e xbar_e'`` over total weight.
+        """``sum_i ga_i X_i X_i' - sum_j c_j S1_j S1_j'`` over total weight.
 
-        Both sums are accumulated block by block in the pass that yields the
-        risk-set means ``xbar_e`` of the events whose risk sets start there.
+        The centering term ``sum_e w_e xbar_e xbar_e'`` is regrouped by the
+        row ``j`` where each event's risk set starts: ``xbar_e = S1_j / S0_j``
+        there, so it equals ``sum_j c_j S1_j S1_j'`` with the per-row weight
+        ``c_j = sum_e w_e / S0_j**2`` over the events starting at ``j`` (zero
+        on other rows).  Both sums are accumulated block by block over the
+        suffix sums ``S1 = tail + carry`` of :meth:`_s1_blocks`, with no
+        per-event gather or division.
         """
         rows = self.rows
         if rows.n_events == 0:
             return np.zeros((rows.p, rows.p))
         ga = self._prefix_factor()
         denoms = self._risk_denominators()
+        c = np.bincount(
+            rows.event_risk_start, weights=rows.event_weights / (denoms * denoms), minlength=rows.m
+        )
         moments = np.zeros((rows.p, rows.p))
         centering = np.zeros((rows.p, rows.p))
-        for a, b, lo, hi, s1 in self._s1_blocks(rows.event_risk_start):
+        for a, b, tail, carry in self._s1_blocks():
             Xb = rows.X[a:b]
             moments += Xb.T @ (ga[a:b, None] * Xb)
-            xbar = s1 / denoms[lo:hi, None]
-            centering += xbar.T @ (rows.event_weights[lo:hi, None] * xbar)
+            s1 = tail + carry
+            centering += s1.T @ (c[a:b][::-1, None] * s1)
         H = (moments - centering) / rows.total_weight
         return (H + H.T) / 2.0
 
@@ -363,7 +378,10 @@ def newton_solve(
     criterion is halved up to ``step_halving_max`` times.  Deterministic
     given its inputs.  A singular curvature matrix raises
     :class:`SingularHessianError`; exceeding ``max_iter`` returns a fit
-    flagged as non-converged.
+    flagged as non-converged.  So does a monotone likelihood (Heinze &
+    Schemper, 2001), whose estimate diverges on separated data: it is
+    recognised when a step grows ``|beta|`` and leaves the curvature's trace
+    below ``_CURVATURE_COLLAPSE`` times its value at the start.
     """
     opts = opts or SolverOptions()
     rows = _SortedRows.of_dataset(ds, weights, subset)
@@ -376,6 +394,8 @@ def newton_solve(
     state = _Sweep(rows, beta)
     nll = state.nll()
     g = state.score()
+    H = state.hessian()
+    collapsed_trace = _CURVATURE_COLLAPSE * float(np.trace(H))
     iterations = 0
     converged = False
     while True:
@@ -386,7 +406,7 @@ def newton_solve(
         if iterations >= opts.max_iter:
             warnings.warn("newton_solve: max_iter reached before convergence", stacklevel=2)
             break
-        step = _solve_newton_step(state.hessian(), g)
+        step = _solve_newton_step(H, g)
         scale = 1.0
         accepted = False
         for _ in range(opts.step_halving_max + 1):
@@ -401,11 +421,20 @@ def newton_solve(
             warnings.warn("newton_solve: step halving failed to reduce the criterion", stacklevel=2)
             break
         step_norm = float(np.abs(scale * step).max())
+        growing = np.linalg.norm(cand) > np.linalg.norm(beta)
         beta = cand
         state = cand_state
         nll = cand_nll
         g = state.score()
+        H = state.hessian()
         iterations += 1
+        if growing and np.trace(H) < collapsed_trace:
+            warnings.warn(
+                "newton_solve: monotone likelihood, the curvature collapsed while |beta| kept "
+                "growing; the estimate diverges (separated data)",
+                stacklevel=2,
+            )
+            break
         if step_norm <= opts.tol_step:
             converged = float(np.abs(g).max()) <= opts.tol_score
             break
@@ -417,5 +446,5 @@ def newton_solve(
         iterations=iterations,
         final_score_norm=float(np.abs(g).max()),
         neg_logpl=nll,
-        hessian=state.hessian(),
+        hessian=H,
     )

@@ -262,6 +262,9 @@ def test_unknown_flag_exits_2():
         (["calibrate", "--cr", "0.2", "--beta", "a"], "--beta"),
         (["calibrate", "--cr", "0.2", "--tol", "-1"], "--tol"),
         (["calibrate", "--cr", "0.2", "--tol", "nan"], "--tol"),
+        (["benchmark", "--cr", "1.5", "--out-dir", "{out}"], "--cr"),
+        (["benchmark", "--n", "0", "--out-dir", "{out}"], "--n"),
+        (["benchmark", "--r0", "0", "--out-dir", "{out}"], "--r0"),
     ],
 )
 def test_bad_number_flag_exits_2(args, flag, sim_file, tmp_path, capsys):
@@ -286,6 +289,17 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     code = run_cli(["fit", "-i", str(path)])
     assert code == 3
     assert "positive definite" in capsys.readouterr().err
+
+
+def test_separated_data_fit_exits_3(tmp_path, capsys):
+    # the x = 1 records all fail first: a monotone likelihood, never converged
+    path = tmp_path / "separated.csv"
+    lines = ["time,status,x"] + [f"{i + 1},1,{int(i < 20)}" for i in range(60)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.warns(UserWarning, match="monotone likelihood"):
+        code = run_cli(["fit", "-i", str(path)])
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "subsample", "calibrate"])

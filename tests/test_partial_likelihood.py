@@ -384,6 +384,61 @@ class TestNewtonSolve:
         assert np.all(np.abs(case1_mpl.beta - case1_cfg.beta) < 5 * ses)
 
 
+def separated_ds(x, time, status):
+    return SurvivalDataset(covariates=np.asarray(x, dtype=float)[:, None], time=time, status=status)
+
+
+@st.composite
+def separated_cases(draw):
+    """One covariate with two values, 0 and ``scale``: the ``k`` earliest
+    records, all events, share one value and every later record has the
+    other, so the likelihood is monotone in beta.  Covers ties within a
+    group, censoring in the later group, both signs of the divergence and
+    three covariate scales."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(1, n - 1))
+    scale = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    first = np.sort(rng.exponential(1.0, k))
+    later = first[-1] + 1e-3 + np.sort(rng.exponential(1.0, n - k))
+    time = np.concatenate([first, later])
+    if draw(st.booleans()):
+        time = np.round(time, 1)
+        time[k:] = np.maximum(time[k:], time[k - 1] + 0.1)
+    status = np.concatenate([np.ones(k, dtype=int), (rng.random(n - k) < 0.6).astype(int)])
+    x = np.zeros(n)
+    if draw(st.booleans()):
+        x[:k] = scale  # beta diverges to +inf
+    else:
+        x[k:] = scale  # beta diverges to -inf
+    perm = rng.permutation(n)
+    return separated_ds(x[perm], time[perm], status[perm])
+
+
+class TestMonotoneLikelihood:
+    """Separated data: the criterion keeps falling as |beta| grows, so the
+    solve must end flagged, never as a converged estimate."""
+
+    def test_half_ones_failing_first_is_flagged(self):
+        # n = 200, every x = 1 record fails before every x = 0 record, all
+        # events; without the check the score tolerance stops the solve at
+        # beta ~ 20 after 17 iterations and calls it converged
+        n = 200
+        x = (np.arange(n) < n // 2).astype(float)
+        ds = separated_ds(x, np.arange(1.0, n + 1), np.ones(n, dtype=int))
+        with pytest.warns(UserWarning, match="monotone likelihood"):
+            fit = newton_solve(ds)
+        assert not fit.converged
+        assert fit.beta[0] > 10.0 and fit.iterations < 17
+
+    @PROPERTY
+    @given(ds=separated_cases())
+    def test_every_separated_dataset_is_flagged(self, ds):
+        with pytest.warns(UserWarning, match="monotone likelihood"):
+            fit = newton_solve(ds)
+        assert not fit.converged
+
+
 class TestConcurrentReaders:
     def test_shared_dataset_concurrent_evaluations(self):
         # operations are pure; a shared dataset serves many threads at once

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from coxsub import (
     NumericsError,
     PilotError,
+    SimConfig,
     SingularHessianError,
     Subsample,
     SubsamplePlan,
@@ -16,6 +18,7 @@ from coxsub import (
     draw_weighted,
     estimate_covariance,
     fit_pilot,
+    gen_dataset,
     newton_solve,
     two_step,
     uniform_plan,
@@ -155,6 +158,15 @@ class TestFitPilot:
         pilot = Subsample(indices=censored, weights=np.ones(20))
         with pytest.raises(PilotError, match="increase the pilot"):
             fit_pilot(ds, pilot)
+
+    def test_separated_pilot_raises(self):
+        # monotone likelihood: the x = 1 records all fail first
+        x = (np.arange(40) < 10).astype(float)
+        ds = SurvivalDataset(covariates=x[:, None], time=np.arange(1.0, 41.0), status=np.ones(40, dtype=int))
+        pilot = Subsample(indices=np.arange(40), weights=np.ones(40))
+        with pytest.warns(UserWarning, match="monotone likelihood"):
+            with pytest.raises(PilotError, match="did not converge"):
+                fit_pilot(ds, pilot)
 
     def test_pilot_estimate_sanity_band(self, case1_ds, case1_cfg):
         rng = np.random.default_rng(2)
@@ -542,3 +554,39 @@ class TestConditionalUnbiasedness:
             )
         mc_se = samples.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.all(np.abs(samples.mean(axis=0) - target) < 4.0 * mc_se)
+
+
+class TestPinnedOutputs:
+    """Recorded estimates and draws that a reordering of the sweep's sums
+    must keep.
+
+    The full-data estimate may move in its last bits, the drawn indices not
+    at all: the A-optimal plan reads the pilot curvature, and the README
+    promises the same draws for the same seed.
+    """
+
+    BETA = [-0.985112218034815, -0.5062978895014274, -0.0018393661481099872,
+            0.49464605958995267, 0.9929171883586824]
+    DRAW_SHA256 = {
+        ("lopt", 3): "ed0ef23358bcb14955679f7fe9c9e4bf6ce0d0860f2501e8265ccf1f8c058e25",
+        ("lopt", 4): "8f2aa44fb8c2299b60c8b320a01ce3f173f7db427c4d9d6d7eaaa6f64daf1f1a",
+        ("aopt", 3): "62200d24807cf816f09bad5d5ebbe1c6969b5062b9549ade3709811c0302af61",
+        ("aopt", 4): "4f65671f0406cfb29bc2d2041ad31f7f4a92c280c9fb6cff4e2c795a2362ad47",
+    }
+
+    @pytest.fixture(scope="class")
+    def pinned_ds(self):
+        # case I at n = 10^5 with a fixed censoring bound: no calibration run
+        cfg = SimConfig(case="I", n=100_000, target_cr=0.2, c0=10.0, seed=0)
+        return gen_dataset(cfg, np.random.default_rng(909))
+
+    def test_full_fit_beta(self, pinned_ds):
+        fit = newton_solve(pinned_ds)
+        assert fit.converged and fit.iterations == 3
+        np.testing.assert_allclose(fit.beta, self.BETA, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("criterion, seed", sorted(DRAW_SHA256))
+    def test_two_step_draws(self, pinned_ds, criterion, seed):
+        res = two_step(pinned_ds, 300, 1000, 0.1, criterion, np.random.default_rng(seed))
+        drawn = np.ascontiguousarray(res.subsample.indices, dtype="<i8").tobytes()
+        assert hashlib.sha256(drawn).hexdigest() == self.DRAW_SHA256[criterion, seed]
