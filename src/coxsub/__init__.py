@@ -26,7 +26,6 @@ from .errors import (
 )
 from .partial_likelihood import (
     CoxFit,
-    SolverOptions,
     hessian,
     neg_log_partial_likelihood,
     newton_solve,

@@ -71,9 +71,14 @@ class RiskSetMean:
 
     @classmethod
     def build(cls, time: np.ndarray, covariates: np.ndarray, beta: np.ndarray) -> "RiskSetMean":
-        time = np.asarray(time, dtype=np.float64)
-        no_events = np.zeros(time.size, dtype=np.int8)
-        return _risk_set_mean(_Sweep(_SortedRows.of_rows(time, no_events, covariates), beta))
+        """The mean over the given rows, swept as a dataset with no events.
+
+        Raises ``ValueError`` on a broken time or covariate (see
+        :meth:`SurvivalDataset.check_values`).
+        """
+        no_events = np.zeros(np.shape(time), dtype=np.int8)
+        ds = SurvivalDataset(covariates=covariates, time=time, status=no_events)
+        return _risk_set_mean(_Sweep(_SortedRows.of_dataset(ds), beta))
 
     def at(self, t) -> np.ndarray:
         """Vectorised lookup; accepts a scalar or an array of times."""
@@ -177,10 +182,12 @@ def _risk(X_t: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> n
     Residuals need its absolute scale.  Each row of ``X_t`` is one covariate
     over the records, so the linear predictor is a sum of p contiguous rows.
     """
-    eta = np.matmul(np.asarray(beta, dtype=np.float64), X_t, out=out)
-    # a finite sum means finite entries; only a non-finite one needs the scan
-    if not np.isfinite(eta.sum()) and not np.all(np.isfinite(eta)):
-        raise NumericsError("non-finite linear predictor; rescale covariates")
+    # a finite sum means finite entries; only a non-finite one needs the scan.
+    # An overflow in the product or the sum is reported here, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = np.matmul(np.asarray(beta, dtype=np.float64), X_t, out=out)
+        if not np.isfinite(eta.sum()) and not np.all(np.isfinite(eta)):
+            raise NumericsError("non-finite linear predictor; rescale covariates")
     with np.errstate(over="raise"):
         try:
             return np.exp(eta, out=eta)

@@ -32,6 +32,11 @@ import numpy as np
 from .data import SurvivalDataset, _gather_rows, _time_order
 from .errors import NumericsError, SingularHessianError
 
+# Newton stopping rule: score sup-norm, step sup-norm, iteration and halving limits
+_TOL_SCORE = 1e-8
+_TOL_STEP = 1e-10
+_MAX_ITER = 50
+_MAX_HALVINGS = 20
 _NLL_SLACK = 1e-12  # relative slack when judging a step-halving candidate
 # curvature trace, relative to its value at the start, below which a still
 # growing |beta| is read as a monotone likelihood (separated data)
@@ -39,21 +44,6 @@ _CURVATURE_COLLAPSE = 1e-4
 # rows per block of the curvature and residual-norm passes, small enough
 # that each block's temporaries stay in cache
 _BLOCK_ROWS = 8192
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol_score: float = 1e-8
-    tol_step: float = 1e-10
-    max_iter: int = 50
-    step_halving_max: int = 20
-    init: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.tol_score <= 0 or self.tol_step <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -160,12 +150,6 @@ class _SortedRows:
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be finite and positive")
         return cls(time, status, X, w[order] if subset is not None else w[ds.sort_index], ds.n)
-
-    @classmethod
-    def of_rows(cls, time: np.ndarray, status: np.ndarray, covariates: np.ndarray) -> _SortedRows:
-        """Unit-weight rows given in any order, such as those of :meth:`RiskSetMean.build`."""
-        order = _time_order(time, status)
-        return cls(time[order], status[order], covariates[order], np.ones(time.size), time.size)
 
     @property
     def n_events(self) -> int:
@@ -305,9 +289,15 @@ class _Sweep:
             return np.zeros((rows.p, rows.p))
         ga = self._prefix_factor()
         denoms = self._risk_denominators()
-        c = np.bincount(
-            rows.event_risk_start, weights=rows.event_weights / (denoms * denoms), minlength=rows.m
-        )
+        # a risk-set sum below ~1e-154 squares to zero; the weights are
+        # positive, so a finite sum means finite weights
+        with np.errstate(divide="ignore", over="ignore"):
+            q = rows.event_weights / (denoms * denoms)
+            if not np.isfinite(q.sum()):
+                raise NumericsError(
+                    "risk-set sum too small for the curvature; rescale covariates or check for separation"
+                )
+        c = np.bincount(rows.event_risk_start, weights=q, minlength=rows.m)
         moments = np.zeros((rows.p, rows.p))
         centering = np.zeros((rows.p, rows.p))
         for a, b, tail, carry in self._s1_blocks():
@@ -368,26 +358,26 @@ def newton_solve(
     ds: SurvivalDataset,
     weights: np.ndarray | None = None,
     subset: np.ndarray | None = None,
-    opts: SolverOptions | None = None,
+    init: np.ndarray | None = None,
     role: str = "full_mpl",
 ) -> CoxFit:
     """Safeguarded Newton solve of the (weighted) estimating equation.
 
-    Stops when the sup-norm of the gradient falls below ``tol_score`` or the
-    step falls below ``tol_step``; a candidate step that increases the
-    criterion is halved up to ``step_halving_max`` times.  Deterministic
-    given its inputs.  A singular curvature matrix raises
-    :class:`SingularHessianError`; exceeding ``max_iter`` returns a fit
-    flagged as non-converged.  So does a monotone likelihood (Heinze &
-    Schemper, 2001), whose estimate diverges on separated data: it is
-    recognised when a step grows ``|beta|`` and leaves the curvature's trace
-    below ``_CURVATURE_COLLAPSE`` times its value at the start.
+    Starts from ``init`` (zero when ``None``).  Stops when the sup-norm of
+    the gradient falls below ``_TOL_SCORE`` or that of the step below
+    ``_TOL_STEP``; a candidate step that increases the criterion is halved
+    up to ``_MAX_HALVINGS`` times.  Deterministic given its inputs.  A
+    singular curvature matrix raises :class:`SingularHessianError`; reaching
+    ``_MAX_ITER`` iterations returns a fit flagged as non-converged.  So
+    does a monotone likelihood (Heinze & Schemper, 2001), whose estimate
+    diverges on separated data: it is recognised when a step grows
+    ``|beta|`` and leaves the curvature's trace below
+    ``_CURVATURE_COLLAPSE`` times its value at the start.
     """
-    opts = opts or SolverOptions()
     rows = _SortedRows.of_dataset(ds, weights, subset)
     if rows.n_events == 0:
         raise NumericsError("at least one event is required to fit")
-    beta = np.zeros(rows.p) if opts.init is None else np.asarray(opts.init, dtype=np.float64).copy()
+    beta = np.zeros(rows.p) if init is None else np.asarray(init, dtype=np.float64).copy()
     if beta.shape != (rows.p,):
         raise ValueError(f"init must have shape ({rows.p},)")
 
@@ -400,16 +390,18 @@ def newton_solve(
     converged = False
     while True:
         gnorm = float(np.abs(g).max())
-        if gnorm <= opts.tol_score:
+        if gnorm <= _TOL_SCORE:
             converged = True
             break
-        if iterations >= opts.max_iter:
-            warnings.warn("newton_solve: max_iter reached before convergence", stacklevel=2)
+        if iterations >= _MAX_ITER:
+            warnings.warn(
+                f"newton_solve: iteration limit ({_MAX_ITER}) reached before convergence", stacklevel=2
+            )
             break
         step = _solve_newton_step(H, g)
         scale = 1.0
         accepted = False
-        for _ in range(opts.step_halving_max + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = beta - scale * step
             cand_state = _Sweep(rows, cand)
             cand_nll = cand_state.nll()
@@ -435,8 +427,8 @@ def newton_solve(
                 stacklevel=2,
             )
             break
-        if step_norm <= opts.tol_step:
-            converged = float(np.abs(g).max()) <= opts.tol_score
+        if step_norm <= _TOL_STEP:
+            converged = float(np.abs(g).max()) <= _TOL_SCORE
             break
 
     return CoxFit(

@@ -258,11 +258,11 @@ class ReplicationReport:
 
 _METHODS = ("lopt", "aopt", "unif", "full")
 
-# worker-process state for fixed-dataset parallel runs
+# worker-process state: the parent's dataset, handed over at fork
 _SHARED: dict = {}
 
 
-def _rep_once(
+def _replicate(
     ds: SurvivalDataset | None,
     cfg: SimConfig,
     method: str,
@@ -272,36 +272,30 @@ def _rep_once(
     seed_seq: np.random.SeedSequence,
     mode: str,
 ):
-    """One replication; returns (estimate, standard errors)."""
+    """One replication: ``(estimate, standard errors)`` or ``("failure", reason)``.
+
+    ``mode="fresh"`` draws the replication's own dataset first.  A fit that
+    raises a :class:`CoxSubError` or stops short of convergence is a failure.
+    """
     rng = np.random.default_rng(seed_seq)
-    if mode == "fresh":
-        ds = gen_dataset(cfg, rng)
-    if method == "full":
-        fit = newton_solve(ds)
-        return fit.beta, fit.standard_errors(ds.n)
-    res = two_step(ds, r0, r, delta, method, rng)
-    if res.covariance is None:
-        raise CoxSubError("two-step fit did not converge")
-    return res.fit.beta, res.covariance.standard_errors
-
-
-def _rep_or_failure(ds, cfg, method, r0, r, delta, seed_seq, mode):
-    """:func:`_rep_once`, or ``("failure", reason)`` if it raises a :class:`CoxSubError`."""
     try:
-        return _rep_once(ds, cfg, method, r0, r, delta, seed_seq, mode)
+        if mode == "fresh":
+            ds = gen_dataset(cfg, rng)
+        if method == "full":
+            fit = newton_solve(ds)
+            if not fit.converged:
+                return ("failure", "full-data fit did not converge")
+            return fit.beta, fit.standard_errors(ds.n)
+        res = two_step(ds, r0, r, delta, method, rng)
+        if res.covariance is None:
+            return ("failure", "two-step fit did not converge")
+        return res.fit.beta, res.covariance.standard_errors
     except CoxSubError as exc:
         return ("failure", str(exc))
 
 
-def _worker_init(cfg, data_seq, mode):
-    if mode == "fixed":
-        _SHARED["ds"] = gen_dataset(cfg, np.random.default_rng(data_seq))
-    else:
-        _SHARED["ds"] = None
-
-
 def _worker_run(payload):
-    return _rep_or_failure(_SHARED["ds"], *payload)
+    return _replicate(_SHARED["ds"], *payload)
 
 
 def run_replications(
@@ -323,10 +317,11 @@ def run_replications(
     ``mode="fresh"`` regenerates the data each replication and measures
     against the known true coefficients.  Replications are independent
     tasks with per-replication derived seeds; parallel runs aggregate in
-    replication order, so results match a serial run exactly.  Every fit
-    uses the default solver options; a replication that raises a
-    :class:`CoxSubError` counts in ``n_failures`` and nowhere else.  The
-    report holds the error summaries only, not the settings passed here.
+    replication order, so results match a serial run exactly.  A
+    replication whose fit raises a :class:`CoxSubError` or does not converge
+    counts in ``n_failures`` and nowhere else; a fixed-mode reference fit
+    that does not converge raises :class:`CoxSubError`.  The report holds
+    the error summaries only, not the settings passed here.
     """
     method = method.lower()
     if method not in _METHODS:
@@ -345,25 +340,26 @@ def run_replications(
     if mode == "fixed":
         ds = gen_dataset(cfg, np.random.default_rng(data_seq))
         mpl = newton_solve(ds)
+        if not mpl.converged:
+            raise CoxSubError("full-data reference fit did not converge")
         reference = "mpl"
         ref = mpl.beta
 
     if mode == "fixed" and method == "full":
-        # deterministic: every replication refits the same data
-        one = _rep_once(ds, cfg, method, r0, r, delta, rep_seqs[0], mode)
-        results = [one] * n_reps
+        # deterministic: a refit of the reference data is the reference fit
+        results = [(mpl.beta, mpl.standard_errors(ds.n))] * n_reps
     elif threads > 1:
         payloads = [(cfg, method, r0, r, delta, s, mode) for s in rep_seqs]
-        mp_ctx = multiprocessing.get_context("fork")
+        # a forked worker inherits the dataset: not pickled, not regenerated
         with ProcessPoolExecutor(
             max_workers=threads,
-            mp_context=mp_ctx,
-            initializer=_worker_init,
-            initargs=(cfg, data_seq, mode),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_SHARED.__setitem__,
+            initargs=("ds", ds),
         ) as pool:
             results = list(pool.map(_worker_run, payloads, chunksize=8))
     else:
-        results = [_rep_or_failure(ds, cfg, method, r0, r, delta, s, mode) for s in rep_seqs]
+        results = [_replicate(ds, cfg, method, r0, r, delta, s, mode) for s in rep_seqs]
 
     done = [item for item in results if not isinstance(item[0], str)]  # not ("failure", reason)
     n_failures = n_reps - len(done)

@@ -20,7 +20,7 @@ from .breslow import PilotContext, score_residual_norms, score_residuals
 from .breslow import pilot_breslow  # noqa: F401  the benchmark's traced mode patches this name here
 from .data import SurvivalDataset, _write_columns
 from .errors import CoxSubError, NumericsError, PilotError, SingularHessianError, TwoStepError
-from .partial_likelihood import CoxFit, SolverOptions, newton_solve
+from .partial_likelihood import CoxFit, newton_solve
 
 _SUM_TOL = 1e-12
 _FLOOR_TOL = 1e-15
@@ -48,11 +48,13 @@ class SubsamplePlan:
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D array")
         # every check reads one sum and one minimum: a finite sum means
-        # finite entries, and a NaN entry makes the minimum NaN
-        total, low = float(probs.sum()), float(probs.min())
-        if not (np.isfinite(total) and low >= 0.0):
-            if not np.all(np.isfinite(probs)) or low < 0.0:
-                raise ValueError("probabilities must be finite and nonnegative")
+        # finite entries, and a NaN entry makes the minimum NaN; an
+        # overflowing or inf-minus-inf sum is caught here, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, low = float(probs.sum()), float(probs.min())
+            if not (np.isfinite(total) and low >= 0.0):
+                if not np.all(np.isfinite(probs)) or low < 0.0:
+                    raise ValueError("probabilities must be finite and nonnegative")
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if not 0.0 <= self.delta <= 1.0:
@@ -224,13 +226,11 @@ def weighted_fit(ds: SurvivalDataset, sub: Subsample, init: np.ndarray | None = 
 
     Risk sets are formed within the subsample multiset only; the weights
     make the weighted score conditionally unbiased for the full-data one.
-    Newton starts from ``init`` (zero when ``None``); every other solver
-    setting is the :class:`SolverOptions` default.
+    Newton starts from ``init`` (zero when ``None``).
     """
     if sub.size < 2:
         raise NumericsError("subsample too small: no risk-set variation with fewer than 2 draws")
-    opts = SolverOptions(init=init)
-    return newton_solve(ds, weights=sub.weights, subset=sub.indices, opts=opts, role="two_step")
+    return newton_solve(ds, weights=sub.weights, subset=sub.indices, init=init, role="two_step")
 
 
 def estimate_covariance(
@@ -292,8 +292,8 @@ def two_step(
     subsample never enters the second-stage estimating equation except
     through the pilot estimate and its hazard/risk-set tables.  A dataset
     with a broken value raises ``ValueError`` before anything is drawn (see
-    :meth:`SurvivalDataset.check_values`).  Both fits run with the default
-    :class:`SolverOptions`; the second starts from the pilot estimate.
+    :meth:`SurvivalDataset.check_values`).  The pilot fit starts from zero,
+    the second fit from the pilot estimate.
     """
     crit = criterion.lower()
     if crit not in ("lopt", "aopt", "unif"):

@@ -166,6 +166,11 @@ class TestRiskSetMean:
         m.at(np.array([0.5, 7.0, 9.0]))
         assert m.clamped_queries == 3
 
+    def test_broken_time_rejected(self):
+        # the rows go through the dataset checks, like every other sweep
+        with pytest.raises(ValueError, match="time at row 1 is not finite"):
+            RiskSetMean.build(np.array([1.0, np.nan]), np.array([[1.0], [0.0]]), np.zeros(1))
+
 
 class TestPilotContext:
     def test_pilot_xbar_full_data_reduction(self):

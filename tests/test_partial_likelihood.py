@@ -9,7 +9,6 @@ from coxsub import partial_likelihood
 from coxsub import (
     NumericsError,
     SingularHessianError,
-    SolverOptions,
     SurvivalDataset,
     hessian,
     neg_log_partial_likelihood,
@@ -187,7 +186,11 @@ class TestSortedRows:
         ds, _, weights, subset = case
         rows = [_SortedRows.of_dataset(ds, weights, subset)]
         if subset is not None:
-            rows.append(_SortedRows.of_rows(ds.time[subset], ds.status[subset], ds.covariates[subset]))
+            # the same records as a dataset of their own
+            sub_ds = SurvivalDataset(
+                covariates=ds.covariates[subset], time=ds.time[subset], status=ds.status[subset]
+            )
+            rows.append(_SortedRows.of_dataset(sub_ds))
         for r in rows:
             expect = np.searchsorted(r.time, r.time[r.event_rows], side="left")
             assert np.array_equal(r.event_risk_start, expect)
@@ -335,7 +338,7 @@ class TestNewtonSolve:
         assert fit.converged and fit.iterations == 0
         assert np.all(fit.beta == 0.0)
         init = np.array([0.5, -0.5])
-        fit2 = newton_solve(ds, opts=SolverOptions(init=init))
+        fit2 = newton_solve(ds, init=init)
         assert np.array_equal(fit2.beta, init)
 
     def test_no_events_raises(self):
@@ -361,11 +364,12 @@ class TestNewtonSolve:
         np.testing.assert_allclose(H[1], 0.0, atol=1e-12)
         np.testing.assert_allclose(H[:, 1], 0.0, atol=1e-12)
 
-    def test_max_iter_returns_flagged_fit(self):
+    def test_max_iter_returns_flagged_fit(self, monkeypatch):
         rng = np.random.default_rng(11)
         ds = random_dataset(rng, n=120, p=3)
-        with pytest.warns(UserWarning, match="max_iter"):
-            fit = newton_solve(ds, opts=SolverOptions(max_iter=1, tol_score=1e-14))
+        monkeypatch.setattr(partial_likelihood, "_MAX_ITER", 1)
+        with pytest.warns(UserWarning, match="iteration limit"):
+            fit = newton_solve(ds)
         assert not fit.converged
         assert fit.iterations == 1
 
@@ -469,6 +473,13 @@ class TestNumericalGuards:
         for residual_pass in (score_residuals, score_residual_norms):
             with pytest.raises(NumericsError, match="rescal"):
                 residual_pass(ds, xbar, cumhaz, beta)  # exp(800) overflows
+
+    def test_risk_set_sum_too_small_to_square_names_it(self):
+        # S0 = exp(-400) at the second event is positive but squares to zero
+        ds = SurvivalDataset(covariates=[[400.0], [0.0]], time=[1.0, 2.0], status=[1, 1])
+        assert np.isfinite(score(ds, np.array([1.0]))).all()
+        with pytest.raises(NumericsError, match="too small for the curvature"):
+            hessian(ds, np.array([1.0]))
 
     def test_overflowing_linear_predictor_names_it(self):
         # finite covariates whose linear predictor is +-inf (or inf - inf)

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from coxsub import partial_likelihood, simulation
 from coxsub import (
     CalibrationError,
+    CoxSubError,
     FiveNumberSummary,
     SimConfig,
     ar1_covariance,
@@ -15,6 +18,7 @@ from coxsub import (
     gen_covariates,
     gen_dataset,
     gen_failure_times,
+    newton_solve,
     resolve_c0,
     run_replications,
     true_cumulative_hazard,
@@ -218,6 +222,51 @@ class TestRunReplications:
         with pytest.raises(ValueError, match="n_reps"):
             run_replications(small_cfg, "lopt", n_reps=1, seed=0)
 
+    def test_fixed_full_reads_the_reference_fit(self, small_cfg, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "newton_solve", spy)
+        rep = run_replications(small_cfg, "full", n_reps=5, seed=1, mode="fixed")
+        assert len(calls) == 1
+        assert rep.n_failures == 0
+
+    def test_forked_workers_share_the_parent_dataset(self, small_cfg, monkeypatch):
+        # a worker that generated the dataset again would raise here
+        parent = os.getpid()
+
+        def parent_only(cfg, rng):
+            if os.getpid() != parent:
+                raise CoxSubError("dataset generated in a worker")
+            return gen_dataset(cfg, rng)
+
+        monkeypatch.setattr(simulation, "gen_dataset", parent_only)
+        ser = run_replications(small_cfg, "lopt", r0=100, r=300, n_reps=4, seed=3, mode="fixed")
+        par = run_replications(
+            small_cfg, "lopt", r0=100, r=300, n_reps=4, seed=3, mode="fixed", threads=2
+        )
+        assert par.n_failures == ser.n_failures == 0
+        assert ser.mse == par.mse
+
+    def test_nonconverged_full_fit_is_a_failure(self):
+        # 20 of these 200 tiny fresh datasets are separated and no full fit
+        # on them converges (16 end flagged, 4 raise); counting the flagged
+        # estimates as results took the mse to 1.33e4
+        cfg = SimConfig(case="III", n=20, c0=3.0, seed=1)
+        with pytest.warns(UserWarning, match="newton_solve"):
+            rep = run_replications(cfg, "full", n_reps=200, mode="fresh", seed=2)
+        assert rep.n_failures == 20
+        assert rep.mse == 91.03605200255136
+
+    def test_nonconverged_reference_fit_raises(self, small_cfg, monkeypatch):
+        monkeypatch.setattr(partial_likelihood, "_MAX_ITER", 1)
+        with pytest.warns(UserWarning, match="iteration limit"):
+            with pytest.raises(CoxSubError, match="reference fit did not converge"):
+                run_replications(small_cfg, "lopt", r0=100, r=300, n_reps=4, seed=3, mode="fixed")
+
     def test_failed_replications_are_counted(self):
         # single-record pilots on heavily censored data fail often; the
         # study continues and reports how many replications were dropped
@@ -272,3 +321,35 @@ class TestConfigValidation:
     def test_bad_beta(self, beta):
         with pytest.raises(ValueError, match="beta_true"):
             SimConfig(beta_true=beta)
+
+
+class TestPinnedReplications:
+    """Replication reports recorded before the replication runner was
+    folded into one function; every field must stay bit for bit.
+
+    Each digest is sha256 over the little-endian float64 bytes of
+    ``[mse, *bias, *ese, *mean_se, *coverage]``.
+    """
+
+    RUNS = {
+        "lopt-fixed": dict(method="lopt", r0=100, r=300, n_reps=8, seed=3, mode="fixed"),
+        "unif-fresh": dict(method="unif", r0=100, r=300, n_reps=6, seed=4, mode="fresh"),
+        "full-fixed": dict(method="full", n_reps=5, seed=1, mode="fixed"),
+    }
+    PINNED = {
+        "lopt-fixed": ("mpl", 8, 0, 0.03912489353039919,
+                       "f3909a519ce2acc44dd1219d3c99be83fc2280f8f6da9241187739cbc7c6b186"),
+        "unif-fresh": ("truth", 6, 0, 0.08418501574782065,
+                       "0ee4bb6301b62737f677be63053c3e213459b31f2ad21019ce31cd92ff0dba91"),
+        "full-fixed": ("mpl", 5, 0, 0.0,
+                       "3164c964ae7f465cd8a9b6aa55ea881c86e316d3a934c62550c2fe987a434ac2"),
+    }
+
+    @pytest.mark.parametrize(
+        "run, threads", [("lopt-fixed", 1), ("lopt-fixed", 2), ("unif-fresh", 1), ("full-fixed", 1)]
+    )
+    def test_report_fields(self, small_cfg, run, threads):
+        rep = run_replications(small_cfg, threads=threads, **self.RUNS[run])
+        fields = np.concatenate([[rep.mse], rep.bias, rep.ese, rep.mean_se, rep.coverage])
+        digest = hashlib.sha256(fields.astype("<f8").tobytes()).hexdigest()
+        assert (rep.reference, rep.n_reps, rep.n_failures, rep.mse, digest) == self.PINNED[run]
