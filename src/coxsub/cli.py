@@ -51,6 +51,14 @@ def _parse_floats(text, parser, flag: str, p: int | None = None) -> np.ndarray:
     return vals
 
 
+def _parse_names(text: str, parser, flag: str, allowed: tuple[str, ...], norm) -> list[str]:
+    """The names a list flag gives, normalised by ``norm``; a usage error naming ``flag`` otherwise."""
+    names = [norm(v.strip()) for v in str(text).split(",") if v.strip()]
+    if not names or not set(names) <= set(allowed):
+        parser.error(f"{flag}: expected a comma-separated list of {', '.join(allowed)}, got {text!r}")
+    return names
+
+
 def _emit(report: dict, out: str | None, fmt: str) -> None:
     if fmt == "csv":
         flat = _flatten(report)
@@ -242,10 +250,7 @@ def cmd_subsample(args) -> int:
         ses = np.asarray([r.covariance.standard_errors for r in runs])
         report["reps"] = args.reps
         report["reference_beta"] = ref.beta
-        report["bias"] = ests.mean(axis=0) - ref.beta
-        report["ese"] = ests.std(axis=0, ddof=1)
-        report["mean_se"] = ses.mean(axis=0)
-        report["mse"] = float(np.mean(np.sum((ests - ref.beta) ** 2, axis=1)))
+        report.update(simulation._error_summary(ests, ses, ref.beta))
     _emit(report, args.output, args.format)
     return 0
 
@@ -255,15 +260,15 @@ def cmd_subsample(args) -> int:
 
 def cmd_benchmark(args) -> int:
     p = args._parser
-    cases = [c.strip().upper() for c in args.cases.split(",") if c.strip()]
-    _check(bool(cases), p, "--cases must name at least one case")
+    cases = _parse_names(args.cases, p, "--cases", simulation.CASES, str.upper)
+    methods = _parse_names(args.methods, p, "--methods", simulation._METHODS, str.lower)
     _check(0.01 < args.cr < 0.99, p, "--cr must lie in (0.01, 0.99)")
     _check(args.n >= 1, p, "--n must be at least 1")
     _check(args.r0 >= 1, p, "--r0 must be at least 1")
-    r_grid = [int(v) for v in str(args.r_grid).split(",") if v != ""]
-    delta_grid = [float(v) for v in str(args.delta_grid).split(",") if v != ""]
-    methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
-    _check(all(r >= 1 for r in r_grid), p, "--r-grid entries must be positive")
+    r_grid = _parse_floats(args.r_grid, p, "--r-grid")
+    delta_grid = _parse_floats(args.delta_grid, p, "--delta-grid").tolist()
+    _check(all(r >= 1 and r == int(r) for r in r_grid), p, "--r-grid entries must be positive integers")
+    r_grid = [int(r) for r in r_grid]
     _check(all(0.0 <= d <= 1.0 for d in delta_grid), p, "--delta-grid entries must lie in [0, 1]")
     _check(args.reps >= 2, p, "--reps must be at least 2")
     os.makedirs(args.out_dir, exist_ok=True)

@@ -5,10 +5,11 @@ indicators, together with a precomputed time-ascending sort index that the
 risk-set sweeps rely on.  Ties are ordered deterministically: earlier time
 first, events before censorings at equal times, then original record order.
 
-CSV files are parsed in one vectorised pass when well formed; anything
-else goes through a cell-by-cell scan that finds and names the first bad
-cell.  Writers format whole columns at once and emit the same bytes as a
-``csv.writer`` row loop.
+One rule, :func:`_value_violations`, judges the values of arrays and CSV
+files alike, once per dataset.  CSV files are parsed in one vectorised
+pass when well formed; anything else goes through a cell-by-cell scan
+that finds and names the first bad cell.  Writers format whole columns at
+once and emit the same bytes as a ``csv.writer`` row loop.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ class SurvivalDataset:
     """Right-censored survival data: covariates, observed times, indicators.
 
     Construction enforces structural consistency (matching lengths, 2-D
-    covariates) and builds ``sort_index``; value-level invariants (finite
-    entries, status in {0,1}, at least one event) are checked by
-    :func:`validate`, which tolerates broken datasets so callers can report
-    all problems at once.  Estimators call :meth:`check_values` instead,
-    which raises on the first broken value.
+    covariates) and builds ``sort_index``; status becomes ``int8`` only if
+    every value is 0 or 1.  Value-level invariants (finite entries, status
+    in {0,1}, at least one event) are checked by :func:`validate`, which
+    tolerates broken datasets so callers can report all problems at once.
+    Estimators call :meth:`check_values` instead, which raises on the
+    first broken value, scanning a dataset at most once.
     """
 
     covariates: np.ndarray
@@ -64,9 +66,7 @@ class SurvivalDataset:
         X = np.array(X, order="F", copy=True)
         t = np.array(self.time, dtype=np.float64, copy=True)
         s = np.array(self.status, copy=True)
-        if s.dtype.kind == "f" and np.all(np.isfinite(s)) and np.all(s == np.round(s)):
-            s = s.astype(np.int8)
-        elif s.dtype.kind in "iub":
+        if np.all((s == 0) | (s == 1)):  # lossless only: a status of 257 must not wrap to 1
             s = s.astype(np.int8)
         if t.ndim != 1 or s.ndim != 1:
             raise ValueError("time and status must be 1-D arrays")
@@ -113,16 +113,18 @@ class SurvivalDataset:
         """Raise ``ValueError`` naming the first value-level violation, if any.
 
         Covers non-finite or negative times, status outside {0, 1} and
-        non-finite covariates, in :func:`validate`'s order.  The verdict is
-        computed once and cached, like :meth:`sorted_view`.
+        non-finite covariates, in :func:`validate`'s order.  Reads the
+        verdict of :meth:`_first_violation`, so it scans at most once.
         """
-        cached = getattr(self, "_value_error", None)
-        if cached is None:
-            first = next(_value_violations(self), None)
-            cached = "" if first is None else f"invalid dataset: {first.message}"
-            object.__setattr__(self, "_value_error", cached)
-        if cached:
-            raise ValueError(cached)
+        first = self._first_violation()
+        if first is not None:
+            raise ValueError(f"invalid dataset: {first.message}")
+
+    def _first_violation(self) -> Violation | None:
+        """The first value-level violation in :func:`validate`'s order, or None; computed once."""
+        if not hasattr(self, "_verdict"):
+            object.__setattr__(self, "_verdict", next(_value_violations(self), None))
+        return self._verdict
 
     @property
     def n_events(self) -> int:
@@ -215,7 +217,7 @@ def validate(ds: SurvivalDataset) -> list[Violation]:
     order = ds.sort_index
     if order.size != ds.n or order.min() < 0 or not np.all(np.bincount(order, minlength=ds.n) == 1):
         out.append(Violation("bad_sort_index", "sort_index is not a permutation"))
-    elif np.any(np.diff(ds.time[order]) < 0):
+    elif np.any(ds.time[order[1:]] < ds.time[order[:-1]]):  # no inf - inf to warn on
         out.append(Violation("bad_sort_index", "sort_index does not order time ascending"))
     return out
 
@@ -349,23 +351,19 @@ def _parse_cells(path: str | os.PathLike, schema: CsvSchema) -> _Columns:
 
 
 def _checked_dataset(time: np.ndarray, status: np.ndarray, X: np.ndarray, cov_names: list[str]) -> SurvivalDataset:
-    """Value checks shared by both parse paths, then the dataset."""
-    bad = ~np.isin(status, (0.0, 1.0))
-    if bad.any():
-        r = int(np.flatnonzero(bad)[0]) + 1
-        raise CsvError(f"row {r}: status must be 0 or 1, got {status[r - 1].item()!r}", row=r)
-    bad = ~np.isfinite(time) | (time < 0)
-    if bad.any():
-        r = int(np.flatnonzero(bad)[0]) + 1
-        raise CsvError(
-            f"row {r}: time must be a finite nonnegative number, got {time[r - 1].item()!r}", row=r
-        )
-    bad = ~np.isfinite(X)
-    if bad.any():
-        i, j = (int(a[0]) for a in np.nonzero(bad))
-        raise CsvError(f"row {i + 1}: covariate {cov_names[j]!r} is not finite", row=i + 1, column=j)
-
-    return SurvivalDataset(covariates=X, time=time, status=status.astype(np.int8))
+    """The dataset, or a :class:`CsvError` naming its first bad value by 1-based row."""
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    bad = ds._first_violation()
+    if bad is None:
+        return ds
+    r = bad.row + 1
+    if bad.code == "nonfinite_covariate":
+        raise CsvError(f"row {r}: covariate {cov_names[bad.column]!r} is not finite", row=r, column=bad.column)
+    if bad.code == "bad_status":
+        rule, value = "status must be 0 or 1", ds.status[bad.row]
+    else:
+        rule, value = "time must be a finite nonnegative number", ds.time[bad.row]
+    raise CsvError(f"row {r}: {rule}, got {value.item()!r}", row=r)
 
 
 # every character repr() of a float or str() of an int can produce

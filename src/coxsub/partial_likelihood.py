@@ -338,20 +338,20 @@ def hessian(
     return _Sweep(_SortedRows.of_dataset(ds, weights, subset), beta).hessian()
 
 
-def _solve_newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _require_positive_definite(curvature: np.ndarray, name: str) -> None:
+    """Raise :class:`SingularHessianError` unless ``curvature`` is positive definite with a finite inverse."""
     try:
-        np.linalg.cholesky(H)
-        step = np.linalg.solve(H, g)
+        np.linalg.cholesky(curvature)
+        # the factor can exist for a matrix singular to working precision; the solves after it cannot
+        if np.all(np.isfinite(np.linalg.inv(curvature))):
+            return
     except np.linalg.LinAlgError:
-        step = None
-    if step is None or not np.all(np.isfinite(step)):
-        cond = float(np.linalg.cond(H)) if np.all(np.isfinite(H)) else float("inf")
-        raise SingularHessianError(
-            "curvature matrix is not positive definite; "
-            "check for collinear covariates or perfect separation",
-            cond=cond,
-        )
-    return step
+        pass
+    finite = np.all(np.isfinite(curvature))
+    raise SingularHessianError(
+        f"{name} curvature matrix is not positive definite; check for collinear covariates or perfect separation",
+        cond=float(np.linalg.cond(curvature)) if finite else float("inf"),
+    )
 
 
 def newton_solve(
@@ -398,7 +398,8 @@ def newton_solve(
                 f"newton_solve: iteration limit ({_MAX_ITER}) reached before convergence", stacklevel=2
             )
             break
-        step = _solve_newton_step(H, g)
+        _require_positive_definite(H, "Newton")
+        step = np.linalg.solve(H, g)
         scale = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):

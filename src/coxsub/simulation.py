@@ -367,22 +367,24 @@ def run_replications(
         raise CoxSubError(f"too many failed replications ({n_failures} of {n_reps})")
 
     est, se = map(np.asarray, zip(*done))
-    truth = cfg.beta
-    mse = float(np.mean(np.sum((est - ref) ** 2, axis=1)))
-    bias = est.mean(axis=0) - ref
-    ese = est.std(axis=0, ddof=1)
-    mean_se = se.mean(axis=0)
-    covered = np.abs(est - truth) <= 1.96 * se
+    covered = np.abs(est - cfg.beta) <= 1.96 * se
     return ReplicationReport(
         reference=reference,
         n_reps=n_reps,
         n_failures=n_failures,
-        mse=mse,
-        bias=bias,
-        ese=ese,
-        mean_se=mean_se,
+        **_error_summary(est, se, ref),
         coverage=covered.mean(axis=0),
     )
+
+
+def _error_summary(est: np.ndarray, se: np.ndarray, ref: np.ndarray) -> dict:
+    """Bias, empirical SE, mean estimated SE and MSE of the rows of ``est`` against ``ref``."""
+    return {
+        "bias": est.mean(axis=0) - ref,
+        "ese": est.std(axis=0, ddof=1),
+        "mean_se": se.mean(axis=0),
+        "mse": float(np.mean(np.sum((est - ref) ** 2, axis=1))),
+    }
 
 
 def _fivenum(x: np.ndarray) -> tuple:

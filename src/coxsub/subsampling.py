@@ -19,8 +19,8 @@ import numpy as np
 from .breslow import PilotContext, score_residual_norms, score_residuals
 from .breslow import pilot_breslow  # noqa: F401  the benchmark's traced mode patches this name here
 from .data import SurvivalDataset, _write_columns
-from .errors import CoxSubError, NumericsError, PilotError, SingularHessianError, TwoStepError
-from .partial_likelihood import CoxFit, newton_solve
+from .errors import CoxSubError, NumericsError, PilotError, TwoStepError
+from .partial_likelihood import CoxFit, _require_positive_definite, newton_solve
 
 _SUM_TOL = 1e-12
 _FLOOR_TOL = 1e-15
@@ -177,15 +177,6 @@ def _mixed_plan(norms: np.ndarray, delta: float) -> SubsamplePlan:
     norms += delta / n
     norms.setflags(write=False)
     return SubsamplePlan(probs=norms, delta=delta)
-
-
-def _require_positive_definite(curvature: np.ndarray, name: str) -> None:
-    try:
-        np.linalg.cholesky(curvature)
-    except np.linalg.LinAlgError:
-        finite = np.all(np.isfinite(curvature))
-        cond = float(np.linalg.cond(curvature)) if finite else float("inf")
-        raise SingularHessianError(f"{name} curvature matrix is singular", cond=cond) from None
 
 
 def compute_lopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> SubsamplePlan:

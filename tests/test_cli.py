@@ -277,6 +277,23 @@ def test_bad_number_flag_exits_2(args, flag, sim_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--r-grid", "abc"), ("--r-grid", ","), ("--r-grid", "2.5"), ("--delta-grid", "x"),
+        ("--methods", "foo"), ("--methods", ","), ("--cases", "V"), ("--cases", ","),
+    ],
+)
+def test_bad_benchmark_list_flag_exits_2(flag, value, tmp_path, capsys):
+    # rejected as a usage error naming the flag, before the output directory exists
+    out_dir = tmp_path / "bench"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["benchmark", flag, value, "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # perfectly collinear covariates make the curvature singular
     rng = np.random.default_rng(0)

@@ -360,6 +360,90 @@ def test_validate_flags_broken_sort_index():
         assert [v.code for v in validate(ds)] == ["bad_sort_index"]
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("value", [256, 257, -255])
+def test_array_status_beyond_int8_is_rejected_not_wrapped(value, dtype):
+    clean = random_dataset(np.random.default_rng(11), n=60, p=2)
+    status = clean.status.astype(dtype)
+    status[2] = value
+    ds = SurvivalDataset(covariates=clean.covariates, time=clean.time, status=status)
+    assert ds.status[2] == value
+    first = validate(ds)[0]
+    assert (first.code, first.row) == ("bad_status", 2)
+    assert first.message == f"status at row 2 is {dtype(value).item()!r}, expected 0 or 1"
+    with pytest.raises(ValueError, match="invalid dataset: status at row 2 is"):
+        newton_solve(ds)
+
+
+def test_csv_status_beyond_int8_is_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("time,status,x1\n1.0,1,0.0\n2.0,257,0.5\n")
+    with pytest.raises(CsvError, match=r"^row 2: status must be 0 or 1, got 257\.0$") as err:
+        load_csv(path)
+    assert err.value.row == 2
+    assert_paths_agree(path, CsvSchema())
+
+
+def test_valid_status_is_stored_as_int8():
+    for status in ([1, 0, 1], [1.0, 0.0, -0.0], [True, False, True], np.array([1, 0, 1], dtype=np.uint16)):
+        ds = SurvivalDataset(covariates=np.ones((3, 1)), time=[1.0, 2.0, 3.0], status=status)
+        assert ds.status.dtype == np.int8 and ds.status.tolist() == [1, 0, int(status[2])]
+
+
+# (field, value) of each kind of broken value an array can carry and a CSV file can spell
+CSV_FAULTS = {
+    "nan_time": ("time", np.nan),
+    "inf_time": ("time", np.inf),
+    "negative_time": ("time", -1.5),
+    "status_2": ("status", 2),
+    "status_257": ("status", 257),
+    "status_negative": ("status", -1),
+    "nan_covariate": ("covariates", np.nan),
+    "inf_covariate": ("covariates", -np.inf),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    faults=st.lists(
+        st.tuples(st.sampled_from(sorted(CSV_FAULTS)), st.integers(0, 29), st.integers(0, 2)),
+        min_size=1, max_size=2,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_csv_and_arrays_name_the_same_first_violation(faults, seed):
+    ds = random_dataset(np.random.default_rng(seed), n=30, p=3)
+    arrays = {"time": ds.time.copy(), "status": ds.status.astype(np.int64), "covariates": ds.covariates.copy()}
+    for kind, row, column in faults:
+        field, value = CSV_FAULTS[kind]
+        if field == "covariates":
+            arrays[field][row, column] = value
+        else:
+            arrays[field][row] = value
+    broken = SurvivalDataset(**arrays)
+    first = validate(broken)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_csv(broken, path)
+        with pytest.raises(CsvError) as err:
+            load_csv(path)
+    assert (err.value.row - 1, err.value.column) == (first.row, first.column)
+
+
+def test_loaded_file_is_scanned_once(tmp_path, monkeypatch):
+    from coxsub import data
+
+    calls = []
+    scan = data._value_violations
+    monkeypatch.setattr(data, "_value_violations", lambda ds: calls.append(ds) or scan(ds))
+    path = tmp_path / "d.csv"
+    write_csv(random_dataset(np.random.default_rng(15), n=200, p=2), path)
+    ds = load_csv(path)
+    assert len(calls) == 1
+    two_step(ds, 60, 80, 0.1, "lopt", np.random.default_rng(0))
+    assert len(calls) == 1
+
+
 # ---- the two CSV read paths agree
 
 
