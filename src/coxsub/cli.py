@@ -1,9 +1,10 @@
 """Command-line interface: simulate, fit, subsample, benchmark, calibrate.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.  All outputs are
+Exit codes: 0 success, 2 usage error (a bad flag, or a file a flag names
+that cannot be read or written), 3 numerical failure.  All outputs are
 machine-readable (JSON reports carry ``"schema": 1``); every subcommand is
-deterministic given ``--seed``, and ``benchmark --threads k`` reproduces the
-serial result exactly.
+deterministic given ``--seed``, reads and writes only the files its flags
+name, and ``benchmark --threads k`` reproduces the serial result exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import os
 import sys
 import time as _time
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,14 +29,6 @@ from .simulation import SimConfig, gen_dataset, resolve_c0, run_replications
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729  # fixed so repeated invocations reproduce byte-identical output
-_CACHE_PATH = os.path.join(os.path.expanduser("~"), ".cache", "coxsub", "c0_cache.json")
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("COXSUB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_floats(text, parser, flag: str, p: int | None = None) -> np.ndarray:
@@ -97,17 +91,19 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 def _schema_from_args(args) -> CsvSchema:
     covs = None
     if args.covariates is not None:
-        names = [c for c in str(args.covariates).split(",") if c != ""]
-        if not names:
-            args._parser.error("--covariates: empty covariate list")
-        covs = tuple(names)
-    return CsvSchema(
-        time_column=args.time_col,
-        status_column=args.status_col,
-        covariate_columns=covs,
-        delimiter=args.delimiter,
-        has_header=not args.no_header,
-    )
+        covs = tuple(c for c in str(args.covariates).split(",") if c != "")
+    try:
+        return CsvSchema(
+            time_column=args.time_col,
+            status_column=args.status_col,
+            covariate_columns=covs,
+            delimiter=args.delimiter,
+            has_header=not args.no_header,
+        )
+    except ValueError as exc:
+        # the schema checks only the delimiter's length and the covariate list
+        flag = "--delimiter" if len(args.delimiter) != 1 else "--covariates"
+        args._parser.error(f"{flag}: {exc}")
 
 
 def _check(cond, parser, message):
@@ -132,7 +128,7 @@ def cmd_simulate(args) -> int:
         c0=args.c0,
         seed=args.seed,
     )
-    cfg = resolve_c0(cfg, cache_path=_CACHE_PATH)
+    cfg = resolve_c0(cfg)
     ds = gen_dataset(cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed)))
     write_csv(ds, args.output)
     sidecar = {
@@ -271,9 +267,12 @@ def cmd_benchmark(args) -> int:
     r_grid = [int(r) for r in r_grid]
     _check(all(0.0 <= d <= 1.0 for d in delta_grid), p, "--delta-grid entries must lie in [0, 1]")
     _check(args.reps >= 2, p, "--reps must be at least 2")
+    _check(args.timing_n >= 1, p, "--timing-n must be at least 1")
+    _check(args.threads >= 1, p, "--threads must be at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []
+    configs = []
     for case in cases:
         cfg = SimConfig(case=case, n=args.n, target_cr=args.cr, seed=args.seed)
         for method in methods:
@@ -284,6 +283,8 @@ def cmd_benchmark(args) -> int:
                         r0=args.r0, r=r, delta=delta, n=args.n, reps=args.reps,
                     )
                     try:
+                        # calibrates once per case: a resolved config comes back unchanged
+                        cfg = resolve_c0(cfg)
                         rep = run_replications(
                             cfg,
                             method,
@@ -294,7 +295,6 @@ def cmd_benchmark(args) -> int:
                             seed=args.seed,
                             mode=args.mode,
                             threads=args.threads,
-                            cache_path=_CACHE_PATH,
                         )
                         cell.update(
                             mse=rep.mse,
@@ -315,6 +315,7 @@ def cmd_benchmark(args) -> int:
                         f"case {case} method {method} r={r} delta={delta}: "
                         f"mse={cell['mse']}" + (f" ERROR {cell['error']}" if cell["error"] else "")
                     )
+        configs.append(cfg)
     table_path = os.path.join(args.out_dir, "replications.csv")
     with open(table_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -322,22 +323,19 @@ def cmd_benchmark(args) -> int:
         writer.writerows(rows)
 
     timing_path = os.path.join(args.out_dir, "timing.csv")
-    _timing_table(args, cases[0], max(r_grid), timing_path)
+    _timing_table(args, configs[0], max(r_grid), timing_path)
     print(f"wrote {table_path} and {timing_path}")
     return 0
 
 
-def _timing_table(args, case: str, r: int, path: str) -> None:
-    """Wall-clock comparison: full-data solve vs one two-step run."""
-    cfg = resolve_c0(
-        SimConfig(case=case, n=args.timing_n, target_cr=args.cr, seed=args.seed),
-        cache_path=_CACHE_PATH,
-    )
+def _timing_table(args, cfg: SimConfig, r: int, path: str) -> None:
+    """Full-data solve vs one two-step run on ``cfg`` resized to ``args.timing_n`` (c0 is size-free)."""
+    cfg = resolve_c0(replace(cfg, n=args.timing_n))
     root = np.random.SeedSequence(cfg.seed)
     data_seq, warm_seq, sub_seq = root.spawn(3)
     ds = gen_dataset(cfg, np.random.default_rng(data_seq))
     # warm-up on a slice so first-use overheads stay out of the comparison
-    warm = SimConfig(case=case, n=5000, target_cr=args.cr, seed=cfg.seed, c0=cfg.c0)
+    warm = replace(cfg, n=5000)
     ds_warm = gen_dataset(warm, np.random.default_rng(warm_seq))
     newton_solve(ds_warm)
     subsampling.two_step(ds_warm, args.r0, min(r, 1000), 0.1, "lopt", np.random.default_rng(warm_seq))
@@ -370,9 +368,7 @@ def cmd_calibrate(args) -> int:
     _check(0.01 < args.cr < 0.99, p, "--cr must lie in (0.01, 0.99)")
     _check(math.isfinite(args.tol) and args.tol > 0, p, "--tol must be finite and positive")
     beta = _parse_floats(args.beta, p, "--beta") if args.beta is not None else np.asarray(simulation.DEFAULT_BETA)
-    c0 = simulation.calibrate_c0(
-        args.case, beta, args.cr, seed=args.seed, tol=args.tol, cache_path=_CACHE_PATH
-    )
+    c0 = simulation.calibrate_c0(args.case, beta, args.cr, seed=args.seed, tol=args.tol)
     check_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(2)[1])
     X = simulation.gen_covariates(args.case, 100_000, check_rng, p=beta.size)
     t_fail = simulation.gen_failure_times(X, beta, check_rng)
@@ -461,8 +457,7 @@ def build_parser():
     bench.add_argument("--timing-n", type=int, default=1_000_000,
                        help="dataset size for the wall-clock comparison")
     bench.add_argument("--out-dir", required=True)
-    bench.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker processes for replications (env COXSUB_THREADS)")
+    bench.add_argument("--threads", type=int, default=1, help="worker processes for replications")
     _add_common(bench)
     bench.set_defaults(func=cmd_benchmark)
     subparsers["benchmark"] = bench
@@ -502,6 +497,12 @@ def main(argv=None) -> int:
     except CoxSubError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # a path named on the command line that cannot be read or written
+        sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
+        return 2
 
 
 if __name__ == "__main__":

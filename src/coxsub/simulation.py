@@ -9,10 +9,7 @@ fixed batch, so the search is deterministic given the seed.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -125,7 +122,6 @@ def calibrate_c0(
     *,
     seed: int,
     tol: float = 0.002,
-    cache_path: str | os.PathLike | None = None,
 ) -> float:
     """Bisection search for the censoring upper bound hitting ``target_cr``.
 
@@ -133,26 +129,13 @@ def calibrate_c0(
     ``seed`` in its own entropy domain and held fixed across evaluations,
     so the empirical censoring rate is exactly monotone in ``c0`` and the
     search is deterministic given the seed.  ``tol`` is the accepted
-    distance from ``target_cr`` and must be finite and positive.  With
-    ``cache_path`` the result is cached on disk, keyed by the full
-    configuration.
+    distance from ``target_cr`` and must be finite and positive.
     """
     if not 0.01 < target_cr < 0.99:
         raise ValueError("target_cr must lie in (0.01, 0.99)")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     beta = np.asarray(beta, dtype=np.float64)
-    key = None
-    if cache_path is not None:
-        # byte for byte the key of when the batch and the case-IV scaling were
-        # settable (100 000 and "match" in their old places), so old entries hit
-        raw = json.dumps(
-            ["v2", str(case).upper(), beta.tolist(), target_cr, tol, _CALIBRATION_BATCH, seed, "match"]
-        )
-        key = hashlib.sha256(raw.encode()).hexdigest()[:24]
-        cached = _cache_get(cache_path, key)
-        if cached is not None:
-            return cached
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _CALIBRATION_STREAM]))
 
     X = gen_covariates(case, _CALIBRATION_BATCH, rng, p=beta.size)
@@ -173,8 +156,6 @@ def calibrate_c0(
         mid = 0.5 * (lo + hi)
         cr = _censoring_rate(t_fail, unit_censor, mid)
         if abs(cr - target_cr) <= tol:
-            if key is not None:
-                _cache_put(cache_path, key, mid)
             return mid
         if cr > target_cr:
             lo = mid
@@ -185,40 +166,17 @@ def calibrate_c0(
     raise CalibrationError("bisection failed to reach the target censoring rate")
 
 
-def _cache_get(path, key):
-    try:
-        with open(path) as fh:
-            table = json.load(fh)
-        return table.get(key)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _cache_put(path, key, value):
-    table = {}
-    try:
-        with open(path) as fh:
-            table = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        pass
-    table[key] = value
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(table, fh, indent=0, sort_keys=True)
-    except OSError:
-        pass
-
-
-def resolve_c0(cfg: SimConfig, cache_path: str | os.PathLike | None = None) -> SimConfig:
+def resolve_c0(cfg: SimConfig) -> SimConfig:
     """Return a config with ``c0`` filled in, calibrating it if needed.
 
+    A config whose ``c0`` is set comes back unchanged; any other is
+    calibrated afresh on every call, so resolve once and reuse the result.
     Calibration uses a stream in its own entropy domain, so its draws never
     overlap the dataset streams derived from the same seed.
     """
     if cfg.c0 is not None:
         return cfg
-    c0 = calibrate_c0(cfg.case, cfg.beta, cfg.target_cr, seed=cfg.seed, cache_path=cache_path)
+    c0 = calibrate_c0(cfg.case, cfg.beta, cfg.target_cr, seed=cfg.seed)
     return replace(cfg, c0=c0)
 
 
@@ -308,7 +266,6 @@ def run_replications(
     seed: int | None = None,
     mode: str = "fixed",
     threads: int = 1,
-    cache_path: str | os.PathLike | None = None,
 ) -> ReplicationReport:
     """Run a replication study of one estimator and aggregate its errors.
 
@@ -320,8 +277,9 @@ def run_replications(
     replication order, so results match a serial run exactly.  A
     replication whose fit raises a :class:`CoxSubError` or does not converge
     counts in ``n_failures`` and nowhere else; a fixed-mode reference fit
-    that does not converge raises :class:`CoxSubError`.  The report holds
-    the error summaries only, not the settings passed here.
+    that does not converge raises :class:`CoxSubError`.  An unset
+    ``cfg.c0`` is calibrated on each call (see :func:`resolve_c0`).  The
+    report holds the error summaries only, not the settings passed here.
     """
     method = method.lower()
     if method not in _METHODS:
@@ -330,7 +288,7 @@ def run_replications(
         raise ValueError("mode must be 'fixed' or 'fresh'")
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")
-    cfg = resolve_c0(cfg, cache_path=cache_path)
+    cfg = resolve_c0(cfg)
     root = np.random.SeedSequence(seed if seed is not None else cfg.seed)
     data_seq, *rep_seqs = root.spawn(n_reps + 1)
 

@@ -265,6 +265,10 @@ def test_unknown_flag_exits_2():
         (["benchmark", "--cr", "1.5", "--out-dir", "{out}"], "--cr"),
         (["benchmark", "--n", "0", "--out-dir", "{out}"], "--n"),
         (["benchmark", "--r0", "0", "--out-dir", "{out}"], "--r0"),
+        (["benchmark", "--timing-n", "0", "--out-dir", "{out}"], "--timing-n"),
+        (["benchmark", "--threads", "0", "--out-dir", "{out}"], "--threads"),
+        (["fit", "-i", "{data}", "--delimiter", ";;"], "--delimiter"),
+        (["fit", "-i", "{data}", "--covariates", "time,x1"], "--covariates"),
     ],
 )
 def test_bad_number_flag_exits_2(args, flag, sim_file, tmp_path, capsys):
@@ -292,6 +296,61 @@ def test_bad_benchmark_list_flag_exits_2(flag, value, tmp_path, capsys):
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args, path",
+    [
+        (["fit", "-i", "{missing}"], "{missing}"),
+        (["subsample", "-i", "{missing}"], "{missing}"),
+        (["fit", "-i", "{dir}"], "{dir}"),
+        (["fit", "-i", "{data}", "-o", "{nodir}/x.json"], "{nodir}/x.json"),
+        (["fit", "-i", "{data}", "--baseline-out", "{nodir}/b.csv"], "{nodir}/b.csv"),
+        (["subsample", "-i", "{data}", "--r0", "100", "--r", "200", "--plan-out", "{nodir}/p.csv"],
+         "{nodir}/p.csv"),
+        (["simulate", "--n", "50", "--c0", "1", "-o", "{nodir}/x.csv"], "{nodir}/x.csv"),
+    ],
+)
+def test_unopenable_path_exits_2(args, path, sim_file, tmp_path, capsys):
+    # one error line naming the path, not a traceback
+    names = dict(data=sim_file, missing=tmp_path / "nope.csv", dir=tmp_path, nodir=tmp_path / "nodir")
+    assert run_cli([a.format(**names) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.format(**names) in err
+
+
+def test_commands_write_only_named_files(tmp_path):
+    # run with HOME and the working directory pointing at one empty directory:
+    # calibration, simulation and a replication study leave nothing there
+    import coxsub
+
+    home, out = tmp_path / "home", tmp_path / "out"
+    home.mkdir()
+    out.mkdir()
+    commands = [
+        ["simulate", "--n", "500", "-o", str(out / "d.csv")],
+        ["calibrate", "--cr", "0.3", "-o", str(out / "c1.json")],
+        ["calibrate", "--cr", "0.3", "-o", str(out / "c2.json")],
+        ["benchmark", "--n", "500", "--reps", "2", "--r-grid", "50", "--r0", "40",
+         "--timing-n", "2000", "--out-dir", str(out / "bench")],
+    ]
+    code = (
+        "from coxsub.cli import main\n"
+        f"for argv in {commands!r}:\n    assert main(argv) == 0, argv\n"
+    )
+    env = dict(os.environ, HOME=str(home))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(coxsub.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=home, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert list(home.iterdir()) == []
+    assert (out / "c1.json").read_bytes() == (out / "c2.json").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["bench", "c1.json", "c2.json", "d.csv", "d.csv.meta.json"]
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
@@ -338,15 +397,6 @@ def test_threads_only_on_benchmark(command, sim_file, tmp_path, capsys):
         run_cli([command, *required, "--config", str(cfg_path)])
     assert exc.value.code == 2
     assert "unknown keys ['threads']" in capsys.readouterr().err
-
-
-def test_threads_env_var(monkeypatch):
-    from coxsub.cli import _default_threads
-
-    monkeypatch.setenv("COXSUB_THREADS", "4")
-    assert _default_threads() == 4
-    monkeypatch.setenv("COXSUB_THREADS", "junk")
-    assert _default_threads() == 1
 
 
 def _declared_scripts():

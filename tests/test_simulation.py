@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 
 import numpy as np
@@ -24,7 +23,7 @@ from coxsub import (
     true_cumulative_hazard,
     uniform_plan,
 )
-from coxsub.simulation import DEFAULT_BETA, _fivenum
+from coxsub.simulation import _fivenum
 
 
 class TestCovariates:
@@ -122,30 +121,6 @@ class TestCalibration:
     def test_invalid_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             calibrate_c0("I", np.zeros(5), 0.2, seed=0, tol=tol)
-
-    def test_cache_round_trip(self, tmp_path):
-        beta = np.array([0.5, -0.5])
-        path = tmp_path / "c0.json"
-        a = calibrate_c0("I", beta, 0.3, seed=4, cache_path=path)
-        assert path.exists()
-        b = calibrate_c0("I", beta, 0.3, seed=4, cache_path=path)
-        assert a == b
-
-    def test_entries_of_earlier_versions_still_hit(self, tmp_path):
-        # keys as earlier versions wrote them: sha256 of the JSON list
-        # ["v2", case, beta, target_cr, tol, 100000, seed, "match"], first 24
-        # hex digits; the sentinels are values no calibration returns
-        keys = [
-            (["v2", "I", [0.5, -0.5], 0.3, 0.002, 100000, 4, "match"], "5eb4e065b11f2e3ca3ca8b0f"),
-            (["v2", "IV", list(DEFAULT_BETA), 0.2, 0.002, 100000, 9, "match"], "5d050386fae32a8b7fdd12d8"),
-        ]
-        for raw, key in keys:
-            assert hashlib.sha256(json.dumps(raw).encode()).hexdigest()[:24] == key
-        path = tmp_path / "c0_cache.json"
-        path.write_text(json.dumps({"5eb4e065b11f2e3ca3ca8b0f": 123.25, "5d050386fae32a8b7fdd12d8": 456.5}))
-        assert calibrate_c0("I", np.array([0.5, -0.5]), 0.3, seed=4, cache_path=path) == 123.25
-        cfg = resolve_c0(SimConfig(case="IV", n=10, target_cr=0.2, seed=9), cache_path=path)
-        assert cfg.c0 == 456.5
 
 
 class TestGenDataset:
