@@ -312,7 +312,9 @@ def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, 
     """
     block = partial_likelihood._BLOCK_ROWS
     n, p = X_s.shape
-    edges = np.unique(np.concatenate((bounds, knot_starts, np.arange(0, n, block))))
+    # sort and drop repeats: np.unique would load numpy.ma on first use
+    cuts = np.sort(np.concatenate((bounds, knot_starts, np.arange(0, n, block))))
+    edges = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     los, lens = edges[:-1], np.diff(edges)
     seg_ids = np.searchsorted(bounds[1:-1], los, side="right")
     knot_ids = np.minimum(np.searchsorted(knot_starts, los, side="right"), mean_rows.shape[0] - 1)

@@ -1,7 +1,9 @@
 """Command-line interface: simulate, fit, subsample, benchmark, calibrate.
 
-Exit codes: 0 success, 2 usage error (a bad flag, or a file a flag names
-that cannot be read or written), 3 numerical failure.  All outputs are
+Exit codes: 0 success, 2 usage error (a bad flag, a malformed input file,
+or a file a flag names that cannot be read or written), 3 numerical
+failure.  Every output path a flag names is checked before any input is
+read, but opened only when its result is ready.  All outputs are
 machine-readable (JSON reports carry ``"schema": 1``); every subcommand is
 deterministic given ``--seed``, reads and writes only the files its flags
 name, and ``benchmark --threads k`` reproduces the serial result exactly.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -23,7 +26,7 @@ import numpy as np
 from . import simulation, subsampling
 from .breslow import breslow_cumhaz
 from .data import CsvSchema, load_csv, write_csv
-from .errors import CoxSubError
+from .errors import CoxSubError, CsvError
 from .partial_likelihood import CoxFit, newton_solve, score
 from .simulation import SimConfig, gen_dataset, resolve_c0, run_replications
 
@@ -111,6 +114,25 @@ def _check(cond, parser, message):
         parser.error(message)
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Raise the ``OSError`` that opening each given output path for writing would.
+
+    Nothing is created or truncated, so a run that fails later still leaves
+    an earlier result at the path.
+    """
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -120,6 +142,7 @@ def cmd_simulate(args) -> int:
     _check(args.n >= 1, p, "--n must be at least 1")
     _check(args.c0 is None or (math.isfinite(args.c0) and args.c0 > 0), p, "--c0 must be finite and positive")
     beta = _parse_floats(args.beta, p, "--beta") if args.beta is not None else np.asarray(simulation.DEFAULT_BETA)
+    _check_outputs(args.output, args.output + ".meta.json")
     cfg = SimConfig(
         case=args.case,
         n=args.n,
@@ -152,6 +175,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_outputs(args.output, args.baseline_out)
     ds = load_csv(args.input, _schema_from_args(args))
     t0 = _time.perf_counter()
     if args.fix_beta is not None:
@@ -206,6 +230,7 @@ def cmd_subsample(args) -> int:
     _check(args.r >= 1, p, "--r must be at least 1")
     _check(0.0 <= args.delta <= 1.0, p, "--delta must lie in [0, 1]")
     _check(args.reps >= 1, p, "--reps must be at least 1")
+    _check_outputs(args.output, args.plan_out)
     ds = load_csv(args.input, _schema_from_args(args))
     root = np.random.SeedSequence(args.seed)
     streams = root.spawn(args.reps)
@@ -368,6 +393,7 @@ def cmd_calibrate(args) -> int:
     _check(0.01 < args.cr < 0.99, p, "--cr must lie in (0.01, 0.99)")
     _check(math.isfinite(args.tol) and args.tol > 0, p, "--tol must be finite and positive")
     beta = _parse_floats(args.beta, p, "--beta") if args.beta is not None else np.asarray(simulation.DEFAULT_BETA)
+    _check_outputs(args.output)
     c0 = simulation.calibrate_c0(args.case, beta, args.cr, seed=args.seed, tol=args.tol)
     check_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(2)[1])
     X = simulation.gen_covariates(args.case, 100_000, check_rng, p=beta.size)
@@ -496,7 +522,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except CoxSubError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
+        # a malformed input file is a usage error; the rest are numerical failures
+        return 2 if isinstance(exc, CsvError) else 3
     except OSError as exc:
         if exc.filename is None:
             raise

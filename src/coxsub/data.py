@@ -287,28 +287,40 @@ def _count_lines(path: str | os.PathLike) -> int | None:
     return lines + (last != b"\n")
 
 
+# endings np.loadtxt opens as compressed archives rather than as text
+_ARCHIVE_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
+
+
 def _parse_vectorised(path: str | os.PathLike, schema: CsvSchema) -> _Columns | None:
     """One ``np.loadtxt`` pass over a well-formed file, or None to ask for the scan.
 
     Gives up, without raising, on anything the cell scan might treat
     differently: an unparsable body (loadtxt rejects quotes, underscores,
     non-ASCII digits, empty cells and ragged rows), rows loadtxt skips
-    (blank lines), lone-CR line endings, or a header the scan rejects.
+    (blank lines), lone-CR line endings, a header the scan rejects, or a
+    name loadtxt would open as a compressed archive.
+
+    The header is read with ``csv.reader``; loadtxt then opens the file
+    itself and skips the physical lines the header took (``line_num``, so a
+    quoted line break in a name counts), which reads in large blocks where a
+    handle already opened would be read line by line.
     """
+    if os.path.splitext(path)[1] in _ARCHIVE_SUFFIXES:
+        return None
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh, delimiter=schema.delimiter)
             header, _ = _read_header(reader, schema, path)
-            t_col, s_col, x_cols, cov_names = _resolve_columns(header, schema)
             skip = reader.line_num if schema.has_header else 0
-            total = _count_lines(path)
-            if total is None or total - skip < 1:
-                return None
-            if not schema.has_header:
-                fh.seek(0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on an all-blank body
-                a = np.loadtxt(fh, dtype=np.float64, delimiter=schema.delimiter, comments=None, ndmin=2)
+        t_col, s_col, x_cols, cov_names = _resolve_columns(header, schema)
+        total = _count_lines(path)
+        if total is None or total - skip < 1:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on an all-blank body
+            a = np.loadtxt(
+                path, dtype=np.float64, delimiter=schema.delimiter, comments=None, ndmin=2, skiprows=skip
+            )
     except (ValueError, CsvError, csv.Error):
         return None
     if a.shape != (total - skip, len(header)):

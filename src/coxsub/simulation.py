@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-import multiprocessing
 import numpy as np
 
 from .data import SurvivalDataset
@@ -280,6 +278,8 @@ def run_replications(
     that does not converge raises :class:`CoxSubError`.  An unset
     ``cfg.c0`` is calibrated on each call (see :func:`resolve_c0`).  The
     report holds the error summaries only, not the settings passed here.
+    The process pool behind ``threads > 1`` is imported on first use, so
+    a process that never asks for one does not pay for loading it.
     """
     method = method.lower()
     if method not in _METHODS:
@@ -307,6 +307,9 @@ def run_replications(
         # deterministic: a refit of the reference data is the reference fit
         results = [(mpl.beta, mpl.standard_errors(ds.n))] * n_reps
     elif threads > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         payloads = [(cfg, method, r0, r, delta, s, mode) for s in rep_seqs]
         # a forked worker inherits the dataset: not pickled, not regenerated
         with ProcessPoolExecutor(

@@ -378,6 +378,78 @@ def test_separated_data_fit_exits_3(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("time,status,x1\n1.0,1,abc\n2.0,0,0.5\n", [], "row 1, column 'x1': non-numeric value 'abc'"),
+        ("time,status,x1\n1.0,1,0.5\n2.0,0,0.25\n", ["--covariates", "nope"], "'nope' not found"),
+    ],
+)
+def test_malformed_input_file_exits_2(text, flags, message, tmp_path, capsys):
+    # a bad file is a usage error, not a numerical failure
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert run_cli(["fit", "-i", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "args, path",
+    [
+        (["fit", "-i", "{missing}", "-o", "{nodir}/x.json"], "{nodir}/x.json"),
+        (["fit", "-i", "{missing}", "--baseline-out", "{file}/b.csv"], "{file}/b.csv"),
+        (["subsample", "-i", "{missing}", "-o", "{dir}"], "{dir}"),
+        (["subsample", "-i", "{missing}", "--plan-out", "{nodir}/p.csv"], "{nodir}/p.csv"),
+        (["simulate", "--n", "50", "-o", "{nodir}/x.csv"], "{nodir}/x.csv"),
+        (["simulate", "--n", "50", "-o", "{dir}/taken.csv"], "{dir}/taken.csv.meta.json"),
+        (["calibrate", "--cr", "0.2", "-o", "{nodir}/c.json"], "{nodir}/c.json"),
+    ],
+)
+def test_output_path_is_checked_before_any_input(args, path, tmp_path, capsys):
+    # the input is missing too (or, for simulate, calibration would run first):
+    # the error names the output path, so that path was checked before anything else
+    (tmp_path / "taken.csv.meta.json").mkdir()
+    (tmp_path / "file").write_text("")
+    names = dict(missing=tmp_path / "nope.csv", dir=tmp_path, nodir=tmp_path / "nodir", file=tmp_path / "file")
+    assert run_cli([a.format(**names) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path.format(**names)}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "taken.csv.meta.json"]
+
+
+def test_failed_run_leaves_earlier_report_intact(tmp_path):
+    out = tmp_path / "fit.json"
+    out.write_text("earlier report\n")
+    assert run_cli(["fit", "-i", str(tmp_path / "nope.csv"), "-o", str(out)]) == 2
+    assert out.read_text() == "earlier report\n"
+
+
+def test_cli_process_loads_no_pool_and_no_masked_arrays(sim_file):
+    # the process pool is imported only by a replication run with threads > 1,
+    # and no CLI path needs numpy.ma; both would cost every process start-up
+    import coxsub
+
+    argv = ["subsample", "-i", str(sim_file), "--r0", "100", "--r", "200", "-o", os.devnull]
+    code = (
+        "import sys\n"
+        "import coxsub.cli\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "assert not [m for m in pool if m in sys.modules], 'pool imported'\n"
+        f"assert coxsub.cli.main({argv!r}) == 0\n"
+        "assert not [m for m in pool if m in sys.modules], 'pool imported'\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(coxsub.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("command", ["simulate", "fit", "subsample", "calibrate"])
 def test_threads_only_on_benchmark(command, sim_file, tmp_path, capsys):
     # only the replication study runs worker processes

@@ -553,6 +553,27 @@ def test_vectorised_path_reads_well_formed_files(tmp_path):
     assert load_csv(path).time.tolist() == [2.0, 1.0]
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_vectorised_path_skips_a_header_with_a_quoted_line_break(tmp_path, eol):
+    # csv.reader's line_num counts the physical lines of the header, which
+    # loadtxt's skiprows then skips
+    path = tmp_path / "d.csv"
+    path.write_bytes(f'time,status,"x{eol}1",x2{eol}2.0,1,0.5,3.0{eol}1.0,0,-0.25,4.0{eol}'.encode())
+    assert _parse_vectorised(path, CsvSchema()) is not None
+    assert assert_paths_agree(path, CsvSchema())[0] == "ok"
+    assert load_csv(path).covariates.tolist() == [[0.5, 3.0], [-0.25, 4.0]]
+
+
+def test_plain_csv_named_like_an_archive_loads(tmp_path):
+    # numpy would open these names as compressed archives; the scan reads them as text
+    ds = random_dataset(np.random.default_rng(16), n=30, p=2)
+    for name in ("d.csv.gz", "d.csv.bz2", "d.csv.xz"):
+        path = tmp_path / name
+        write_csv(ds, path)
+        assert assert_paths_agree(path, CsvSchema())[0] == "ok"
+        assert np.array_equal(load_csv(path).time, ds.time)
+
+
 @pytest.mark.parametrize(
     "body",
     [
