@@ -257,9 +257,11 @@ def score_residual_norms(
     Equals ``norm(score_residuals(...), axis=1)`` up to floating-point
     reassociation, but runs over the sorted view, where the hazard, the
     drift and the risk-set mean are constant on runs of records between
-    jump times and knots.  This is the kernel for pilot tables, whose few
-    steps make few long runs; it stays correct for tables with a step at
-    every record (full-data tables), only slower.
+    jump times and knots, and gathers the norms back to record order
+    through the dataset's :meth:`~SurvivalDataset.sort_rank`, which the
+    first call builds and caches.  This is the kernel for pilot tables,
+    whose few steps make few long runs; it stays correct for tables with a
+    step at every record (full-data tables), only slower.
 
     With a positive definite ``curvature`` matrix ``Psi`` the norms are
     those of ``Psi^-1`` times each residual (the A-optimal metric).  A
@@ -284,16 +286,20 @@ def score_residual_norms(
     # the risk-set mean for the event terms is constant between its knots;
     # events after the last knot clamp to its value
     knot_starts = np.searchsorted(time_s, xbar.times, side="right")
-    norm2 = _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows)
+    norms = _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows)
     # one clamped query per event after the last knot, once the pass succeeds
     xbar.clamped_queries += int(np.count_nonzero(status_s[knot_starts[-1] :] == 1))
-    out = np.empty(n)
-    out[ds.sort_index] = np.sqrt(norm2, out=norm2)
+    # back to record order by a gather through the rank, in blocks: np.take
+    # widens int32 indices to intp, and a block's copy stays in cache where
+    # one of all n would be a fresh 8 MB buffer
+    rank, out, block = ds.sort_rank(), np.empty(n), partial_likelihood._BLOCK_ROWS
+    for a in range(0, n, block):
+        np.take(norms, rank[a : a + block], out=out[a : a + block], mode="clip")
     return out
 
 
 def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows):
-    """Squared residual norms of the sorted records, block by block.
+    """Residual norms of the sorted records, block by block.
 
     The residual of a sorted record is ``M X c + risk*drift - status*xbar``
     with ``c = status - Lam*risk``, where ``Lam`` and ``drift`` are constant
@@ -308,7 +314,8 @@ def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, 
     Each block builds its ``Z`` from its p-by-block view of the
     column-major ``X_s``; then its long runs take one matrix product each,
     and its short runs, of at most ``_SHORT_RUN_ROWS`` records, one
-    gathered pass together.
+    gathered pass together.  The square roots are taken per block, while
+    its squared norms are still in cache.
     """
     block = partial_likelihood._BLOCK_ROWS
     n, p = X_s.shape
@@ -339,7 +346,7 @@ def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, 
     l_runs = zip(W, los[long_ids].tolist(), (los + lens)[long_ids].tolist())
     l_cuts = np.searchsorted(los[long_ids], block_starts).tolist()
 
-    norm2 = np.empty(n)
+    norms = np.empty(n)
     # per block: Z = [X c; risk; status] and the residuals R = W @ Z
     Z, R = np.empty((p + 2, block)), np.empty((p, block))
     for k, a in enumerate(range(0, n, block)):
@@ -364,5 +371,5 @@ def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, 
             rs += s_drift[:, i:j] * zs[p]
             rs -= s_mean[:, i:j] * zs[p + 1]
             resid[:, at] = rs
-        np.einsum("ij,ij->j", resid, resid, out=norm2[a:b])
-    return norm2
+        np.sqrt(np.einsum("ij,ij->j", resid, resid, out=norms[a:b]), out=norms[a:b])
+    return norms

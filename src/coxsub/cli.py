@@ -34,7 +34,7 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729  # fixed so repeated invocations reproduce byte-identical output
 
 
-def _parse_floats(text, parser, flag: str, p: int | None = None) -> np.ndarray:
+def _parse_floats(text, parser, flag: str) -> np.ndarray:
     """The finite numbers a coefficient flag lists; a usage error naming ``flag`` otherwise."""
     items = text if isinstance(text, (list, tuple)) else [v for v in str(text).split(",") if v != ""]
     try:
@@ -43,8 +43,6 @@ def _parse_floats(text, parser, flag: str, p: int | None = None) -> np.ndarray:
         parser.error(f"{flag}: expected comma-separated numbers, got {text!r}")
     if vals.size == 0 or not np.all(np.isfinite(vals)):
         parser.error(f"{flag}: expected one or more finite numbers, got {text!r}")
-    if p is not None and vals.size == 1 and p > 1:
-        vals = np.full(p, vals[0])
     return vals
 
 
@@ -175,13 +173,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # the flag is checked before the input is read; only its length needs p
+    fixed = None if args.fix_beta is None else _parse_floats(args.fix_beta, args._parser, "--fix-beta")
     _check_outputs(args.output, args.baseline_out)
     ds = load_csv(args.input, _schema_from_args(args))
     t0 = _time.perf_counter()
-    if args.fix_beta is not None:
-        beta = _parse_floats(args.fix_beta, args._parser, "--fix-beta", p=ds.p)
-        if beta.shape != (ds.p,):
+    if fixed is not None:
+        if fixed.size not in (1, ds.p):
             args._parser.error(f"--fix-beta needs 1 or {ds.p} values")
+        beta = np.full(ds.p, fixed[0]) if fixed.size == 1 else fixed
         from .partial_likelihood import hessian, neg_log_partial_likelihood
 
         fit = CoxFit(

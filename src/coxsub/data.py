@@ -46,6 +46,13 @@ class SurvivalDataset:
     tolerates broken datasets so callers can report all problems at once.
     Estimators call :meth:`check_values` instead, which raises on the
     first broken value, scanning a dataset at most once.
+
+    Two derived arrays are built on first use and cached read-only:
+    :meth:`sorted_view`, the records in ``sort_index`` order, and
+    :meth:`sort_rank`, the inverse permutation that gathers per-record
+    results of a pass over the sorted view back into record order.  The
+    residual-norm pass is the only caller of the rank, so a dataset that
+    is only fitted never builds it.
     """
 
     covariates: np.ndarray
@@ -107,6 +114,22 @@ class SurvivalDataset:
             for arr in cached:
                 arr.setflags(write=False)
             object.__setattr__(self, "_sorted_view", cached)
+        return cached
+
+    def sort_rank(self) -> np.ndarray:
+        """Each record's position in the sorted view, cached; ``int32`` below 2**31 records.
+
+        The inverse of ``sort_index``: ``sort_rank()[sort_index] == arange(n)``,
+        so ``v[sort_rank()]`` puts values ``v`` of the sorted records back in
+        record order with a gather rather than a scatter.
+        """
+        cached = getattr(self, "_sort_rank", None)
+        if cached is None:
+            dtype = np.int32 if self.n < 2**31 else np.intp
+            cached = np.empty(self.n, dtype=dtype)
+            cached[self.sort_index] = np.arange(self.n, dtype=dtype)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_sort_rank", cached)
         return cached
 
     def check_values(self) -> None:

@@ -76,7 +76,8 @@ class _SortedRows:
 
     ``X`` is column-major for the dataset and its subsets (see
     :func:`coxsub.data._gather_rows`), so each covariate of a block of
-    sorted rows is one contiguous run.
+    sorted rows is one contiguous run.  Unit weights (no ``weights`` given)
+    allocate nothing: ``w`` is a read-only zero-stride view of one 1.0.
     """
 
     __slots__ = (
@@ -143,7 +144,7 @@ class _SortedRows:
             time, status, X = ds.time[rows], ds.status[rows], _gather_rows(ds.covariates, rows)
             m = subset.size
         if weights is None:
-            return cls(time, status, X, np.ones(m), m)
+            return cls(time, status, X, np.broadcast_to(np.float64(1.0), (m,)), m)
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (m,):
             raise ValueError(f"weights must have length {m}, got {w.shape}")

@@ -342,6 +342,28 @@ def clamped_events(ds, xbar):
     return int(np.count_nonzero((ds.status == 1) & (ds.time > xbar.times[-1])))
 
 
+@st.composite
+def grid_cases(draw):
+    """Times on a grid of five values, so events tie with events and with
+    censorings; n may be 1.  Half of the pilots hold only records up to a
+    cut time, so events after it clamp to the last knot of the mean.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 3))
+    time = rng.integers(1, 6, n).astype(np.float64)
+    status = rng.integers(0, 2, n)
+    status[rng.integers(n)] = 1
+    ds = SurvivalDataset(covariates=rng.normal(0.0, 0.6, (n, p)), time=time, status=status)
+    cut = time.max() if draw(st.booleans()) else time[status == 1].min()
+    pool = np.flatnonzero(time <= cut)
+    idx = rng.choice(pool, draw(st.integers(1, 6)))
+    if not np.any(status[idx] == 1):
+        idx[0] = rng.choice(np.flatnonzero((status == 1) & (time <= cut)))
+    M = rng.normal(size=(p, p))
+    return ds, idx, rng.normal(0.0, 0.5, p), M @ M.T + np.eye(p)
+
+
 class TestBlockedNormPass:
     @pytest.mark.parametrize("block, gathered", KERNELS)
     @PROPERTY
@@ -409,6 +431,26 @@ class TestBlockedNormPass:
             with mock.patch.object(breslow, "_SHORT_RUN_ROWS", short_rows):
                 score_residual_norms(ds, xbar, cumhaz, beta)
             assert xbar.clamped_queries == clamped_events(ds, xbar) > 0
+
+    @PROPERTY
+    @given(case=grid_cases())
+    def test_record_order_is_the_scatter_of_the_sorted_norms(self, case):
+        # the gather through the rank puts every bit where the former
+        # scatter ``out[sort_index] = sqrt(norm2)`` put it
+        ds, idx, beta, psi = case
+        kernel, sorted_norms = breslow._norms_blockwise, []
+
+        def keep_sorted_norms(*args):
+            sorted_norms.append(kernel(*args))
+            return sorted_norms[-1]
+
+        for metric in (None, psi):
+            xbar, cumhaz = pilot_tables(ds, idx, beta)
+            with mock.patch.object(breslow, "_norms_blockwise", keep_sorted_norms):
+                got = score_residual_norms(ds, xbar, cumhaz, beta, metric)
+            scattered = np.empty(ds.n)
+            scattered[ds.sort_index] = sorted_norms[-1]
+            assert np.array_equal(got, scattered)
 
 
 @st.composite

@@ -81,6 +81,22 @@ class TestFit:
         assert np.array_equal(got_t, na_t)
         np.testing.assert_allclose(got_v, np.cumsum(na_j), atol=1e-12)
 
+    def test_bad_fix_beta_rejected_before_input_is_read(self, tmp_path, capsys):
+        # the flag is judged on its own: a missing input file is never opened
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["fit", "-i", str(tmp_path / "nope.csv"), "--fix-beta", "abc"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "--fix-beta" in errors[0] and "nope.csv" not in errors[0]
+
+    def test_fix_beta_of_wrong_length_exits_2(self, sim_file, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["fit", "-i", str(sim_file), "--fix-beta", "1,2", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "needs 1 or 5 values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_covariates_exits_2(self, sim_file):
         with pytest.raises(SystemExit) as exc:
             run_cli(["fit", "-i", str(sim_file), "--covariates", ""])

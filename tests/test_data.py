@@ -224,6 +224,31 @@ def test_sorted_view_is_a_frozen_column_major_gather(seed):
     assert np.shares_memory(block, X_s) and block.strides[1] == X_s.itemsize
 
 
+# ---- the sort rank
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sort_rank_inverts_sort_index(seed):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n=int(rng.integers(1, 50)), p=2, ties=bool(seed % 2))
+    rank = ds.sort_rank()
+    assert np.array_equal(rank[ds.sort_index], np.arange(ds.n))
+    assert rank.dtype == np.int32 and not rank.flags.writeable
+    assert ds.sort_rank() is rank  # cached
+
+
+def test_sort_rank_is_built_by_the_first_norms_pass_only():
+    rng = np.random.default_rng(5)
+    ds = random_dataset(rng, n=60, p=2, ties=True)
+    beta = newton_solve(ds).beta
+    ds.sorted_view()
+    assert not hasattr(ds, "_sort_rank")  # construction, the sorted view and a fit leave it unbuilt
+    idx = np.flatnonzero(ds.status == 1)[:5]
+    xbar = RiskSetMean.build(ds.time[idx], ds.covariates[idx], beta)
+    norms = score_residual_norms(ds, xbar, pilot_breslow(ds, idx, beta), beta)
+    assert norms.shape == (ds.n,) and ds._sort_rank is ds.sort_rank()
+
+
 def covariate_layouts(X):
     """``X`` as a C-order, an F-order, a column-strided and a row-strided array."""
     n, p = X.shape

@@ -238,6 +238,20 @@ class TestReductions:
         fit_b = newton_solve(ds, weights=np.ones(ds.n), subset=np.arange(ds.n))
         np.testing.assert_allclose(fit_a.beta, fit_b.beta, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unit_weights_give_the_bits_of_explicit_ones(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        ds = random_dataset(rng, n=50, p=3, ties=bool(seed % 2))
+        unit, ones = newton_solve(ds), newton_solve(ds, weights=np.ones(ds.n))
+        assert np.array_equal(unit.beta, ones.beta) and unit.neg_logpl == ones.neg_logpl
+        assert np.array_equal(unit.hessian, ones.hessian)
+
+    def test_unit_weight_rows_hold_no_weight_buffer(self):
+        ds = random_dataset(np.random.default_rng(8), n=40, p=2)
+        rows = _SortedRows.of_dataset(ds)
+        assert rows.w.strides == (0,) and rows.w.shape == (ds.n,) and not rows.w.flags.writeable
+        assert rows.total_weight == ds.n and np.array_equal(rows.event_weights, np.ones(ds.n_events))
+
     def test_full_data_each_once_uniform_weights_match_exactly(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng, n=35, p=3)
