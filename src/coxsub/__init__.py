@@ -6,15 +6,10 @@ driven by residual-based selection probabilities, with a subsample-only
 sandwich covariance for inference.
 """
 
-from .breslow import (
-    CumulativeHazard,
-    PilotContext,
-    RiskSetMean,
-    breslow_cumhaz,
-    pilot_breslow,
-    score_residuals,
-)
+# data: the dataset container, its CSV format and the value check
 from .data import CsvSchema, SurvivalDataset, Violation, load_csv, validate, write_csv
+
+# errors
 from .errors import (
     CalibrationError,
     CoxSubError,
@@ -24,6 +19,8 @@ from .errors import (
     SingularHessianError,
     TwoStepError,
 )
+
+# full-data fit: the partial likelihood, its Newton solve and the Breslow hazard
 from .partial_likelihood import (
     CoxFit,
     hessian,
@@ -31,34 +28,35 @@ from .partial_likelihood import (
     newton_solve,
     score,
 )
-from .simulation import (
-    FiveNumberSummary,
-    ReplicationReport,
-    SimConfig,
-    ar1_covariance,
-    calibrate_c0,
-    five_number_summary,
-    gen_covariates,
-    gen_dataset,
-    gen_failure_times,
-    resolve_c0,
-    run_replications,
-    true_cumulative_hazard,
-)
+from .breslow import CumulativeHazard, breslow_cumhaz
+
+# two-step estimator: two_step, and the steps it chains in this order
+from .breslow import PilotContext
 from .subsampling import (
-    CovarianceEstimate,
-    Subsample,
-    SubsamplePlan,
     TwoStepResult,
-    compute_aopt_probs,
-    compute_lopt_probs,
-    draw_uniform,
-    draw_weighted,
-    estimate_covariance,
-    fit_pilot,
     two_step,
-    uniform_plan,
+    draw_uniform,
+    fit_pilot,
+    compute_lopt_probs,
+    compute_aopt_probs,
+    SubsamplePlan,
+    draw_weighted,
+    Subsample,
     weighted_fit,
+    estimate_covariance,
+    CovarianceEstimate,
+)
+
+# simulation: generated datasets, censoring calibration and replication studies
+from .simulation import (
+    SimConfig,
+    resolve_c0,
+    calibrate_c0,
+    gen_dataset,
+    run_replications,
+    ReplicationReport,
+    five_number_summary,
+    FiveNumberSummary,
 )
 
 __version__ = "0.1.0"

@@ -4,9 +4,11 @@ Exit codes: 0 success, 2 usage error (a bad flag, a malformed input file,
 or a file a flag names that cannot be read or written), 3 numerical
 failure.  Every output path a flag names is checked before any input is
 read, but opened only when its result is ready.  All outputs are
-machine-readable (JSON reports carry ``"schema": 1``); every subcommand is
-deterministic given ``--seed``, reads and writes only the files its flags
-name, and ``benchmark --threads k`` reproduces the serial result exactly.
+machine-readable (JSON reports carry ``"schema": 1``); every subcommand
+reads and writes only the files its flags name.  The same ``--seed`` on
+the same machine, numpy/BLAS build and BLAS thread count gives the same
+bits; another CPU's BLAS kernel or thread count can move the last bits.
+``benchmark --threads k`` reproduces the serial result exactly.
 """
 
 from __future__ import annotations
@@ -202,6 +204,7 @@ def cmd_fit(args) -> int:
             f"score_norm={fit.final_score_norm:.3e}\n"
         )
         return 3
+    se = fit.standard_errors(ds.n)
     if args.baseline_out:
         breslow_cumhaz(ds, fit.beta).write_csv(args.baseline_out)
     report = {
@@ -210,7 +213,7 @@ def cmd_fit(args) -> int:
         "p": ds.p,
         "n_events": ds.n_events,
         "beta": fit.beta,
-        "se": fit.standard_errors(ds.n),
+        "se": se,
         "iterations": fit.iterations,
         "converged": fit.converged,
         "score_norm": fit.final_score_norm,

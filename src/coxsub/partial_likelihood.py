@@ -59,8 +59,8 @@ class CoxFit:
     hessian: np.ndarray
 
     def standard_errors(self, n: int) -> np.ndarray:
-        """Model-based SEs for a full-data fit: inverse curvature over n."""
-        return np.sqrt(np.diag(np.linalg.inv(self.hessian)) / n)
+        """Model-based SEs for a full-data fit: inverse curvature over n; :class:`SingularHessianError` if singular."""
+        return np.sqrt(np.diag(_require_positive_definite(self.hessian, "fitted")) / n)
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -339,13 +339,14 @@ def hessian(
     return _Sweep(_SortedRows.of_dataset(ds, weights, subset), beta).hessian()
 
 
-def _require_positive_definite(curvature: np.ndarray, name: str) -> None:
-    """Raise :class:`SingularHessianError` unless ``curvature`` is positive definite with a finite inverse."""
+def _require_positive_definite(curvature: np.ndarray, name: str) -> np.ndarray:
+    """The inverse of ``curvature``; :class:`SingularHessianError` unless it is positive definite with a finite inverse."""
     try:
         np.linalg.cholesky(curvature)
         # the factor can exist for a matrix singular to working precision; the solves after it cannot
-        if np.all(np.isfinite(np.linalg.inv(curvature))):
-            return
+        inverse = np.linalg.inv(curvature)
+        if np.all(np.isfinite(inverse)):
+            return inverse
     except np.linalg.LinAlgError:
         pass
     finite = np.all(np.isfinite(curvature))

@@ -32,11 +32,6 @@ def ar1_covariance(p: int, rho: float = 0.5) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def true_cumulative_hazard(t) -> np.ndarray | float:
-    """Baseline cumulative hazard of the simulated model."""
-    return 0.25 * np.square(t)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     case: str = "I"

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from coxsub import SimConfig, SurvivalDataset, gen_dataset, newton_solve, resolve_c0
+
+
+def pytest_report_header(config):
+    """The BLAS configuration the run used: the pinned digests hold bit for bit only on one."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    env = ", ".join(f"{k}={os.environ.get(k, 'unset')}" for k in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE"))
+    return f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}, {env}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the header, so a quiet log records the configuration at its end
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 def random_dataset(rng, n=80, p=3, cr=0.3, ties=False):

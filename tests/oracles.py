@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxsub import breslow_cumhaz, score_residuals
-from coxsub.breslow import RiskSetMean
+from coxsub.breslow import RiskSetMean, breslow_cumhaz, score_residuals
 from coxsub.subsampling import _mixed_plan, _require_positive_definite
 
 
@@ -106,6 +105,11 @@ def naive_breslow(time, status, X, beta):
                 total += 1.0 / denom
         jumps.append(total)
     return event_times, np.asarray(jumps)
+
+
+def true_cumulative_hazard(t):
+    """Baseline cumulative hazard of the simulated model, ``0.25 * t**2``."""
+    return 0.25 * np.square(t)
 
 
 def naive_risk_set_mean(time, X, beta, t):

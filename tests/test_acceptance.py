@@ -13,7 +13,8 @@ import pytest
 from scipy import stats
 
 import coxsub as cs
-from coxsub.breslow import RiskSetMean
+from coxsub.breslow import RiskSetMean, score_residuals
+from coxsub.subsampling import uniform_plan
 
 from conftest import random_dataset
 from oracles import (
@@ -23,6 +24,7 @@ from oracles import (
     oracle_lopt_probs,
     oracle_residual_norms,
     trace_score_variance,
+    true_cumulative_hazard,
 )
 
 
@@ -86,7 +88,7 @@ def test_c04_residual_sum_identity():
         beta = rng.normal(0, 0.6, ds.p)
         xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), beta)
         ch = cs.breslow_cumhaz(ds, beta)
-        total = cs.score_residuals(ds, xbar, ch, beta).sum(axis=0)
+        total = score_residuals(ds, xbar, ch, beta).sum(axis=0)
         worst = max(worst, np.abs(total + ds.n * cs.score(ds, beta)).max())
     report("C04", f"residual-sum identity (worst {worst:.2e})", worst <= 1e-10)
 
@@ -103,7 +105,7 @@ def test_c05_optimal_plan_minimises_trace():
         t_opt = trace_score_variance(ds, plan, mpl, r, norms=norms)
         closed = norms.sum() ** 2 / (r * ds.n**2)
         ok_closed &= abs(t_opt - closed) <= 1e-10 * closed
-        t_unif = trace_score_variance(ds, cs.uniform_plan(ds.n), mpl, r, norms=norms)
+        t_unif = trace_score_variance(ds, uniform_plan(ds.n), mpl, r, norms=norms)
         ok_order &= t_opt < t_unif
         dirichlet = rng.dirichlet(np.ones(ds.n), size=1000)
         traces = (norms**2 / dirichlet).sum(axis=1) / (r * ds.n**2)
@@ -137,7 +139,7 @@ def test_c07_conditional_unbiasedness_of_weighted_score():
     beta = np.array([0.4, -0.2, 0.1])
     xbar = RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), beta)
     ch = cs.breslow_cumhaz(ds, beta)
-    resids = cs.score_residuals(ds, xbar, ch, beta)
+    resids = score_residuals(ds, xbar, ch, beta)
     target = cs.score(ds, beta)
     ctx = cs.fit_pilot(ds, cs.draw_uniform(ds, 100, rng))
     plan = cs.compute_lopt_probs(ds, ctx, 0.1)
@@ -161,16 +163,16 @@ def test_c08_weighted_fit_reduction(case1_ds, case1_mpl):
 
 
 def test_c09_probability_integral_transform_all_cases():
-    from coxsub.simulation import DEFAULT_BETA
+    from coxsub.simulation import DEFAULT_BETA, gen_covariates, gen_failure_times
 
     beta = np.asarray(DEFAULT_BETA)
     ok = True
     pvals = {}
     for k, case in enumerate(("I", "II", "III", "IV")):
         rng = np.random.default_rng(1009 + k)
-        X = cs.gen_covariates(case, 100_000, rng)
-        t = cs.gen_failure_times(X, beta, rng)
-        z = cs.true_cumulative_hazard(t) * np.exp(X @ beta)
+        X = gen_covariates(case, 100_000, rng)
+        t = gen_failure_times(X, beta, rng)
+        z = true_cumulative_hazard(t) * np.exp(X @ beta)
         pvals[case] = stats.kstest(z, "expon").pvalue
         ok &= pvals[case] > 0.001
     report("C09", f"PIT exponentiality (min p {min(pvals.values()):.3f})", ok)

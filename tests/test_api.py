@@ -1,0 +1,70 @@
+"""The public surface: what ``coxsub`` exports, and the README's code as written."""
+
+import re
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import coxsub as cs
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = {
+    # data
+    "SurvivalDataset", "CsvSchema", "Violation", "load_csv", "write_csv", "validate",
+    # errors
+    "CoxSubError", "CsvError", "NumericsError", "SingularHessianError", "PilotError",
+    "CalibrationError", "TwoStepError",
+    # full-data fit
+    "CoxFit", "newton_solve", "neg_log_partial_likelihood", "score", "hessian",
+    "CumulativeHazard", "breslow_cumhaz",
+    # two-step estimator and its steps
+    "two_step", "TwoStepResult", "draw_uniform", "fit_pilot", "PilotContext",
+    "compute_lopt_probs", "compute_aopt_probs", "SubsamplePlan", "draw_weighted", "Subsample",
+    "weighted_fit", "estimate_covariance", "CovarianceEstimate",
+    # simulation
+    "SimConfig", "resolve_c0", "calibrate_c0", "gen_dataset", "run_replications",
+    "ReplicationReport", "five_number_summary", "FiveNumberSummary",
+}
+
+
+def test_exports_exactly_the_public_surface():
+    exported = {
+        name for name, value in vars(cs).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC
+
+
+def test_readme_quick_start_runs_as_written():
+    text = README.read_text()
+    section = text[text.index("## Library quick start"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    res = namespace["res"]
+    assert res.fit.converged
+    assert np.all(np.isfinite(res.covariance.standard_errors))
+    assert namespace["full"].converged
+
+
+@pytest.mark.parametrize("criterion", ["lopt", "aopt"])
+def test_steps_chained_by_hand_are_two_step(criterion):
+    # the README's step paragraph: the six steps with one rng are two_step, bit for bit
+    cfg = cs.resolve_c0(cs.SimConfig(case="I", n=20_000, target_cr=0.2, seed=5))
+    ds = cs.gen_dataset(cfg, np.random.default_rng(5))
+    expected = cs.two_step(ds, 300, 1000, 0.1, criterion, np.random.default_rng(6))
+
+    rng = np.random.default_rng(6)
+    ctx = cs.fit_pilot(ds, cs.draw_uniform(ds, 300, rng))
+    probs = cs.compute_lopt_probs if criterion == "lopt" else cs.compute_aopt_probs
+    plan = probs(ds, ctx, 0.1)
+    sub = cs.draw_weighted(plan, 1000, rng)
+    fit = cs.weighted_fit(ds, sub, init=ctx.fit.beta)
+    cov = cs.estimate_covariance(ds, ctx, sub, fit)
+
+    assert np.array_equal(plan.probs, expected.plan.probs)
+    assert np.array_equal(fit.beta, expected.fit.beta)
+    assert np.array_equal(cov.standard_errors, expected.covariance.standard_errors)

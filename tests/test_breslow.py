@@ -14,11 +14,16 @@ from coxsub import (
     breslow_cumhaz,
     hessian,
     newton_solve,
-    pilot_breslow,
     score,
+)
+from coxsub.breslow import (
+    PilotContext,
+    RiskSetMean,
+    _pilot_tables,
+    pilot_breslow,
+    score_residual_norms,
     score_residuals,
 )
-from coxsub.breslow import PilotContext, RiskSetMean, _pilot_tables, score_residual_norms
 from coxsub.subsampling import draw_uniform, fit_pilot
 
 from conftest import random_dataset

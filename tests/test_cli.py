@@ -394,6 +394,36 @@ def test_separated_data_fit_exits_3(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def _constant_column_csv(path, p):
+    # column x1 is the same on every record, so the curvature is singular at any beta
+    rng = np.random.default_rng(0)
+    t, x = rng.exponential(1.0, 500).tolist(), rng.normal(0.0, 1.0, (500, p - 1)).tolist()
+    lines = ["time,status," + ",".join(f"x{j + 1}" for j in range(p))]
+    lines += [",".join(map(repr, [t[i], int(i % 5 != 0), 2.5, *x[i]])) for i in range(500)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "p, flags",
+    [(1, []), (3, ["--fix-beta", "0"]), (0, []), (0, ["--fix-beta", "0"])],
+    ids=["constant-column", "constant-column-fixed", "one-record", "one-record-fixed"],
+)
+def test_singular_curvature_fit_exits_3(p, flags, tmp_path, capsys):
+    # a singular curvature has no standard errors: one error line, no NaN report, no traceback
+    path = tmp_path / "d.csv"
+    if p:
+        _constant_column_csv(path, p)
+    else:
+        path.write_text("time,status,x1\n1.5,1,0.3\n")
+    baseline = tmp_path / "baseline.csv"
+    assert run_cli(["fit", "-i", str(path), "--baseline-out", str(baseline), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not positive definite" in captured.err
+    assert not baseline.exists()
+
+
 @pytest.mark.parametrize(
     "text, flags, message",
     [

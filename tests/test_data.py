@@ -17,14 +17,12 @@ from coxsub import (
     load_csv,
     neg_log_partial_likelihood,
     newton_solve,
-    pilot_breslow,
     score,
-    score_residuals,
     two_step,
     validate,
     write_csv,
 )
-from coxsub.breslow import RiskSetMean, score_residual_norms
+from coxsub.breslow import RiskSetMean, pilot_breslow, score_residual_norms, score_residuals
 from coxsub.data import _checked_dataset, _parse_cells, _parse_vectorised
 
 from conftest import random_dataset

@@ -11,19 +11,17 @@ from coxsub import (
     CoxSubError,
     FiveNumberSummary,
     SimConfig,
-    ar1_covariance,
     calibrate_c0,
     five_number_summary,
-    gen_covariates,
     gen_dataset,
-    gen_failure_times,
     newton_solve,
     resolve_c0,
     run_replications,
-    true_cumulative_hazard,
-    uniform_plan,
 )
-from coxsub.simulation import _fivenum
+from coxsub.simulation import _fivenum, ar1_covariance, gen_covariates, gen_failure_times
+from coxsub.subsampling import uniform_plan
+
+from oracles import true_cumulative_hazard
 
 
 class TestCovariates:

@@ -21,11 +21,10 @@ from coxsub import (
     gen_dataset,
     newton_solve,
     two_step,
-    uniform_plan,
     weighted_fit,
 )
 from coxsub import SurvivalDataset
-from coxsub.subsampling import _mixed_plan
+from coxsub.subsampling import _mixed_plan, uniform_plan
 
 from conftest import random_dataset
 from oracles import oracle_aopt_probs, oracle_lopt_probs, oracle_residual_norms, trace_score_variance
