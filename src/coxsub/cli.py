@@ -6,8 +6,8 @@ failure.  Every output path a flag names is checked before any input is
 read, but opened only when its result is ready.  All outputs are
 machine-readable (JSON reports carry ``"schema": 1``); every subcommand
 reads and writes only the files its flags name.  The same ``--seed`` on
-the same machine, numpy/BLAS build and BLAS thread count gives the same
-bits; another CPU's BLAS kernel or thread count can move the last bits.
+the same machine and numpy/BLAS build gives the same bits, whatever the
+BLAS thread count; another CPU's BLAS kernel can move the last bits.
 ``benchmark --threads k`` reproduces the serial result exactly.
 """
 

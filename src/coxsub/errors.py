@@ -25,14 +25,23 @@ class NumericsError(CoxSubError):
 class SingularHessianError(NumericsError):
     """Curvature matrix not positive definite (collinear or separated data).
 
-    Carries the condition number of the offending matrix when available.
+    Carries the condition number of the offending matrix, and the smallest
+    eigenvalue of the matrix judged with the floor it was held to, when
+    available.
     """
 
-    def __init__(self, message, cond=None):
+    def __init__(self, message, cond=None, smallest_eigenvalue=None, floor=None):
+        details = []
+        if smallest_eigenvalue is not None:
+            details.append(f"smallest eigenvalue {smallest_eigenvalue:.3e} against a floor of {floor:.3e}")
         if cond is not None:
-            message = f"{message} (condition number ~ {cond:.3e})"
+            details.append(f"condition number ~ {cond:.3e}")
+        if details:
+            message = f"{message} ({'; '.join(details)})"
         super().__init__(message)
         self.cond = cond
+        self.smallest_eigenvalue = smallest_eigenvalue
+        self.floor = floor
 
 
 class PilotError(CoxSubError):

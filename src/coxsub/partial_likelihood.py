@@ -44,6 +44,9 @@ _CURVATURE_COLLAPSE = 1e-4
 # rows per block of the curvature and residual-norm passes, small enough
 # that each block's temporaries stay in cache
 _BLOCK_ROWS = 8192
+# smallest eigenvalue of a converged curvature, with each covariate scaled to
+# a unit uncentred second moment, below which it is singular to working precision
+_SINGULAR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,8 @@ class _SortedRows:
     ``X`` is column-major for the dataset and its subsets (see
     :func:`coxsub.data._gather_rows`), so each covariate of a block of
     sorted rows is one contiguous run.  Unit weights (no ``weights`` given)
-    allocate nothing: ``w`` is a read-only zero-stride view of one 1.0.
+    allocate nothing: ``w`` and ``event_weights`` are read-only zero-stride
+    views of one 1.0.
     """
 
     __slots__ = (
@@ -91,7 +95,6 @@ class _SortedRows:
         "n_ref",
         "event_rows",
         "event_weights",
-        "event_scatter",
         "event_risk_start",
     )
 
@@ -108,10 +111,7 @@ class _SortedRows:
         self.n_ref = n_ref
         ev = np.flatnonzero(status == 1)
         self.event_rows = ev
-        self.event_weights = w[ev]
-        scatter = np.zeros(self.m)
-        scatter[ev] = self.event_weights
-        self.event_scatter = scatter
+        self.event_weights = w[ev] if w.strides[0] else w[: ev.size]
         # first row of each event's tie group: its risk set is that row onwards;
         # one pass carries each group's first row forward over its ties
         group_start = np.zeros(self.m, dtype=np.intp)
@@ -157,17 +157,13 @@ class _SortedRows:
         return self.event_rows.size
 
 
-def _suffix_cumsum(a: np.ndarray) -> np.ndarray:
-    return np.cumsum(a[::-1], axis=0)[::-1]
-
-
-def _linear_predictor(rows: _SortedRows, beta: np.ndarray) -> tuple[np.ndarray, float]:
+def _linear_predictor(rows: _SortedRows, beta: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (rows.p,):
         raise ValueError(f"beta must have shape ({rows.p},), got {beta.shape}")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
-    eta = rows.X @ beta
+    eta = np.matmul(rows.X, beta, out=out)
     if not np.all(np.isfinite(eta)):
         raise NumericsError("non-finite linear predictor; rescale covariates")
     shift = float(eta.max()) if rows.m else 0.0
@@ -193,27 +189,55 @@ class _Sweep:
     row ``j``.  One reverse pass over blocks of ``_BLOCK_ROWS`` rows
     (:meth:`_s1_blocks`) yields each block's running sum of ``g * X`` and
     the carry from later blocks; :meth:`means` reads the suffix sums at its
-    starts and :meth:`hessian` weights every row, so no n-by-p temporary is
-    formed.  On the column-major rows each block's products and running
+    starts and :meth:`curvature` weights every row, so no n-by-p temporary
+    is formed.  On the column-major rows each block's products and running
     sums run along contiguous columns.
+
+    Every n- or event-length array of the sweep is computed in place in one
+    of a fixed set of named buffers, created on first use.  ``g`` is written
+    over the linear predictor, whose values are kept only at the events,
+    which is all :meth:`nll` reads.  :func:`newton_solve` passes the
+    buffers of one sweep to the next over the same rows (:meth:`release`),
+    so a fit holds one sweep's arrays at a time.  A sweep's arrays stay
+    valid until it is released; a released sweep must not be read.
     """
 
-    def __init__(self, rows: _SortedRows, beta: np.ndarray):
+    def __init__(self, rows: _SortedRows, beta: np.ndarray, buffers: dict | None = None):
         self.rows = rows
         self.beta = np.asarray(beta, dtype=np.float64)
-        eta, shift = _linear_predictor(rows, beta)
-        self.eta = eta
+        self._buffers = {} if buffers is None else buffers
+        lp, shift = _linear_predictor(rows, beta, self._buffer("g", rows.m))
         self.shift = shift
-        self.g = rows.w * np.exp(eta - shift)
+        # eta - shift at the events, then g over the linear predictor
+        eta_events = self._buffer("eta_events", rows.n_events)
+        np.take(lp, rows.event_rows, out=eta_events, mode="clip")
+        self._eta_events = np.subtract(eta_events, shift, out=eta_events)
+        np.subtract(lp, shift, out=lp)
+        self.g = np.multiply(rows.w, np.exp(lp, out=lp), out=lp)
         self._e0 = None
         self._denoms = None
         self._ga = None
 
-    def s0(self, starts: np.ndarray) -> np.ndarray:
+    def _buffer(self, name: str, size: int) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None:
+            buf = self._buffers[name] = np.empty(size)
+        return buf
+
+    def release(self) -> dict:
+        """This sweep's buffers, for the next sweep over the same rows; the sweep is unusable after."""
+        buffers = self._buffers
+        self._buffers = self.g = self._eta_events = self._e0 = self._denoms = self._ga = None
+        return buffers
+
+    def s0(self, starts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Shifted at-risk sums ``S0`` at the given tie-group starts."""
         if self._e0 is None:
-            self._e0 = _suffix_cumsum(self.g)
-        d = self._e0[starts]
+            e0 = self._buffer("e0", self.rows.m)
+            np.cumsum(self.g[::-1], out=e0[::-1])
+            self._e0 = e0
+        # starts index rows, so clipping never moves one; it spares take a buffered copy
+        d = np.take(self._e0, starts, out=out, mode="clip")
         if d.size and (d.min() <= 0.0 or not np.all(np.isfinite(d))):
             raise NumericsError("risk-set sum underflowed to zero; rescale covariates")
         return d
@@ -247,67 +271,85 @@ class _Sweep:
 
     def _risk_denominators(self) -> np.ndarray:
         if self._denoms is None:
-            self._denoms = self.s0(self.rows.event_risk_start)
+            rows = self.rows
+            self._denoms = self.s0(rows.event_risk_start, out=self._buffer("denoms", rows.n_events))
         return self._denoms
 
     def _prefix_factor(self) -> np.ndarray:
         """Per-record weight: sum of w_e/denom_e over events at risk of covering it."""
         if self._ga is None:
             rows = self.rows
-            q = rows.event_weights / self._risk_denominators()
-            per_pos = np.bincount(rows.event_risk_start, weights=q, minlength=rows.m)
-            self._ga = self.g * np.cumsum(per_pos)
+            q = self._buffer("scratch", rows.n_events)
+            np.divide(rows.event_weights, self._risk_denominators(), out=q)
+            # add.at sums each row's events in event order, as bincount would
+            ga = self._buffer("ga", rows.m)
+            ga.fill(0.0)
+            np.add.at(ga, rows.event_risk_start, q)
+            np.cumsum(ga, out=ga)
+            self._ga = np.multiply(self.g, ga, out=ga)
         return self._ga
 
     def nll(self) -> float:
         rows = self.rows
-        ev = rows.event_rows
-        if ev.size == 0:
+        if rows.n_events == 0:
             return 0.0
         d = self._risk_denominators()
-        terms = (self.eta[ev] - self.shift) - np.log(d) - np.log(rows.n_ref / rows.total_weight)
-        return float(-(rows.event_weights @ terms) / rows.total_weight)
+        terms = np.log(d, out=self._buffer("scratch", rows.n_events))
+        np.subtract(self._eta_events, terms, out=terms)
+        np.subtract(terms, np.log(rows.n_ref / rows.total_weight), out=terms)
+        # a pairwise sum, where a BLAS dot product's order would follow its thread count
+        return float(-np.add.reduce(np.multiply(rows.event_weights, terms, out=terms)) / rows.total_weight)
 
     def score(self) -> np.ndarray:
         rows = self.rows
         if rows.n_events == 0:
             return np.zeros(rows.p)
-        return -((rows.event_scatter - self._prefix_factor()) @ rows.X) / rows.total_weight
+        # events minus the prefix factor: 0 - ga on every row, then + w_e at the events
+        v = np.subtract(0.0, self._prefix_factor(), out=self._buffer("score", rows.m))
+        np.add.at(v, rows.event_rows, rows.event_weights)
+        return -(v @ rows.X) / rows.total_weight
 
-    def hessian(self) -> np.ndarray:
-        """``sum_i ga_i X_i X_i' - sum_j c_j S1_j S1_j'`` over total weight.
+    def curvature(self) -> tuple[np.ndarray, np.ndarray]:
+        """``sum_i ga_i X_i X_i' - sum_j c_j S1_j S1_j'`` and its first term, over total weight.
 
-        The centering term ``sum_e w_e xbar_e xbar_e'`` is regrouped by the
-        row ``j`` where each event's risk set starts: ``xbar_e = S1_j / S0_j``
-        there, so it equals ``sum_j c_j S1_j S1_j'`` with the per-row weight
+        The first term is the uncentred moments term, the scale against
+        which the curvature's smallest eigenvalue is judged
+        (:func:`_require_positive_definite`).  The centering term
+        ``sum_e w_e xbar_e xbar_e'`` is regrouped by the row ``j`` where each
+        event's risk set starts: ``xbar_e = S1_j / S0_j`` there, so it equals
+        ``sum_j c_j S1_j S1_j'`` with the per-row weight
         ``c_j = sum_e w_e / S0_j**2`` over the events starting at ``j`` (zero
         on other rows).  Both sums are accumulated block by block over the
-        suffix sums ``S1 = tail + carry`` of :meth:`_s1_blocks`, with no
-        per-event gather or division.
+        suffix sums ``S1 = tail + carry`` of :meth:`_s1_blocks`; a block's
+        ``c`` is binned from its own slice of the sorted
+        ``event_risk_start``, with no per-event gather or division.
         """
         rows = self.rows
         if rows.n_events == 0:
-            return np.zeros((rows.p, rows.p))
+            return np.zeros((rows.p, rows.p)), np.zeros((rows.p, rows.p))
         ga = self._prefix_factor()
         denoms = self._risk_denominators()
+        starts = rows.event_risk_start
         # a risk-set sum below ~1e-154 squares to zero; the weights are
         # positive, so a finite sum means finite weights
         with np.errstate(divide="ignore", over="ignore"):
-            q = rows.event_weights / (denoms * denoms)
+            q = np.multiply(denoms, denoms, out=self._buffer("scratch", rows.n_events))
+            np.divide(rows.event_weights, q, out=q)
             if not np.isfinite(q.sum()):
                 raise NumericsError(
                     "risk-set sum too small for the curvature; rescale covariates or check for separation"
                 )
-        c = np.bincount(rows.event_risk_start, weights=q, minlength=rows.m)
         moments = np.zeros((rows.p, rows.p))
         centering = np.zeros((rows.p, rows.p))
         for a, b, tail, carry in self._s1_blocks():
             Xb = rows.X[a:b]
             moments += Xb.T @ (ga[a:b, None] * Xb)
+            lo, hi = np.searchsorted(starts, (a, b))
+            c = np.bincount(starts[lo:hi] - a, weights=q[lo:hi], minlength=b - a)
             s1 = tail + carry
-            centering += s1.T @ (c[a:b][::-1, None] * s1)
+            centering += s1.T @ (c[::-1, None] * s1)
         H = (moments - centering) / rows.total_weight
-        return (H + H.T) / 2.0
+        return (H + H.T) / 2.0, moments / rows.total_weight
 
 
 def neg_log_partial_likelihood(
@@ -336,23 +378,42 @@ def hessian(
     subset: np.ndarray | None = None,
 ) -> np.ndarray:
     """Curvature of the (weighted) negative log partial likelihood (PSD)."""
-    return _Sweep(_SortedRows.of_dataset(ds, weights, subset), beta).hessian()
+    return _Sweep(_SortedRows.of_dataset(ds, weights, subset), beta).curvature()[0]
 
 
-def _require_positive_definite(curvature: np.ndarray, name: str) -> np.ndarray:
-    """The inverse of ``curvature``; :class:`SingularHessianError` unless it is positive definite with a finite inverse."""
+def _require_positive_definite(
+    curvature: np.ndarray, name: str, moments: np.ndarray | None = None
+) -> np.ndarray:
+    """The inverse of ``curvature``; :class:`SingularHessianError` unless it is positive definite with a finite inverse.
+
+    Given ``moments``, the uncentred moments term the curvature was formed
+    from (:meth:`_Sweep.curvature`), the curvature must also be positive
+    definite to working precision: with every covariate scaled to a unit
+    second moment, its smallest eigenvalue must reach ``_SINGULAR_FLOOR``.
+    Below that it is what is left when two nearly equal terms cancel.  A
+    covariate with no second moment keeps its own scale.  The error names
+    the smallest eigenvalue of the matrix judged and the floor it missed.
+    """
+    judged, floor = curvature, 0.0
+    if moments is not None:
+        scale = np.sqrt(np.diag(moments))
+        scale[scale == 0.0] = 1.0
+        judged, floor = curvature / np.outer(scale, scale), _SINGULAR_FLOOR
     try:
         np.linalg.cholesky(curvature)
         # the factor can exist for a matrix singular to working precision; the solves after it cannot
         inverse = np.linalg.inv(curvature)
-        if np.all(np.isfinite(inverse)):
+        if np.all(np.isfinite(inverse)) and (moments is None or np.linalg.eigvalsh(judged)[0] >= floor):
             return inverse
     except np.linalg.LinAlgError:
         pass
-    finite = np.all(np.isfinite(curvature))
+    finite = bool(np.all(np.isfinite(curvature)))
     raise SingularHessianError(
-        f"{name} curvature matrix is not positive definite; check for collinear covariates or perfect separation",
+        f"{name} curvature matrix is not positive definite{' to working precision' if floor else ''}; "
+        "check for collinear or constant covariates or perfect separation",
         cond=float(np.linalg.cond(curvature)) if finite else float("inf"),
+        smallest_eigenvalue=float(np.linalg.eigvalsh(judged)[0]) if finite and curvature.size else None,
+        floor=floor,
     )
 
 
@@ -369,12 +430,21 @@ def newton_solve(
     the gradient falls below ``_TOL_SCORE`` or that of the step below
     ``_TOL_STEP``; a candidate step that increases the criterion is halved
     up to ``_MAX_HALVINGS`` times.  Deterministic given its inputs.  A
-    singular curvature matrix raises :class:`SingularHessianError`; reaching
+    singular curvature matrix raises :class:`SingularHessianError`, and so
+    does a converged fit whose curvature is singular to working precision
+    (:func:`_require_positive_definite`), such as one with a constant
+    covariate.  Two converged fits are exempt: a criterion that does not
+    depend on ``beta`` at all (every covariate zero) returns ``init``, and a
+    ``"pilot"`` fit is judged by the plan that uses its curvature.  Reaching
     ``_MAX_ITER`` iterations returns a fit flagged as non-converged.  So
     does a monotone likelihood (Heinze & Schemper, 2001), whose estimate
     diverges on separated data: it is recognised when a step grows
     ``|beta|`` and leaves the curvature's trace below
     ``_CURVATURE_COLLAPSE`` times its value at the start.
+
+    The fit holds one sweep's arrays at a time: once a point's criterion,
+    score and curvature are read, or a candidate step is rejected, its
+    sweep is released and the next sweep computes in the same buffers.
     """
     rows = _SortedRows.of_dataset(ds, weights, subset)
     if rows.n_events == 0:
@@ -386,7 +456,8 @@ def newton_solve(
     state = _Sweep(rows, beta)
     nll = state.nll()
     g = state.score()
-    H = state.hessian()
+    H, moments = state.curvature()
+    buffers = state.release()
     collapsed_trace = _CURVATURE_COLLAPSE * float(np.trace(H))
     iterations = 0
     converged = False
@@ -406,11 +477,12 @@ def newton_solve(
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             cand = beta - scale * step
-            cand_state = _Sweep(rows, cand)
-            cand_nll = cand_state.nll()
+            state = _Sweep(rows, cand, buffers)
+            cand_nll = state.nll()
             if np.isfinite(cand_nll) and cand_nll <= nll + _NLL_SLACK * (1.0 + abs(nll)):
                 accepted = True
                 break
+            buffers = state.release()
             scale *= 0.5
         if not accepted:
             warnings.warn("newton_solve: step halving failed to reduce the criterion", stacklevel=2)
@@ -418,10 +490,10 @@ def newton_solve(
         step_norm = float(np.abs(scale * step).max())
         growing = np.linalg.norm(cand) > np.linalg.norm(beta)
         beta = cand
-        state = cand_state
         nll = cand_nll
         g = state.score()
-        H = state.hessian()
+        H, moments = state.curvature()
+        buffers = state.release()
         iterations += 1
         if growing and np.trace(H) < collapsed_trace:
             warnings.warn(
@@ -434,6 +506,11 @@ def newton_solve(
             converged = float(np.abs(g).max()) <= _TOL_SCORE
             break
 
+    # a criterion that does not depend on beta has a zero moments term; a
+    # pilot estimate only locates the plan, and compute_aopt_probs judges its
+    # curvature where it is used
+    if converged and role != "pilot" and np.trace(moments) > 0.0:
+        _require_positive_definite(H, "converged Newton", moments)
     return CoxFit(
         beta=beta,
         role=role,

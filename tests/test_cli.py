@@ -424,6 +424,39 @@ def test_singular_curvature_fit_exits_3(p, flags, tmp_path, capsys):
     assert not baseline.exists()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_constant_covariate_subsample_exits_3(seed, tmp_path, capsys):
+    # a converged fit with a singular curvature is an error whatever the draw
+    path = tmp_path / "d.csv"
+    _constant_column_csv(path, 1)
+    assert run_cli(["subsample", "-i", str(path), "--seed", str(seed)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not positive definite" in captured.err
+
+
+def test_fit_neg_logpl_does_not_depend_on_blas_threads(tmp_path):
+    # the criterion is a pairwise sum, not a BLAS dot product whose order
+    # follows the thread count
+    import coxsub
+
+    path = tmp_path / "d.csv"
+    assert run_cli(["simulate", "--n", "100000", "--cr", "0.2", "--seed", "7", "-o", str(path)]) == 0
+    code = f"import sys\nfrom coxsub.cli import main\nsys.exit(main(['fit', '-i', {str(path)!r}]))\n"
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(coxsub.__file__).resolve().parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads(done.stdout))
+    assert reports[0]["neg_logpl"].hex() == reports[1]["neg_logpl"].hex()
+    assert reports[0]["beta"] == reports[1]["beta"]
+
+
 @pytest.mark.parametrize(
     "text, flags, message",
     [

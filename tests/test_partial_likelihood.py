@@ -378,6 +378,37 @@ class TestNewtonSolve:
         np.testing.assert_allclose(H[1], 0.0, atol=1e-12)
         np.testing.assert_allclose(H[:, 1], 0.0, atol=1e-12)
 
+    def test_converged_fit_with_a_constant_covariate_raises_singular(self):
+        # the score is zero at the start, so the solve stops before any step;
+        # the curvature left is cancellation noise against its moments term
+        rng = np.random.default_rng(0)
+        status = (np.arange(500) % 5 != 0).astype(int)
+        ds = SurvivalDataset(covariates=np.full((500, 1), 2.5), time=rng.exponential(1.0, 500), status=status)
+        with pytest.raises(SingularHessianError, match="working precision") as exc:
+            newton_solve(ds)
+        err = exc.value
+        assert abs(err.smallest_eigenvalue) < err.floor == partial_likelihood._SINGULAR_FLOOR
+        assert err.cond is not None and "smallest eigenvalue" in str(err)
+
+    def test_one_record_fit_raises_singular(self):
+        ds = SurvivalDataset(covariates=[[0.3]], time=[1.5], status=[1])
+        with pytest.raises(SingularHessianError, match="not positive definite"):
+            newton_solve(ds)
+
+    def test_singular_message_names_the_smallest_eigenvalue(self):
+        # a condition number reads 1.0 for every 1x1 matrix; the eigenvalue does not
+        with pytest.raises(SingularHessianError, match=r"smallest eigenvalue -2\.300e-16 against a floor of 0") as exc:
+            partial_likelihood._require_positive_definite(np.array([[-2.3e-16]]), "test")
+        assert exc.value.cond == 1.0
+
+    def test_badly_scaled_covariates_still_converge(self):
+        # the floor is judged per covariate scale, so columns 1e11 apart pass
+        rng = np.random.default_rng(13)
+        ds0 = random_dataset(rng, n=300, p=2)
+        X = ds0.covariates * np.array([1e3, 1e-8])
+        fit = newton_solve(SurvivalDataset(covariates=X, time=ds0.time, status=ds0.status))
+        assert fit.converged and np.all(np.isfinite(fit.standard_errors(ds0.n)))
+
     def test_max_iter_returns_flagged_fit(self, monkeypatch):
         rng = np.random.default_rng(11)
         ds = random_dataset(rng, n=120, p=3)
@@ -455,6 +486,50 @@ class TestMonotoneLikelihood:
         with pytest.warns(UserWarning, match="monotone likelihood"):
             fit = newton_solve(ds)
         assert not fit.converged
+
+
+class TestSweepBuffers:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_released_buffers_give_the_bits_of_fresh_ones(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        ds = random_dataset(rng, n=70, p=3, ties=bool(seed % 2))
+        weights = None if seed == 0 else rng.uniform(0.5, 2.0, ds.n)
+        rows = _SortedRows.of_dataset(ds, weights)
+        b1, b2 = rng.normal(0, 0.5, 3), rng.normal(0, 0.5, 3)
+        first = _Sweep(rows, b1)
+        first.nll(), first.score(), first.curvature()
+        buffers = first.release()
+        reused, fresh = _Sweep(rows, b2, buffers), _Sweep(rows, b2)
+        assert reused.g is buffers["g"]
+        assert reused.nll() == fresh.nll()
+        np.testing.assert_array_equal(reused.score(), fresh.score())
+        for a, b in zip(reused.curvature(), fresh.curvature()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_newton_solve_holds_one_sweep(self):
+        # tracemalloc peak of a fit above the dataset and its cached sorted
+        # view (both built before tracing starts), in n-length float64
+        # arrays: about 8.7 with one sweep's buffers reused in place, 13.4
+        # with fresh arrays per sweep and a candidate sweep beside the current
+        import tracemalloc
+
+        rng = np.random.default_rng(21)
+        n, p = 200_000, 5
+        X = rng.normal(0.0, 0.5, (n, p))
+        t_fail = rng.exponential(1.0, n) * np.exp(-(X @ np.linspace(-1.0, 1.0, p)))
+        censor = rng.exponential(4.0, n)
+        ds = SurvivalDataset(covariates=X, time=np.minimum(t_fail, censor), status=(t_fail <= censor).astype(int))
+        del X, t_fail, censor
+        newton_solve(ds)  # caches the sorted view and the value verdict
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit = newton_solve(ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        assert peak < 10.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
 
 
 class TestConcurrentReaders:
