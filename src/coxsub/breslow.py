@@ -35,7 +35,7 @@ class CumulativeHazard:
         j = np.asarray(self.jumps, dtype=np.float64)
         if jt.shape != j.shape or jt.ndim != 1:
             raise ValueError("jump_times and jumps must be matching 1-D arrays")
-        if not np.all(np.isfinite(jt)) or np.any(np.diff(jt) <= 0):
+        if not np.all(np.isfinite(jt)) or np.any(jt[1:] <= jt[:-1]):
             raise ValueError("jump_times must be finite and strictly increasing")
         if np.any(j <= 0) or not np.all(np.isfinite(j)):
             raise ValueError("jumps must be positive and finite")
@@ -109,11 +109,10 @@ def _breslow(sweep: _Sweep) -> CumulativeHazard:
     starts = rows.event_risk_start[first]
     counts = np.diff(first, append=rows.n_events)
     denom = sweep.s0(starts)
-    try:
-        with np.errstate(over="raise"):
-            jumps = counts * np.exp(-sweep.shift) / denom
-    except FloatingPointError:
-        raise NumericsError("hazard increments overflow; rescale covariates") from None
+    with np.errstate(over="ignore"):
+        jumps = counts * np.exp(-sweep.shift) / denom
+    if not np.all((jumps > 0.0) & np.isfinite(jumps)):
+        raise NumericsError("hazard increments overflow or underflow; rescale covariates")
     return CumulativeHazard(jump_times=rows.time[starts], jumps=jumps)
 
 

@@ -29,7 +29,7 @@ from . import simulation, subsampling
 from .breslow import breslow_cumhaz
 from .data import CsvSchema, load_csv, write_csv
 from .errors import CoxSubError, CsvError
-from .partial_likelihood import CoxFit, newton_solve, score
+from .partial_likelihood import _fit_at, newton_solve
 from .simulation import SimConfig, gen_dataset, resolve_c0, run_replications
 
 SCHEMA_VERSION = 1
@@ -179,24 +179,9 @@ def cmd_fit(args) -> int:
     fixed = None if args.fix_beta is None else _parse_floats(args.fix_beta, args._parser, "--fix-beta")
     _check_outputs(args.output, args.baseline_out)
     ds = load_csv(args.input, _schema_from_args(args))
+    _check(fixed is None or fixed.size in (1, ds.p), args._parser, f"--fix-beta needs 1 or {ds.p} values")
     t0 = _time.perf_counter()
-    if fixed is not None:
-        if fixed.size not in (1, ds.p):
-            args._parser.error(f"--fix-beta needs 1 or {ds.p} values")
-        beta = np.full(ds.p, fixed[0]) if fixed.size == 1 else fixed
-        from .partial_likelihood import hessian, neg_log_partial_likelihood
-
-        fit = CoxFit(
-            beta=beta,
-            role="full_mpl",
-            converged=True,
-            iterations=0,
-            final_score_norm=float(np.abs(score(ds, beta)).max()),
-            neg_logpl=neg_log_partial_likelihood(ds, beta),
-            hessian=hessian(ds, beta),
-        )
-    else:
-        fit = newton_solve(ds)
+    fit = newton_solve(ds) if fixed is None else _fit_at(ds, np.resize(fixed, ds.p))
     wall = _time.perf_counter() - t0
     if not fit.converged:
         sys.stderr.write(
@@ -263,10 +248,8 @@ def cmd_subsample(args) -> int:
         "ci_upper": est + 1.96 * se,
         "iterations": first.fit.iterations,
         "timings": first.timings,
-        "plan_five_number": {
-            "censored": list(summary.censored),
-            "uncensored": list(summary.uncensored),
-        },
+        # a group with no records (say, a file with no censoring) has no summary: null, as NaN is not JSON
+        "plan_five_number": {k: None if math.isnan(v[0]) else list(v) for k, v in vars(summary).items()},
     }
     if args.reps > 1:
         ref = newton_solve(ds)
@@ -436,7 +419,6 @@ def build_parser():
         description="Proportional-hazards fitting on massive survival data via two-step subsampling.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     sim = commands.add_parser("simulate", help="generate a synthetic dataset CSV")
     sim.add_argument("--case", default="I", choices=["I", "II", "III", "IV"])
@@ -446,8 +428,7 @@ def build_parser():
     sim.add_argument("--beta", default=None, help="true coefficients, comma-separated")
     sim.add_argument("-o", "--output", required=True)
     _add_common(sim)
-    sim.set_defaults(func=cmd_simulate)
-    subparsers["simulate"] = sim
+    sim.set_defaults(func=cmd_simulate, _parser=sim)
 
     fit = commands.add_parser("fit", help="full-data maximum partial likelihood fit")
     fit.add_argument("--fix-beta", default=None, help="evaluate at fixed coefficients instead of solving")
@@ -455,8 +436,7 @@ def build_parser():
     fit.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     fit.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(fit, io_input=True)
-    fit.set_defaults(func=cmd_fit)
-    subparsers["fit"] = fit
+    fit.set_defaults(func=cmd_fit, _parser=fit)
 
     ss = commands.add_parser("subsample", help="two-step subsample estimate with standard errors")
     ss.add_argument("--r0", type=int, default=300, help="pilot subsample size")
@@ -470,8 +450,7 @@ def build_parser():
     ss.add_argument("-o", "--output", default=None)
     ss.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(ss, io_input=True)
-    ss.set_defaults(func=cmd_subsample)
-    subparsers["subsample"] = ss
+    ss.set_defaults(func=cmd_subsample, _parser=ss)
 
     bench = commands.add_parser("benchmark", help="replication study over a parameter grid")
     bench.add_argument("--cases", default="I")
@@ -488,8 +467,7 @@ def build_parser():
     bench.add_argument("--out-dir", required=True)
     bench.add_argument("--threads", type=int, default=1, help="worker processes for replications")
     _add_common(bench)
-    bench.set_defaults(func=cmd_benchmark)
-    subparsers["benchmark"] = bench
+    bench.set_defaults(func=cmd_benchmark, _parser=bench)
 
     cal = commands.add_parser("calibrate", help="find the censoring bound for a target rate")
     cal.add_argument("--case", default="I", choices=["I", "II", "III", "IV"])
@@ -498,16 +476,14 @@ def build_parser():
     cal.add_argument("--tol", type=float, default=0.002)
     cal.add_argument("-o", "--output", default=None)
     _add_common(cal)
-    cal.set_defaults(func=cmd_calibrate)
-    subparsers["calibrate"] = cal
-
-    return parser, subparsers
+    cal.set_defaults(func=cmd_calibrate, _parser=cal)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
-    sub = subparsers[args.command]
+    sub = args._parser
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -520,7 +496,6 @@ def main(argv=None) -> int:
             sub.error(f"--config: unknown keys {sorted(unknown)}")
         sub.set_defaults(**config)
         args = parser.parse_args(argv)
-    args._parser = sub
     try:
         return args.func(args)
     except CoxSubError as exc:

@@ -47,12 +47,13 @@ class SurvivalDataset:
     Estimators call :meth:`check_values` instead, which raises on the
     first broken value, scanning a dataset at most once.
 
-    Two derived arrays are built on first use and cached read-only:
-    :meth:`sorted_view`, the records in ``sort_index`` order, and
-    :meth:`sort_rank`, the inverse permutation that gathers per-record
-    results of a pass over the sorted view back into record order.  The
-    residual-norm pass is the only caller of the rank, so a dataset that
-    is only fitted never builds it.
+    Three derived values are built on first use and cached read-only: the
+    records in ``sort_index`` order (:meth:`sorted_view`), built by the
+    first risk-set sweep; the inverse permutation that gathers results of a
+    pass over that view back into record order (:meth:`sort_rank`), built
+    only by the residual-norm pass; and the unit-weight full-data sweep
+    rows (``_SortedRows.of_dataset``), built by the first full-data fit,
+    hazard or criterion evaluation, never by a two-step estimate.
     """
 
     covariates: np.ndarray
@@ -85,8 +86,7 @@ class SurvivalDataset:
         if len(t) == 0:
             raise ValueError("dataset must contain at least one record")
         order = _time_order(t, s)
-        for arr in (X, t, s, order):
-            arr.setflags(write=False)
+        _frozen(X, t, s, order)
         object.__setattr__(self, "covariates", X)
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "status", s)
@@ -107,14 +107,11 @@ class SurvivalDataset:
         sweep; building it once amortises the row gather across fits and
         probability passes.
         """
-        cached = getattr(self, "_sorted_view", None)
-        if cached is None:
+        def build():
             order = self.sort_index
-            cached = (self.time[order], self.status[order], _gather_rows(self.covariates, order))
-            for arr in cached:
-                arr.setflags(write=False)
-            object.__setattr__(self, "_sorted_view", cached)
-        return cached
+            return _frozen(self.time[order], self.status[order], _gather_rows(self.covariates, order))
+
+        return self._cached("_sorted_view", build)
 
     def sort_rank(self) -> np.ndarray:
         """Each record's position in the sorted view, cached; ``int32`` below 2**31 records.
@@ -123,14 +120,19 @@ class SurvivalDataset:
         so ``v[sort_rank()]`` puts values ``v`` of the sorted records back in
         record order with a gather rather than a scatter.
         """
-        cached = getattr(self, "_sort_rank", None)
-        if cached is None:
+        def build():
             dtype = np.int32 if self.n < 2**31 else np.intp
-            cached = np.empty(self.n, dtype=dtype)
-            cached[self.sort_index] = np.arange(self.n, dtype=dtype)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_sort_rank", cached)
-        return cached
+            rank = np.empty(self.n, dtype=dtype)
+            rank[self.sort_index] = np.arange(self.n, dtype=dtype)
+            return _frozen(rank)[0]
+
+        return self._cached("_sort_rank", build)
+
+    def _cached(self, name: str, build):
+        """``build()``, computed on first use and kept as attribute ``name`` of the frozen dataset."""
+        if name not in vars(self):
+            object.__setattr__(self, name, build())
+        return vars(self)[name]
 
     def check_values(self) -> None:
         """Raise ``ValueError`` naming the first value-level violation, if any.
@@ -145,9 +147,7 @@ class SurvivalDataset:
 
     def _first_violation(self) -> Violation | None:
         """The first value-level violation in :func:`validate`'s order, or None; computed once."""
-        if not hasattr(self, "_verdict"):
-            object.__setattr__(self, "_verdict", next(_value_violations(self), None))
-        return self._verdict
+        return self._cached("_verdict", lambda: next(_value_violations(self), None))
 
     @property
     def n_events(self) -> int:
@@ -156,6 +156,13 @@ class SurvivalDataset:
     @property
     def censoring_rate(self) -> float:
         return 1.0 - self.n_events / self.n
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:

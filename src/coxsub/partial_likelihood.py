@@ -8,6 +8,8 @@ or a with-replacement multiset (repeated indices) with per-row weights, so
 the same code path evaluates the ordinary criterion and its
 inverse-probability-weighted subsample counterpart; the Breslow hazard and
 the risk-set mean in :mod:`coxsub.breslow` are ratios of the same sums.
+The full-data rows a sweep reads are built once per dataset and cached on
+it, so fits, hazards and evaluations of one dataset share one build.
 
 Conventions:
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, _gather_rows, _time_order
+from .data import SurvivalDataset, _frozen, _gather_rows, _time_order
 from .errors import NumericsError, SingularHessianError
 
 # Newton stopping rule: score sup-norm, step sup-norm, iteration and halving limits
@@ -98,27 +100,26 @@ class _SortedRows:
         "event_risk_start",
     )
 
-    def __init__(self, time: np.ndarray, status: np.ndarray, X: np.ndarray, w: np.ndarray, n_ref: int):
+    def __init__(self, time: np.ndarray, status: np.ndarray, X: np.ndarray, w=None, n_ref: int | None = None):
         self.time = time
         self.status = status
         self.X = X
-        self.w = w
         self.m = time.size
         self.p = X.shape[1]
+        w = self.w = np.broadcast_to(np.float64(1.0), (self.m,)) if w is None else w
         self.total_weight = float(w.sum())
         # additive constant in the criterion: n for IPW weights (the full
         # data size the probabilities refer to), the multiset size otherwise
-        self.n_ref = n_ref
+        self.n_ref = self.m if n_ref is None else n_ref
         ev = np.flatnonzero(status == 1)
-        self.event_rows = ev
-        self.event_weights = w[ev] if w.strides[0] else w[: ev.size]
         # first row of each event's tie group: its risk set is that row onwards;
         # one pass carries each group's first row forward over its ties
         group_start = np.zeros(self.m, dtype=np.intp)
         new_group = _run_starts(time)
         group_start[new_group] = new_group
         np.maximum.accumulate(group_start, out=group_start)
-        self.event_risk_start = group_start[ev]
+        self.event_rows, self.event_risk_start = _frozen(ev, group_start[ev])
+        self.event_weights = w[ev] if w.strides[0] else w[: ev.size]
 
     @classmethod
     def of_dataset(
@@ -126,13 +127,17 @@ class _SortedRows:
     ) -> _SortedRows:
         """The dataset, or the multiset ``subset`` of its records, with weights.
 
-        Raises ``ValueError`` on a dataset with a broken value (see
+        The unit-weight full-data rows are built once per dataset and
+        cached on it; weighted and subset rows are built per call.  Raises
+        ``ValueError`` on a dataset with a broken value (see
         :meth:`SurvivalDataset.check_values`).
         """
         ds.check_values()
         if subset is None:
             time, status, X = ds.sorted_view()
             m = ds.n
+            if weights is None:
+                return ds._cached("_sweep_rows", lambda: cls(time, status, X))
         else:
             subset = np.asarray(subset)
             if subset.ndim != 1 or subset.size == 0:
@@ -144,7 +149,7 @@ class _SortedRows:
             time, status, X = ds.time[rows], ds.status[rows], _gather_rows(ds.covariates, rows)
             m = subset.size
         if weights is None:
-            return cls(time, status, X, np.broadcast_to(np.float64(1.0), (m,)), m)
+            return cls(time, status, X)
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (m,):
             raise ValueError(f"weights must have length {m}, got {w.shape}")
@@ -446,18 +451,12 @@ def newton_solve(
     score and curvature are read, or a candidate step is rejected, its
     sweep is released and the next sweep computes in the same buffers.
     """
-    rows = _SortedRows.of_dataset(ds, weights, subset)
-    if rows.n_events == 0:
-        raise NumericsError("at least one event is required to fit")
+    rows = _fit_rows(ds, weights, subset)
     beta = np.zeros(rows.p) if init is None else np.asarray(init, dtype=np.float64).copy()
-    if beta.shape != (rows.p,):
-        raise ValueError(f"init must have shape ({rows.p},)")
 
     state = _Sweep(rows, beta)
     nll = state.nll()
-    g = state.score()
-    H, moments = state.curvature()
-    buffers = state.release()
+    g, H, moments, buffers = _derivatives(state)
     collapsed_trace = _CURVATURE_COLLAPSE * float(np.trace(H))
     iterations = 0
     converged = False
@@ -491,9 +490,7 @@ def newton_solve(
         growing = np.linalg.norm(cand) > np.linalg.norm(beta)
         beta = cand
         nll = cand_nll
-        g = state.score()
-        H, moments = state.curvature()
-        buffers = state.release()
+        g, H, moments, buffers = _derivatives(state)
         iterations += 1
         if growing and np.trace(H) < collapsed_trace:
             warnings.warn(
@@ -505,18 +502,34 @@ def newton_solve(
         if step_norm <= _TOL_STEP:
             converged = float(np.abs(g).max()) <= _TOL_SCORE
             break
+    return _fit_result(beta, role, converged, iterations, nll, g, H, moments)
 
-    # a criterion that does not depend on beta has a zero moments term; a
-    # pilot estimate only locates the plan, and compute_aopt_probs judges its
-    # curvature where it is used
+
+def _fit_rows(ds: SurvivalDataset, weights=None, subset=None) -> _SortedRows:
+    """The rows a fit sweeps; :class:`NumericsError` unless they hold an event."""
+    rows = _SortedRows.of_dataset(ds, weights, subset)
+    if rows.n_events == 0:
+        raise NumericsError("at least one event is required to fit")
+    return rows
+
+
+def _derivatives(state: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """The sweep's score, curvature and moments term, and its buffers: the sweep is released."""
+    g = state.score()
+    H, moments = state.curvature()
+    return g, H, moments, state.release()
+
+
+def _fit_result(beta, role, converged, iterations, nll, g, H, moments) -> CoxFit:
+    """The fit at ``beta``; a converged one must pass :func:`newton_solve`'s working-precision rule."""
     if converged and role != "pilot" and np.trace(moments) > 0.0:
-        _require_positive_definite(H, "converged Newton", moments)
-    return CoxFit(
-        beta=beta,
-        role=role,
-        converged=converged,
-        iterations=iterations,
-        final_score_norm=float(np.abs(g).max()),
-        neg_logpl=nll,
-        hessian=H,
-    )
+        _require_positive_definite(H, "fitted", moments)
+    return CoxFit(beta, role, converged, iterations, float(np.abs(g).max()), nll, H)
+
+
+def _fit_at(ds: SurvivalDataset, beta: np.ndarray) -> CoxFit:
+    """The full-data fit at a fixed ``beta`` from one sweep, judged as a converged :func:`newton_solve` fit."""
+    state = _Sweep(_fit_rows(ds), beta)
+    nll = state.nll()
+    g, H, moments, _ = _derivatives(state)
+    return _fit_result(state.beta, "full_mpl", True, 0, nll, g, H, moments)

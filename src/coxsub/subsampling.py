@@ -284,7 +284,8 @@ def two_step(
     through the pilot estimate and its hazard/risk-set tables.  A dataset
     with a broken value raises ``ValueError`` before anything is drawn (see
     :meth:`SurvivalDataset.check_values`).  The pilot fit starts from zero,
-    the second fit from the pilot estimate.
+    the second fit from the pilot estimate.  A sandwich variance that is
+    zero or not finite raises :class:`TwoStepError`.
     """
     crit = criterion.lower()
     if crit not in ("lopt", "aopt", "unif"):
@@ -311,6 +312,10 @@ def two_step(
     if fit.converged:
         with _phase(timings, "covariance"):
             covariance = estimate_covariance(ds, ctx, sub, fit)
+            # zero where every drawn residual vanishes along some direction, as on separated data
+            se = covariance.standard_errors
+            if not np.all((se > 0.0) & np.isfinite(se)):
+                raise NumericsError("sandwich variance is not positive and finite; check for separation")
     return TwoStepResult(
         pilot=ctx, plan=plan, subsample=sub, fit=fit, covariance=covariance, timings=timings
     )

@@ -96,6 +96,13 @@ class TestBreslow:
         with pytest.raises(NumericsError, match="no events"):
             breslow_cumhaz(ds, np.zeros(1))
 
+    @pytest.mark.parametrize("beta", [800.0, -800.0])
+    def test_vanishing_or_overflowing_jumps_raise(self, beta):
+        # exp(-shift) under- or overflows: a numerical failure, not a bad step function
+        ds = SurvivalDataset(covariates=[[1.0], [2.0], [1.5]], time=[1.0, 2.0, 3.0], status=[1, 1, 0])
+        with pytest.raises(NumericsError, match="hazard increments"):
+            breslow_cumhaz(ds, np.array([beta]))
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
         ds = random_dataset(rng, n=40, p=2)

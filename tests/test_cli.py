@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxsub import newton_solve
 from coxsub.cli import main
 
 from oracles import naive_nelson_aalen
@@ -422,6 +429,145 @@ def test_singular_curvature_fit_exits_3(p, flags, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "not positive definite" in captured.err
     assert not baseline.exists()
+
+
+def test_all_censored_fix_beta_exits_3_for_want_of_events(tmp_path, capsys):
+    # the fixed-beta path checks for an event first, as the solver does
+    path = tmp_path / "d.csv"
+    path.write_text("time,status,x1\n1.5,0,0.3\n2.0,0,-0.1\n0.7,0,1.2\n")
+    assert run_cli(["fit", "-i", str(path), "--fix-beta", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: at least one event is required to fit\n"
+
+
+def test_fix_beta_near_collinear_curvature_exits_3(tmp_path, capsys):
+    # x2 = x1 + 1e-7 noise: the curvature has a Cholesky factor but is
+    # singular to working precision, as a converged solve's would be
+    rng = np.random.default_rng(3)
+    n = 500
+    t, x1 = rng.exponential(1.0, n), rng.normal(0.0, 1.0, n)
+    x2 = x1 + 1e-7 * rng.normal(0.0, 1.0, n)
+    rows = zip(t.tolist(), (np.arange(n) % 4 != 0).astype(int).tolist(), x1.tolist(), x2.tolist())
+    lines = ["time,status,x1,x2"] + [",".join(map(repr, row)) for row in rows]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(["fit", "-i", str(path), "--fix-beta", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not positive definite to working precision" in captured.err
+
+
+@pytest.mark.parametrize("at", ["zero", "fitted"])
+def test_fix_beta_report_equals_the_public_evaluations(at, sim_file, tmp_path):
+    # one sweep answers every question about beta, bit for bit as three separate sweeps do
+    from coxsub import hessian, load_csv, neg_log_partial_likelihood, score
+
+    ds = load_csv(sim_file)
+    beta = np.zeros(ds.p) if at == "zero" else newton_solve(ds).beta
+    out = tmp_path / "r.json"
+    assert run_cli(["fit", "-i", str(sim_file), "--fix-beta=" + ",".join(map(repr, beta.tolist())), "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["beta"] == beta.tolist() and report["iterations"] == 0
+    assert report["score_norm"] == float(np.abs(score(ds, beta)).max())
+    assert report["neg_logpl"] == neg_log_partial_likelihood(ds, beta)
+    assert report["se"] == np.sqrt(np.diag(np.linalg.inv(hessian(ds, beta))) / ds.n).tolist()
+
+
+@st.composite
+def degenerate_files(draw):
+    """Small CSV texts at the edges: one or two records, no events, identical
+    rows, heavy ties, duplicated, constant and near-constant columns, and
+    covariates scaled by 1e-8 or 1e3."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 40, 200]))
+    edge = draw(st.sampled_from(["none", "none", "all_censored", "identical_rows", "heavy_ties"]))
+    kinds = draw(st.lists(st.sampled_from(["normal", "normal", "binary", "constant", "near", "duplicate"]),
+                          min_size=1, max_size=3))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-8, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    time = rng.exponential(1.0, n)
+    if edge == "heavy_ties":
+        time = np.ceil(time * 2.0) / 2.0
+    status = (rng.random(n) < 0.7).astype(int) * (edge != "all_censored")
+    columns = []
+    for kind in kinds:
+        if kind == "normal" or (kind == "duplicate" and not columns):
+            columns.append(rng.normal(0.0, 1.0, n))
+        elif kind == "binary":
+            columns.append(rng.integers(0, 2, n).astype(float))
+        elif kind == "constant":
+            columns.append(np.full(n, 2.5))
+        elif kind == "near":
+            columns.append(2.5 + 1e-9 * rng.normal(0.0, 1.0, n))
+        else:
+            columns.append(columns[0].copy())
+    X = np.column_stack(columns) * scale
+    if edge == "identical_rows":
+        time, status, X = np.full(n, time[0]), np.full(n, status[0]), np.tile(X[0], (n, 1))
+    lines = ["time,status," + ",".join(f"x{j + 1}" for j in range(X.shape[1]))]
+    for i in range(n):
+        lines.append(",".join([repr(float(time[i])), str(int(status[i])), *map(repr, X[i].tolist())]))
+    return "\n".join(lines) + "\n"
+
+
+def _no_nonfinite(constant):
+    raise ValueError(f"report holds {constant}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=degenerate_files())
+def test_degenerate_files_exit_cleanly(text):
+    # every command ends in 0, 2 or 3; an exit 0 writes strict JSON with finite, positive SEs
+    commands = [["fit"], ["fit", "--fix-beta", "0"]]
+    commands += [["subsample", "--criterion", c, "--reps", "2"] for c in ("lopt", "aopt")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "d.csv", Path(tmp) / "r.json"
+        path.write_text(text)
+        for command in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the solver's own non-convergence notes
+                try:
+                    code = run_cli([*command, "-i", str(path), "-o", str(out)])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2, 3), (command, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                report = json.loads(out.read_text(), parse_constant=_no_nonfinite)
+                se = np.asarray(report["se"])
+                assert np.all(np.isfinite(se)) and np.all(se > 0), (command, report["se"])
+                out.unlink()
+            else:
+                assert err.getvalue().startswith("error: ") or "did not converge" in err.getvalue()
+
+
+def test_no_censoring_leaves_the_censored_summary_null(tmp_path):
+    # an empty group has no five-number summary; NaN would not be JSON
+    path, out = tmp_path / "d.csv", tmp_path / "r.json"
+    path.write_text("time,status,x1\n0.11,1,-2.02\n0.39,1,-0.23\n1.40,1,-0.87\n")
+    with pytest.warns(UserWarning, match="empty group"):
+        assert run_cli(["subsample", "-i", str(path), "-o", str(out)]) == 0
+    five = json.loads(out.read_text(), parse_constant=_no_nonfinite)["plan_five_number"]
+    assert five["censored"] is None and len(five["uncensored"]) == 5
+
+
+def test_zero_sandwich_variance_exits_3(tmp_path, capsys):
+    # x1 and x3 separate the events: every drawn residual vanishes along them
+    # at the diverging estimate, so the sandwich has no variance there
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "time,status,x1,x2,x3\n"
+        "0.6799319039689096,1,0.0,-0.12853466294403426,0.0\n1.0195971014658647,0,1.0,1.3664634705496859,1.0\n"
+        "0.019806662589055352,0,0.0,-0.6651946734866135,1.0\n0.0022693266812281823,1,1.0,0.3515100700930197,1.0\n"
+        "0.5503428726390482,0,0.0,0.9034701816518086,1.0\n1.6299404346583852,1,0.0,0.09401229776087457,1.0\n"
+        "0.6735829526672319,0,0.0,-0.7434992493538084,1.0\n0.7553013578253913,1,0.0,-0.9217253762584194,0.0\n"
+    )
+    assert run_cli(["subsample", "-i", str(path), "--criterion", "lopt"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [covariance] sandwich variance is not positive and finite; check for separation\n"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

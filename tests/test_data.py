@@ -24,6 +24,7 @@ from coxsub import (
 )
 from coxsub.breslow import RiskSetMean, pilot_breslow, score_residual_norms, score_residuals
 from coxsub.data import _checked_dataset, _parse_cells, _parse_vectorised
+from coxsub.partial_likelihood import _SortedRows
 
 from conftest import random_dataset
 from oracles import oracle_write_cumhaz_csv, oracle_write_dataset_csv, oracle_write_plan_csv
@@ -245,6 +246,15 @@ def test_sort_rank_is_built_by_the_first_norms_pass_only():
     xbar = RiskSetMean.build(ds.time[idx], ds.covariates[idx], beta)
     norms = score_residual_norms(ds, xbar, pilot_breslow(ds, idx, beta), beta)
     assert norms.shape == (ds.n,) and ds._sort_rank is ds.sort_rank()
+
+
+def test_sweep_rows_are_left_unbuilt_by_a_two_step():
+    ds = random_dataset(np.random.default_rng(6), n=400, p=2, ties=True)
+    for criterion in ("lopt", "aopt", "unif"):
+        two_step(ds, 60, 120, 0.1, criterion, np.random.default_rng(1))
+    assert not hasattr(ds, "_sweep_rows")  # a two-step sweeps subsets only
+    newton_solve(ds)
+    assert ds._sweep_rows is _SortedRows.of_dataset(ds)
 
 
 def covariate_layouts(X):

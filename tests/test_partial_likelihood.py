@@ -17,6 +17,7 @@ from coxsub import (
 )
 from coxsub.breslow import RiskSetMean, breslow_cumhaz, score_residual_norms, score_residuals
 from coxsub.partial_likelihood import _SortedRows, _Sweep
+from coxsub.subsampling import two_step
 
 from conftest import random_dataset
 from oracles import (
@@ -194,6 +195,28 @@ class TestSortedRows:
         for r in rows:
             expect = np.searchsorted(r.time, r.time[r.event_rows], side="left")
             assert np.array_equal(r.event_risk_start, expect)
+
+
+    def test_full_data_rows_are_built_once_per_dataset(self):
+        ds = random_dataset(np.random.default_rng(8), n=50, p=2, ties=True)
+        rows = _SortedRows.of_dataset(ds)
+        assert _SortedRows.of_dataset(ds) is rows
+        for arr in (rows.event_rows, rows.event_risk_start):
+            assert arr.dtype == np.intp and not arr.flags.writeable
+        # weighted and subset rows are built per call
+        assert _SortedRows.of_dataset(ds, np.ones(ds.n)) is not rows
+        assert _SortedRows.of_dataset(ds, subset=np.arange(ds.n)) is not rows
+
+    def test_full_data_calls_reuse_the_cached_rows(self):
+        rng = np.random.default_rng(9)
+        ds = random_dataset(rng, n=50, p=2)
+        _SortedRows.of_dataset(ds)
+        beta = rng.normal(0, 0.5, 2)
+        with mock.patch.object(_SortedRows, "__init__", side_effect=AssertionError("rows rebuilt")):
+            newton_solve(ds)
+            breslow_cumhaz(ds, beta)
+            neg_log_partial_likelihood(ds, beta), score(ds, beta), hessian(ds, beta)
+            partial_likelihood._fit_at(ds, beta)
 
 
 class TestReductions:
@@ -488,6 +511,30 @@ class TestMonotoneLikelihood:
         assert not fit.converged
 
 
+@pytest.fixture(scope="module")
+def traced_ds():
+    """2e5 records for the memory guards: p = 5, about 20% censored."""
+    rng = np.random.default_rng(21)
+    n, p = 200_000, 5
+    X = rng.normal(0.0, 0.5, (n, p))
+    t_fail = rng.exponential(1.0, n) * np.exp(-(X @ np.linspace(-1.0, 1.0, p)))
+    censor = rng.exponential(4.0, n)
+    return SurvivalDataset(covariates=X, time=np.minimum(t_fail, censor), status=(t_fail <= censor).astype(int))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak of the call above the memory already held."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestSweepBuffers:
     @pytest.mark.parametrize("seed", range(3))
     def test_released_buffers_give_the_bits_of_fresh_ones(self, seed):
@@ -506,30 +553,28 @@ class TestSweepBuffers:
         for a, b in zip(reused.curvature(), fresh.curvature()):
             np.testing.assert_array_equal(a, b)
 
-    def test_newton_solve_holds_one_sweep(self):
-        # tracemalloc peak of a fit above the dataset and its cached sorted
-        # view (both built before tracing starts), in n-length float64
-        # arrays: about 8.7 with one sweep's buffers reused in place, 13.4
-        # with fresh arrays per sweep and a candidate sweep beside the current
-        import tracemalloc
-
-        rng = np.random.default_rng(21)
-        n, p = 200_000, 5
-        X = rng.normal(0.0, 0.5, (n, p))
-        t_fail = rng.exponential(1.0, n) * np.exp(-(X @ np.linspace(-1.0, 1.0, p)))
-        censor = rng.exponential(4.0, n)
-        ds = SurvivalDataset(covariates=X, time=np.minimum(t_fail, censor), status=(t_fail <= censor).astype(int))
-        del X, t_fail, censor
-        newton_solve(ds)  # caches the sorted view and the value verdict
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fit = newton_solve(ds)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+    def test_newton_solve_holds_one_sweep(self, traced_ds):
+        # tracemalloc peak of a fit above the dataset and what it caches
+        # (built before tracing starts), in n-length float64 arrays: about
+        # 7.2 with one sweep's buffers reused in place, 4.7 more with fresh
+        # arrays per sweep and a candidate sweep beside the current
+        ds, n = traced_ds, traced_ds.n
+        newton_solve(ds)  # caches the sorted view, the value verdict and the sweep rows
+        fit, peak = traced_peak(newton_solve, ds)
         assert fit.converged
         assert peak < 10.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
+
+    @pytest.mark.parametrize("criterion", ["lopt", "aopt"])
+    def test_two_step_holds_few_record_length_arrays(self, traced_ds, criterion):
+        # tracemalloc peak of a warm two-step above the dataset and all it
+        # caches (sorted view, rank, verdict, sweep rows), in n-length
+        # float64 arrays: about 2.1, from the residual-norm pass and the plan
+        ds, n = traced_ds, traced_ds.n
+        ds.sort_rank(), _SortedRows.of_dataset(ds)
+        two_step(ds, 300, 1000, 0.1, criterion, np.random.default_rng(1))
+        res, peak = traced_peak(two_step, ds, 300, 1000, 0.1, criterion, np.random.default_rng(2))
+        assert res.covariance is not None
+        assert peak < 3.0 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
 
 
 class TestConcurrentReaders:
