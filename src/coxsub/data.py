@@ -1,8 +1,8 @@
 """Survival dataset container and CSV ingestion.
 
 A dataset is an immutable bundle of covariates, observed times and event
-indicators, together with a precomputed time-ascending sort index that the
-risk-set sweeps rely on.  Ties are ordered deterministically: earlier time
+indicators.  The risk-set sweeps rely on its time-ascending sort index,
+built on first use.  Ties are ordered deterministically: earlier time
 first, events before censorings at equal times, then original record order.
 
 One rule, :func:`_value_violations`, judges the values of arrays and CSV
@@ -18,7 +18,8 @@ import csv
 import os
 import warnings
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,26 +41,27 @@ class SurvivalDataset:
     """Right-censored survival data: covariates, observed times, indicators.
 
     Construction enforces structural consistency (matching lengths, 2-D
-    covariates) and builds ``sort_index``; status becomes ``int8`` only if
-    every value is 0 or 1.  Value-level invariants (finite entries, status
-    in {0,1}, at least one event) are checked by :func:`validate`, which
-    tolerates broken datasets so callers can report all problems at once.
-    Estimators call :meth:`check_values` instead, which raises on the
-    first broken value, scanning a dataset at most once.
+    covariates); status becomes ``int8`` only if every value is 0 or 1.
+    Value-level invariants (finite entries, status in {0,1}, at least one
+    event) are checked by :func:`validate`, which tolerates broken datasets
+    so callers can report all problems at once.  Estimators call
+    :meth:`check_values` instead, which raises on the first broken value,
+    scanning a dataset at most once.
 
-    Three derived values are built on first use and cached read-only: the
-    records in ``sort_index`` order (:meth:`sorted_view`), built by the
-    first risk-set sweep; the inverse permutation that gathers results of a
-    pass over that view back into record order (:meth:`sort_rank`), built
-    only by the residual-norm pass; and the unit-weight full-data sweep
-    rows (``_SortedRows.of_dataset``), built by the first full-data fit,
-    hazard or criterion evaluation, never by a two-step estimate.
+    Four derived values are built on first use and cached read-only: the
+    time-ascending order of the records (``sort_index``), built by the
+    first sorted view or validation; the records in that order
+    (:meth:`sorted_view`), built by the first risk-set sweep; the inverse
+    permutation that gathers results of a pass over that view back into
+    record order (:meth:`sort_rank`), built only by the residual-norm
+    pass; and the unit-weight full-data sweep rows
+    (``_SortedRows.of_dataset``), built by the first full-data fit, hazard
+    or criterion evaluation, never by a two-step estimate.
     """
 
     covariates: np.ndarray
     time: np.ndarray
     status: np.ndarray
-    sort_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         X = np.asarray(self.covariates, dtype=np.float64)
@@ -85,12 +87,10 @@ class SurvivalDataset:
             )
         if len(t) == 0:
             raise ValueError("dataset must contain at least one record")
-        order = _time_order(t, s)
-        _frozen(X, t, s, order)
+        _frozen(X, t, s)
         object.__setattr__(self, "covariates", X)
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "status", s)
-        object.__setattr__(self, "sort_index", order)
 
     @property
     def n(self) -> int:
@@ -99,6 +99,11 @@ class SurvivalDataset:
     @property
     def p(self) -> int:
         return self.covariates.shape[1]
+
+    @cached_property
+    def sort_index(self) -> np.ndarray:
+        """Time ascending, events before censorings at ties, then input order; read-only."""
+        return _frozen(_time_order(self.time, self.status))[0]
 
     def sorted_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Time-ascending copies of (time, status, covariates), cached.

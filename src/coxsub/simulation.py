@@ -10,7 +10,6 @@ fixed batch, so the search is deterministic given the seed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -238,8 +237,6 @@ def _replicate(
                 return ("failure", "full-data fit did not converge")
             return fit.beta, fit.standard_errors(ds.n)
         res = two_step(ds, r0, r, delta, method, rng)
-        if res.covariance is None:
-            return ("failure", "two-step fit did not converge")
         return res.fit.beta, res.covariance.standard_errors
     except CoxSubError as exc:
         return ("failure", str(exc))
@@ -343,13 +340,12 @@ def _error_summary(est: np.ndarray, se: np.ndarray, ref: np.ndarray) -> dict:
     }
 
 
-def _fivenum(x: np.ndarray) -> tuple:
-    """Tukey five-number summary: min, lower hinge, median, upper hinge, max."""
+def _fivenum(x: np.ndarray) -> tuple | None:
+    """Tukey five-number summary: min, lower hinge, median, upper hinge, max; None for no values."""
     x = np.sort(np.asarray(x, dtype=np.float64))
     n = x.size
     if n == 0:
-        warnings.warn("empty group in five-number summary", stacklevel=3)
-        return (math.nan,) * 5
+        return None
     n4 = math.floor((n + 3) / 2) / 2
     d = np.array([1.0, n4, (n + 1) / 2, n + 1 - n4, float(n)])
     lo = x[np.floor(d).astype(int) - 1]
@@ -359,12 +355,12 @@ def _fivenum(x: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class FiveNumberSummary:
-    censored: tuple
-    uncensored: tuple
+    censored: tuple | None
+    uncensored: tuple | None
 
 
 def five_number_summary(plan: SubsamplePlan, status: np.ndarray) -> FiveNumberSummary:
-    """Five-number summaries of the plan probabilities, split by event status."""
+    """Five-number summaries of the plan probabilities, split by event status; None for an empty group."""
     status = np.asarray(status)
     if status.shape != plan.probs.shape:
         raise ValueError("status must align with the plan probabilities")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import time as _time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,11 +120,13 @@ class CovarianceEstimate:
 
 @dataclass(frozen=True)
 class TwoStepResult:
+    """A finished two-step run: every step's output and each phase's wall time."""
+
     pilot: PilotContext
     plan: SubsamplePlan
     subsample: Subsample
     fit: CoxFit
-    covariance: CovarianceEstimate | None
+    covariance: CovarianceEstimate
     timings: dict
 
 
@@ -254,19 +257,18 @@ def estimate_covariance(
     )
 
 
+@contextmanager
 def _phase(timings: dict, name: str):
-    class _Timer:
-        def __enter__(self):
-            self._t0 = _time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            timings[name] = _time.perf_counter() - self._t0
-            if exc is not None and isinstance(exc, CoxSubError) and not isinstance(exc, TwoStepError):
-                raise TwoStepError(name, str(exc)) from exc
-            return False
-
-    return _Timer()
+    """Time the block into ``timings[name]``, failing or not; a coxsub error leaves as ``TwoStepError(name, ...)``."""
+    t0 = _time.perf_counter()
+    try:
+        yield
+    except TwoStepError:
+        raise
+    except CoxSubError as exc:
+        raise TwoStepError(name, str(exc)) from exc
+    finally:
+        timings[name] = _time.perf_counter() - t0
 
 
 def two_step(
@@ -284,8 +286,10 @@ def two_step(
     through the pilot estimate and its hazard/risk-set tables.  A dataset
     with a broken value raises ``ValueError`` before anything is drawn (see
     :meth:`SurvivalDataset.check_values`).  The pilot fit starts from zero,
-    the second fit from the pilot estimate.  A sandwich variance that is
-    zero or not finite raises :class:`TwoStepError`.
+    the second fit from the pilot estimate.  A step that cannot finish
+    raises :class:`TwoStepError` naming its phase: a pilot or weighted fit
+    that does not converge, or a sandwich variance that is zero or not
+    finite.
     """
     crit = criterion.lower()
     if crit not in ("lopt", "aopt", "unif"):
@@ -308,14 +312,14 @@ def two_step(
         sub = draw_weighted(plan, r, rng)
     with _phase(timings, "second_fit"):
         fit = weighted_fit(ds, sub, init=ctx.fit.beta)
-    covariance = None
-    if fit.converged:
-        with _phase(timings, "covariance"):
-            covariance = estimate_covariance(ds, ctx, sub, fit)
-            # zero where every drawn residual vanishes along some direction, as on separated data
-            se = covariance.standard_errors
-            if not np.all((se > 0.0) & np.isfinite(se)):
-                raise NumericsError("sandwich variance is not positive and finite; check for separation")
+        if not fit.converged:
+            raise NumericsError(f"weighted fit did not converge after {fit.iterations} iterations")
+    with _phase(timings, "covariance"):
+        covariance = estimate_covariance(ds, ctx, sub, fit)
+        # zero where every drawn residual vanishes along some direction, as on separated data
+        se = covariance.standard_errors
+        if not np.all((se > 0.0) & np.isfinite(se)):
+            raise NumericsError("sandwich variance is not positive and finite; check for separation")
     return TwoStepResult(
         pilot=ctx, plan=plan, subsample=sub, fit=fit, covariance=covariance, timings=timings
     )

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxsub import newton_solve
+from coxsub import newton_solve, subsampling
 from coxsub.cli import main
 
 from oracles import naive_nelson_aalen
@@ -398,7 +400,17 @@ def test_separated_data_fit_exits_3(tmp_path, capsys):
     with pytest.warns(UserWarning, match="monotone likelihood"):
         code = run_cli(["fit", "-i", str(path)])
     assert code == 3
-    assert "did not converge" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: fit did not converge: iterations=")
+
+
+def test_nonconverged_second_fit_exits_3_with_one_error_line(sim_file, monkeypatch, capsys):
+    fit = subsampling.weighted_fit
+    monkeypatch.setattr(subsampling, "weighted_fit", lambda *a, **k: replace(fit(*a, **k), converged=False))
+    assert run_cli(["subsample", "-i", str(sim_file), "--r0", "100", "--r", "200"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [second_fit] weighted fit did not converge after ")
 
 
 def _constant_column_csv(path, p):
@@ -540,17 +552,54 @@ def test_degenerate_files_exit_cleanly(text):
                 assert np.all(np.isfinite(se)) and np.all(se > 0), (command, report["se"])
                 out.unlink()
             else:
-                assert err.getvalue().startswith("error: ") or "did not converge" in err.getvalue()
+                # one line, the error's
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+_ALL_EVENTS = "time,status,x1\n0.11,1,-2.02\n0.39,1,-0.23\n1.40,1,-0.87\n"
 
 
 def test_no_censoring_leaves_the_censored_summary_null(tmp_path):
-    # an empty group has no five-number summary; NaN would not be JSON
+    # an empty group has no five-number summary, and is no cause for a warning
     path, out = tmp_path / "d.csv", tmp_path / "r.json"
-    path.write_text("time,status,x1\n0.11,1,-2.02\n0.39,1,-0.23\n1.40,1,-0.87\n")
-    with pytest.warns(UserWarning, match="empty group"):
+    path.write_text(_ALL_EVENTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run_cli(["subsample", "-i", str(path), "-o", str(out)]) == 0
     five = json.loads(out.read_text(), parse_constant=_no_nonfinite)["plan_five_number"]
     assert five["censored"] is None and len(five["uncensored"]) == 5
+
+
+def _flat_keys(report: dict, prefix: str = "") -> list[str]:
+    keys = []
+    for k, v in report.items():
+        if isinstance(v, dict):
+            keys += _flat_keys(v, f"{prefix}{k}.")
+        elif isinstance(v, list):
+            keys += [f"{prefix}{k}.{i}" for i in range(len(v))]
+        else:
+            keys.append(f"{prefix}{k}")
+    return keys
+
+
+@pytest.mark.parametrize("simulated", [False, True], ids=["all-events", "simulated"])
+def test_subsample_csv_report_is_the_flattened_json_one(simulated, sim_file, tmp_path):
+    path = sim_file
+    if not simulated:
+        path = tmp_path / "d.csv"
+        path.write_text(_ALL_EVENTS)
+    js, cs = tmp_path / "r.json", tmp_path / "r.csv"
+    assert run_cli(["subsample", "-i", str(path), "-o", str(js)]) == 0
+    assert run_cli(["subsample", "-i", str(path), "-o", str(cs), "--format", "csv"]) == 0
+    report = json.loads(js.read_text(), parse_constant=_no_nonfinite)
+    with open(cs, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == _flat_keys(report)
+    assert len(row) == len(header)
+    assert not {"None", "nan"} & set(row)
+    cells = dict(zip(header, row))
+    assert (cells.get("plan_five_number.censored") == "") == (not simulated)
+    assert float(cells["est.0"]) == report["est"][0]
 
 
 def test_zero_sandwich_variance_exits_3(tmp_path, capsys):

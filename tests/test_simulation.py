@@ -1,11 +1,13 @@
 import hashlib
 import os
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from coxsub import partial_likelihood, simulation
+from coxsub import partial_likelihood, simulation, subsampling
 from coxsub import (
     CalibrationError,
     CoxSubError,
@@ -240,6 +242,25 @@ class TestRunReplications:
             with pytest.raises(CoxSubError, match="reference fit did not converge"):
                 run_replications(small_cfg, "lopt", r0=100, r=300, n_reps=4, seed=3, mode="fixed")
 
+    def test_nonconverged_second_fit_is_a_failure(self, small_cfg, monkeypatch):
+        # a weighted fit flagged non-converged fails its replication at its phase
+        fit, calls = subsampling.weighted_fit, []
+        monkeypatch.setattr(subsampling, "weighted_fit", lambda *a, **k: replace(fit(*a, **k), converged=False))
+        kind, reason = simulation._replicate(
+            None, small_cfg, "lopt", 100, 300, 0.1, np.random.SeedSequence(0), "fresh"
+        )
+        assert kind == "failure"
+        assert reason.startswith("[second_fit] weighted fit did not converge after ")
+
+        def every_other_flagged(*args, **kwargs):
+            calls.append(None)
+            res = fit(*args, **kwargs)
+            return replace(res, converged=False) if len(calls) % 2 else res
+
+        monkeypatch.setattr(subsampling, "weighted_fit", every_other_flagged)
+        rep = run_replications(small_cfg, "lopt", r0=100, r=300, n_reps=4, seed=3, mode="fixed")
+        assert len(calls) == 4 and rep.n_failures == 2
+
     def test_failed_replications_are_counted(self):
         # single-record pilots on heavily censored data fail often; the
         # study continues and reports how many replications were dropped
@@ -265,11 +286,13 @@ class TestFiveNumberSummary:
         np.testing.assert_allclose(summary.censored, (1 / 40,) * 5)
         np.testing.assert_allclose(summary.uncensored, (1 / 40,) * 5)
 
-    def test_empty_group_warns_nan(self):
+    def test_empty_group_is_none_without_a_warning(self):
         plan = uniform_plan(10)
-        with pytest.warns(UserWarning, match="empty group"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             summary = five_number_summary(plan, np.ones(10, dtype=int))
-        assert all(np.isnan(v) for v in summary.censored)
+        assert summary.censored is None
+        assert len(summary.uncensored) == 5
 
     def test_status_length_checked(self):
         with pytest.raises(ValueError, match="align"):

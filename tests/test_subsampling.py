@@ -23,7 +23,7 @@ from coxsub import (
     two_step,
     weighted_fit,
 )
-from coxsub import SurvivalDataset
+from coxsub import SurvivalDataset, subsampling
 from coxsub.subsampling import _mixed_plan, uniform_plan
 
 from conftest import random_dataset
@@ -490,6 +490,18 @@ class TestTwoStep:
         with pytest.raises(TwoStepError, match=r"\[pilot_fit\]"):
             # pilot of all-censored draws cannot be fit
             two_step(ds, 2, 50, 0.1, "lopt", np.random.default_rng(1))
+
+    def test_nonconverged_second_fit_raises_at_its_phase(self, midsize, monkeypatch):
+        ds, _ = midsize
+
+        def flagged(*args, **kwargs):
+            return replace(weighted_fit(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(subsampling, "weighted_fit", flagged)
+        message = r"^\[second_fit\] weighted fit did not converge after \d+ iterations$"
+        with pytest.raises(TwoStepError, match=message) as exc:
+            two_step(ds, 60, 150, 0.1, "lopt", np.random.default_rng(5))
+        assert exc.value.phase == "second_fit"
 
     def test_pilot_not_merged_into_second_stage(self, midsize):
         ds, _ = midsize
