@@ -238,35 +238,31 @@ def _hazard_rows(xbar: RiskSetMean, cumhaz: CumulativeHazard) -> tuple[np.ndarra
     return lam_rows, drift_rows
 
 
-# runs of at most this many sorted records go through one gathered pass per
-# block instead of the run loop, whose numpy calls cost more than such a
-# run's arithmetic
-_SHORT_RUN_ROWS = 2
-
-
 def score_residual_norms(
     ds: SurvivalDataset,
     xbar: RiskSetMean,
     cumhaz: CumulativeHazard,
     beta: np.ndarray,
-    curvature: np.ndarray | None = None,
+    metric: np.ndarray | None = None,
 ) -> np.ndarray:
     """Euclidean norms of all score residuals, in record order.
 
     Equals ``norm(score_residuals(...), axis=1)`` up to floating-point
     reassociation, but runs over the sorted view, where the hazard, the
     drift and the risk-set mean are constant on runs of records between
-    jump times and knots, and gathers the norms back to record order
-    through the dataset's :meth:`~SurvivalDataset.sort_rank`, which the
-    first call builds and caches.  This is the kernel for pilot tables,
-    whose few steps make few long runs; it stays correct for tables with a
-    step at every record (full-data tables), only slower.
+    jump times and knots, takes one matrix product per run, and gathers
+    the norms back to record order through the dataset's
+    :meth:`~SurvivalDataset.sort_rank`, which the first call builds and
+    caches.  This is the kernel for pilot tables, whose few steps make few
+    long runs; it stays correct for tables with a step at every record
+    (full-data tables), at one product per record: far slower.
 
-    With a positive definite ``curvature`` matrix ``Psi`` the norms are
-    those of ``Psi^-1`` times each residual (the A-optimal metric).  A
-    residual is linear in the record's covariates, the drift and the
-    risk-set mean, so these three are transformed by ``Psi^-1``; the risk
-    ``exp(beta'X)`` stays on the untransformed covariates.
+    With a ``metric`` matrix ``Psi^-1``, the inverse of a positive definite
+    curvature, the norms are those of ``Psi^-1`` times each residual (the
+    A-optimal metric).  A residual is linear in the record's covariates,
+    the drift and the risk-set mean, so these three are transformed by
+    ``Psi^-1``; the risk ``exp(beta'X)`` stays on the untransformed
+    covariates.
     """
     ds.check_values()
     time_s, status_s, X_s = ds.sorted_view()
@@ -277,9 +273,7 @@ def score_residual_norms(
     bounds = np.concatenate(([0], np.searchsorted(time_s, cumhaz.jump_times, side="left"), [n]))
     lam_rows, drift_rows = _hazard_rows(xbar, cumhaz)
     mean_rows = xbar.values
-    metric = None
-    if curvature is not None:
-        metric = np.linalg.inv(curvature)
+    if metric is not None:
         drift_rows, mean_rows = drift_rows @ metric.T, mean_rows @ metric.T
 
     # the risk-set mean for the event terms is constant between its knots;
@@ -306,15 +300,13 @@ def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, 
     curvature ``metric`` (the identity when it is ``None``).  The records
     are cut into runs at every segment bound, knot start and block start,
     so a run has one ``Lam``, ``drift`` and ``xbar``, and its residuals are
-    ``W @ Z`` with ``W = [M, drift, -xbar]`` and ``Z`` the stacked rows
-    ``X c``, ``risk`` and ``status``.
+    one product ``W @ Z`` with ``W = [M, drift, -xbar]`` and ``Z`` the
+    stacked rows ``X c``, ``risk`` and ``status``.
 
     Blocks of ``partial_likelihood._BLOCK_ROWS`` records are taken in turn.
     Each block builds its ``Z`` from its p-by-block view of the
-    column-major ``X_s``; then its long runs take one matrix product each,
-    and its short runs, of at most ``_SHORT_RUN_ROWS`` records, one
-    gathered pass together.  The square roots are taken per block, while
-    its squared norms are still in cache.
+    column-major ``X_s``, then takes one product per run.  The square roots
+    are taken per block, while its squared norms are still in cache.
     """
     block = partial_likelihood._BLOCK_ROWS
     n, p = X_s.shape
@@ -325,25 +317,14 @@ def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, 
     seg_ids = np.searchsorted(bounds[1:-1], los, side="right")
     knot_ids = np.minimum(np.searchsorted(knot_starts, los, side="right"), mean_rows.shape[0] - 1)
     lam_runs = lam_rows[seg_ids]
-    block_starts = np.arange(0, n + block, block)
-    run_cuts = np.searchsorted(los, block_starts).tolist()
-    short = lens <= _SHORT_RUN_ROWS
+    run_cuts = np.searchsorted(los, np.arange(0, n + block, block)).tolist()
+    run_edges = edges.tolist()
 
-    # short runs: every record with its run's table rows, in sorted order
-    s_lens = lens[short]
-    s_rows = np.repeat(los[short] - (np.cumsum(s_lens) - s_lens), s_lens) + np.arange(s_lens.sum())
-    s_drift = np.repeat(drift_rows[seg_ids[short]], s_lens, axis=0).T
-    s_mean = np.repeat(mean_rows[knot_ids[short]], s_lens, axis=0).T
-    s_cuts = np.searchsorted(s_rows, block_starts).tolist()
-
-    # long runs: one W each; no run crosses a block start
-    long_ids = np.flatnonzero(~short)
-    W = np.empty((long_ids.size, p, p + 2))
+    # one W per run; no run crosses a block start
+    W = np.empty((los.size, p, p + 2))
     W[:, :, :p] = np.eye(p) if metric is None else metric
-    W[:, :, p] = drift_rows[seg_ids[long_ids]]
-    W[:, :, p + 1] = -mean_rows[knot_ids[long_ids]]
-    l_runs = zip(W, los[long_ids].tolist(), (los + lens)[long_ids].tolist())
-    l_cuts = np.searchsorted(los[long_ids], block_starts).tolist()
+    W[:, :, p] = drift_rows[seg_ids]
+    W[:, :, p + 1] = -mean_rows[knot_ids]
 
     norms = np.empty(n)
     # per block: Z = [X c; risk; status] and the residuals R = W @ Z
@@ -359,16 +340,8 @@ def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, 
         c *= risk
         np.subtract(delta, c, out=c)
         np.multiply(X_t, c, out=z[:p])
-        for _ in range(l_cuts[k + 1] - l_cuts[k]):
-            w, lo, hi = next(l_runs)
-            np.matmul(w, z[:, lo - a : hi - a], out=resid[:, lo - a : hi - a])
-        i, j = s_cuts[k], s_cuts[k + 1]
-        if j > i:
-            at = s_rows[i:j] - a
-            zs = z[:, at]
-            rs = zs[:p] if metric is None else metric @ zs[:p]
-            rs += s_drift[:, i:j] * zs[p]
-            rs -= s_mean[:, i:j] * zs[p + 1]
-            resid[:, at] = rs
+        for run in range(i, j):
+            lo, hi = run_edges[run] - a, run_edges[run + 1] - a
+            np.matmul(W[run], z[:, lo:hi], out=resid[:, lo:hi])
         np.sqrt(np.einsum("ij,ij->j", resid, resid, out=norms[a:b]), out=norms[a:b])
     return norms

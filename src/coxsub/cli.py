@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage error (a bad flag, a malformed input file,
 or a file a flag names that cannot be read or written), 3 numerical
 failure: a fit flagged non-converged, or a two-step step that cannot
 finish.  Every failure ends in one ``error:`` line on stderr, after
-argparse's usage text for a bad flag and after any solver warning.  Every
+argparse's usage text for a bad flag; each solver warning before it is
+one ``warning:`` line.  Every
 output path a flag names is checked before any input is read, but opened
 only when its result is ready.  All outputs are machine-readable (JSON
 reports carry ``"schema": 1``); every subcommand reads and writes only
@@ -24,6 +25,7 @@ import math
 import os
 import sys
 import time as _time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -489,6 +491,9 @@ def main(argv=None) -> int:
             sub.error(f"--config: unknown keys {sorted(unknown)}")
         sub.set_defaults(**config)
         args = parser.parse_args(argv)
+    # each warning prints as one line, without its source location or source line
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except CoxSubError as exc:
@@ -501,6 +506,8 @@ def main(argv=None) -> int:
         # a path named on the command line that cannot be read or written
         sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
         return 2
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -62,10 +62,13 @@ class CoxFit:
     final_score_norm: float
     neg_logpl: float
     hessian: np.ndarray
+    # the uncentred moments term the curvature was formed from; a fit built
+    # by hand may leave it out, and its curvature is then judged absolutely
+    moments: np.ndarray | None = None
 
     def standard_errors(self, n: int) -> np.ndarray:
         """Model-based SEs for a full-data fit: inverse curvature over n; :class:`SingularHessianError` if singular."""
-        return np.sqrt(np.diag(_require_positive_definite(self.hessian, "fitted")) / n)
+        return np.sqrt(np.diag(_require_positive_definite(self.hessian, "fitted", self.moments)) / n)
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -524,7 +527,7 @@ def _fit_result(beta, role, converged, iterations, nll, g, H, moments) -> CoxFit
     """The fit at ``beta``; a converged one must pass :func:`newton_solve`'s working-precision rule."""
     if converged and role != "pilot" and np.trace(moments) > 0.0:
         _require_positive_definite(H, "fitted", moments)
-    return CoxFit(beta, role, converged, iterations, float(np.abs(g).max()), nll, H)
+    return CoxFit(beta, role, converged, iterations, float(np.abs(g).max()), nll, H, moments)
 
 
 def _fit_at(ds: SurvivalDataset, beta: np.ndarray) -> CoxFit:

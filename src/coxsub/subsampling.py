@@ -194,9 +194,8 @@ def compute_aopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> 
     """A-optimal plan: residual norms in the metric of the inverse pilot curvature."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    psi = ctx.fit.hessian
-    _require_positive_definite(psi, "pilot")
-    norms = score_residual_norms(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.fit.beta, curvature=psi)
+    metric = _require_positive_definite(ctx.fit.hessian, "pilot", ctx.fit.moments)
+    norms = score_residual_norms(ds, ctx.xbar, ctx.pilot_cumhaz, ctx.fit.beta, metric)
     return _mixed_plan(norms, delta)
 
 

@@ -304,7 +304,7 @@ class TestScoreResiduals:
         for psi in (None, hessian(ds, beta, subset=idx)):
             xb2 = RiskSetMean.build(ds.time[idx], np.ascontiguousarray(ds.covariates[idx]), beta)
             ref = np.linalg.norm(resids if psi is None else np.linalg.solve(psi, resids.T).T, axis=1)
-            got = score_residual_norms(ds, xb2, ch, beta, psi)
+            got = score_residual_norms(ds, xb2, ch, beta, inverse(psi))
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
             assert np.array_equal(ref == 0.0, got == 0.0)
             assert xb1.clamped_queries == xb2.clamped_queries
@@ -312,10 +312,14 @@ class TestScoreResiduals:
 
 # fixed example sequence and no example database: the same cases every run
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-# (rows per block, short runs gathered?): tiny blocks split every run into
-# short ones; without the gathered pass every run goes through the run loop
+# rows per block: tiny blocks split every run into runs of one to three records
 BLOCK_ROWS = partial_likelihood._BLOCK_ROWS
-KERNELS = [(1, True), (2, True), (3, True), (BLOCK_ROWS, True), (3, False), (BLOCK_ROWS, False)]
+KERNELS = [1, 2, 3, BLOCK_ROWS]
+
+
+def inverse(psi):
+    """The metric ``score_residual_norms`` takes for the curvature ``psi``."""
+    return None if psi is None else np.linalg.inv(psi)
 
 
 @st.composite
@@ -377,19 +381,15 @@ def grid_cases(draw):
 
 
 class TestBlockedNormPass:
-    @pytest.mark.parametrize("block, gathered", KERNELS)
+    @pytest.mark.parametrize("block", KERNELS)
     @PROPERTY
     @given(case=pilot_cases())
-    def test_matches_dense_residuals(self, block, gathered, case):
+    def test_matches_dense_residuals(self, block, case):
         ds, idx, beta, psi = case
         ref = dense_norms(ds, idx, beta, psi)
         xbar, cumhaz = pilot_tables(ds, idx, beta)
-        short_rows = breslow._SHORT_RUN_ROWS if gathered else 0
-        with (
-            mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block),
-            mock.patch.object(breslow, "_SHORT_RUN_ROWS", short_rows),
-        ):
-            got = score_residual_norms(ds, xbar, cumhaz, beta, psi)
+        with mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block):
+            got = score_residual_norms(ds, xbar, cumhaz, beta, inverse(psi))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
         # censored before the first jump: no term at all, so exactly zero
         assert np.all(got[(ds.status == 0) & (ds.time < cumhaz.jump_times[0])] == 0.0)
@@ -412,37 +412,33 @@ class TestBlockedNormPass:
         psi = hessian(ds, beta, subset=events[:50])
         for metric in (None, psi):
             ref = dense_norms(ds, idx, beta, metric)
-            got = score_residual_norms(ds, xbar, cumhaz, beta, metric)
+            got = score_residual_norms(ds, xbar, cumhaz, beta, inverse(metric))
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_data_tables(self, seed):
-        # a step at every record: runs of one or two records, gathered or looped
+        # a step at every record: runs of one or two records
         rng = np.random.default_rng(20 + seed)
         ds = random_dataset(rng, n=300, p=3, ties=bool(seed % 2))
         beta = rng.normal(0.0, 0.3, 3)
         resids = score_residuals(ds, *full_data_tables(ds, beta), beta)
         for psi in (None, hessian(ds, beta)):
             ref = np.linalg.norm(resids if psi is None else np.linalg.solve(psi, resids.T).T, axis=1)
-            for short_rows in (breslow._SHORT_RUN_ROWS, 0):
-                with mock.patch.object(breslow, "_SHORT_RUN_ROWS", short_rows):
-                    got = score_residual_norms(ds, *full_data_tables(ds, beta), beta, psi)
-                np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13)
+            got = score_residual_norms(ds, *full_data_tables(ds, beta), beta, inverse(psi))
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-13)
 
     def test_events_after_last_knot_are_counted_once_each(self):
         # the pilot misses the latest records: every event after its last
-        # time is one clamped query, whether its run is gathered or looped
+        # time is one clamped query
         rng = np.random.default_rng(19)
         ds = random_dataset(rng, n=200, p=2, ties=True)
         order = np.argsort(ds.time, kind="stable")
         early = order[: ds.n // 2]
         idx = early[np.isin(early, np.flatnonzero(ds.status == 1))][:10]
         beta = rng.normal(0.0, 0.4, 2)
-        for short_rows in (breslow._SHORT_RUN_ROWS, 0, ds.n):
-            xbar, cumhaz = pilot_tables(ds, idx, beta)
-            with mock.patch.object(breslow, "_SHORT_RUN_ROWS", short_rows):
-                score_residual_norms(ds, xbar, cumhaz, beta)
-            assert xbar.clamped_queries == clamped_events(ds, xbar) > 0
+        xbar, cumhaz = pilot_tables(ds, idx, beta)
+        score_residual_norms(ds, xbar, cumhaz, beta)
+        assert xbar.clamped_queries == clamped_events(ds, xbar) > 0
 
     @PROPERTY
     @given(case=grid_cases())

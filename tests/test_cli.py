@@ -403,6 +403,29 @@ def test_separated_data_fit_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: fit did not converge: iterations=")
 
 
+def test_solver_warning_prints_as_one_line(tmp_path):
+    # the separated file again, in its own process: Python's default warning
+    # format would add the source location and echo the source line
+    import coxsub
+
+    path = tmp_path / "separated.csv"
+    lines = ["time,status,x"] + [f"{i + 1},1,{int(i < 20)}" for i in range(60)]
+    path.write_text("\n".join(lines) + "\n")
+    code = f"import sys\nfrom coxsub.cli import main\nsys.exit(main(['fit', '-i', {str(path)!r}]))\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(coxsub.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    err = done.stderr.splitlines()
+    assert len(err) == 2, done.stderr
+    assert err[0].startswith("warning: newton_solve: monotone likelihood, the curvature collapsed")
+    assert err[1].startswith("error: fit did not converge: iterations=")
+
+
 def test_nonconverged_second_fit_exits_3_with_one_error_line(sim_file, monkeypatch, capsys):
     fit = subsampling.weighted_fit
     monkeypatch.setattr(subsampling, "weighted_fit", lambda *a, **k: replace(fit(*a, **k), converged=False))

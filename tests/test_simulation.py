@@ -332,9 +332,12 @@ class TestPinnedReplications:
         "unif-fresh": dict(method="unif", r0=100, r=300, n_reps=6, seed=4, mode="fresh"),
         "full-fixed": dict(method="full", n_reps=5, seed=1, mode="fixed"),
     }
+    # lopt-fixed was re-pinned when the probability pass began to take every
+    # run, one-record runs too, through one matrix product (5 of 21 fields
+    # moved, by at most 3.6e-16 relative)
     PINNED = {
-        "lopt-fixed": ("mpl", 8, 0, 0.03912489353039919,
-                       "f3909a519ce2acc44dd1219d3c99be83fc2280f8f6da9241187739cbc7c6b186"),
+        "lopt-fixed": ("mpl", 8, 0, 0.039124893530399184,
+                       "4ef8d1ac21ac3550f733063e33ac6ebd5885d305abba3d0c956e870de613ecfb"),
         "unif-fresh": ("truth", 6, 0, 0.08418501574782065,
                        "0ee4bb6301b62737f677be63053c3e213459b31f2ad21019ce31cd92ff0dba91"),
         "full-fixed": ("mpl", 5, 0, 0.0,

@@ -226,6 +226,25 @@ class TestApproxPlans:
         with pytest.raises(SingularHessianError, match="condition"):
             compute_aopt_probs(ds, ctx, 0.1)
 
+    def test_aopt_pilot_singular_to_working_precision(self, monkeypatch):
+        # positive definite, so an absolute check passes, but with each
+        # covariate scaled to a unit second moment its smallest eigenvalue is 1e-14
+        ds = random_dataset(np.random.default_rng(7), n=200, p=2)
+        fit = subsampling.fit_pilot
+
+        def near_singular(*args):
+            ctx = fit(*args)
+            ctx.fit = replace(ctx.fit, hessian=np.diag(np.diag(ctx.fit.moments) * [1.0, 1e-14]))
+            np.linalg.cholesky(ctx.fit.hessian)
+            return ctx
+
+        monkeypatch.setattr(subsampling, "fit_pilot", near_singular)
+        message = r"^\[probability_pass\] pilot curvature matrix is not positive definite to working precision"
+        with pytest.raises(TwoStepError, match=message):
+            two_step(ds, 60, 150, 0.1, "aopt", np.random.default_rng(1))
+        # the L-optimal plan does not use the pilot curvature
+        assert two_step(ds, 60, 150, 0.1, "lopt", np.random.default_rng(1)).fit.converged
+
     def test_uncensored_records_get_larger_probabilities(self, case1_ds):
         ctx = fit_pilot(case1_ds, draw_uniform(case1_ds, 300, np.random.default_rng(8)))
         plan = compute_lopt_probs(case1_ds, ctx, 0.1)
@@ -313,7 +332,8 @@ class TestOraclePlans:
         ctx = fit_pilot(ds, draw_uniform(ds, 80, np.random.default_rng(12)))
         full_xbar = breslow.RiskSetMean.build(ds.time, np.ascontiguousarray(ds.covariates), mpl.beta)
         full_cumhaz = breslow.breslow_cumhaz(ds, mpl.beta)
-        full_norms = breslow.score_residual_norms(ds, full_xbar, full_cumhaz, mpl.beta, mpl.hessian)
+        full_metric = np.linalg.inv(mpl.hessian)
+        full_norms = breslow.score_residual_norms(ds, full_xbar, full_cumhaz, mpl.beta, full_metric)
         cases = [
             (compute_aopt_probs(ds, ctx, 0.1).probs, ctx.xbar, ctx.pilot_cumhaz, ctx.fit.beta,
              ctx.fit.hessian, 0.1),
