@@ -312,9 +312,11 @@ class TestScoreResiduals:
 
 # fixed example sequence and no example database: the same cases every run
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-# rows per block: tiny blocks split every run into runs of one to three records
+# (rows per block, sort rank cached before the call?): tiny blocks split
+# every run into runs of one to three records; a cold call builds the
+# dataset's sort rank, a warm one reuses it
 BLOCK_ROWS = partial_likelihood._BLOCK_ROWS
-KERNELS = [1, 2, 3, BLOCK_ROWS]
+KERNELS = [(1, True), (2, True), (3, True), (BLOCK_ROWS, True), (3, False), (BLOCK_ROWS, False)]
 
 
 def inverse(psi):
@@ -381,13 +383,15 @@ def grid_cases(draw):
 
 
 class TestBlockedNormPass:
-    @pytest.mark.parametrize("block", KERNELS)
+    @pytest.mark.parametrize("block, rank_cached", KERNELS)
     @PROPERTY
     @given(case=pilot_cases())
-    def test_matches_dense_residuals(self, block, case):
+    def test_matches_dense_residuals(self, block, rank_cached, case):
         ds, idx, beta, psi = case
         ref = dense_norms(ds, idx, beta, psi)
         xbar, cumhaz = pilot_tables(ds, idx, beta)
+        if rank_cached:
+            ds.sort_rank()
         with mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block):
             got = score_residual_norms(ds, xbar, cumhaz, beta, inverse(psi))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
