@@ -175,18 +175,9 @@ def _pilot_tables(rows: _SortedRows, beta: np.ndarray) -> tuple[CumulativeHazard
     return _breslow(sweep), _risk_set_mean(sweep)
 
 
-def _risk(X_t: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unshifted ``exp(beta'X)`` per record from the p-by-m transposed covariates.
-
-    Residuals need its absolute scale.  Each row of ``X_t`` is one covariate
-    over the records, so the linear predictor is a sum of p contiguous rows.
-    """
-    # a finite sum means finite entries; only a non-finite one needs the scan.
-    # An overflow in the product or the sum is reported here, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = np.matmul(np.asarray(beta, dtype=np.float64), X_t, out=out)
-        if not np.isfinite(eta.sum()) and not np.all(np.isfinite(eta)):
-            raise NumericsError("non-finite linear predictor; rescale covariates")
+def _risk(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unshifted ``exp(beta'X)`` per row of ``X``: residuals need its absolute scale."""
+    eta = partial_likelihood._linear_predictor(X, beta, out)
     with np.errstate(over="raise"):
         try:
             return np.exp(eta, out=eta)
@@ -214,7 +205,7 @@ def score_residuals(
     else:
         idx = np.asarray(subset)
         time, status, X = ds.time[idx], ds.status[idx], ds.covariates[idx]
-    risk = _risk(X.T, beta)
+    risk = _risk(X, beta)
     out = np.zeros((time.size, X.shape[1]))
     events = status == 1
     if np.any(events):
@@ -332,7 +323,7 @@ def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, 
     for k, a in enumerate(range(0, n, block)):
         b = min(a + block, n)
         X_t, z, resid = X_s[a:b].T, Z[:, : b - a], R[:, : b - a]
-        risk = _risk(X_t, beta, out=z[p])
+        risk = _risk(X_s[a:b], beta, out=z[p])
         delta = z[p + 1]
         delta[:] = status_s[a:b]
         i, j = run_cuts[k], run_cuts[k + 1]

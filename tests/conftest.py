@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from coxsub import SimConfig, SurvivalDataset, gen_dataset, newton_solve, resolve_c0
+from coxsub import SimConfig, SurvivalDataset, gen_dataset, newton_solve, partial_likelihood, resolve_c0
 
 
 def pytest_report_header(config):
@@ -36,6 +36,17 @@ def random_dataset(rng, n=80, p=3, cr=0.3, ties=False):
     if ties:
         time = np.round(time, 1)
     return SurvivalDataset(covariates=X, time=time, status=status)
+
+
+def at_iteration_limit(fn, monkeypatch, limit=0):
+    """``fn`` run with the Newton iteration limit set to ``limit``, so a fit inside it stops there."""
+
+    def limited(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(partial_likelihood, "_MAX_ITER", limit)
+            return fn(*args, **kwargs)
+
+    return limited
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from coxsub import newton_solve, subsampling
 from coxsub.cli import main
 
+from conftest import at_iteration_limit
 from oracles import naive_nelson_aalen
 
 
@@ -46,6 +46,15 @@ class TestSimulate:
         assert meta["c0"] > 0
         assert meta["seed"] == 7
         assert meta["beta_true"] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+    def test_sidecar_bytes_are_pinned(self, sim_file):
+        # two-space indent, shortest float reprs and one trailing newline, as every JSON report
+        expected = (
+            b'{\n  "schema": 1,\n  "case": "I",\n  "n": 2000,\n  "target_cr": 0.2,\n'
+            b'  "empirical_cr": 0.19799999999999995,\n  "c0": 10.000000000375,\n'
+            b'  "beta_true": [\n    -1.0,\n    -0.5,\n    0.0,\n    0.5,\n    1.0\n  ],\n  "seed": 7\n}\n'
+        )
+        assert (sim_file.parent / (sim_file.name + ".meta.json")).read_bytes() == expected
 
     def test_repeat_is_byte_identical(self, sim_file, tmp_path):
         other = tmp_path / "again.csv"
@@ -397,21 +406,21 @@ def test_separated_data_fit_exits_3(tmp_path, capsys):
     path = tmp_path / "separated.csv"
     lines = ["time,status,x"] + [f"{i + 1},1,{int(i < 20)}" for i in range(60)]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.warns(UserWarning, match="monotone likelihood"):
-        code = run_cli(["fit", "-i", str(path)])
-    assert code == 3
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error: fit did not converge: iterations=")
+    assert run_cli(["fit", "-i", str(path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: did not converge after ")
+    assert "monotone likelihood" in err[0]
 
 
 def test_solver_warning_prints_as_one_line(tmp_path):
-    # the separated file again, in its own process: Python's default warning
-    # format would add the source location and echo the source line
+    # one record, in its own process: every residual norm is zero, so the
+    # plan warns and falls back to uniform; Python's default warning format
+    # would add the source location and echo the source line
     import coxsub
 
-    path = tmp_path / "separated.csv"
-    lines = ["time,status,x"] + [f"{i + 1},1,{int(i < 20)}" for i in range(60)]
-    path.write_text("\n".join(lines) + "\n")
-    code = f"import sys\nfrom coxsub.cli import main\nsys.exit(main(['fit', '-i', {str(path)!r}]))\n"
+    path = tmp_path / "one.csv"
+    path.write_text("time,status,x\n1.5,1,0.3\n")
+    code = f"import sys\nfrom coxsub.cli import main\nsys.exit(main(['subsample', '-i', {str(path)!r}]))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(coxsub.__file__).resolve().parents[1])]
@@ -422,18 +431,17 @@ def test_solver_warning_prints_as_one_line(tmp_path):
     assert done.stdout == ""
     err = done.stderr.splitlines()
     assert len(err) == 2, done.stderr
-    assert err[0].startswith("warning: newton_solve: monotone likelihood, the curvature collapsed")
-    assert err[1].startswith("error: fit did not converge: iterations=")
+    assert err[0] == "warning: all residual norms are zero; falling back to uniform probabilities"
+    assert err[1].startswith("error: [second_fit] ")
 
 
 def test_nonconverged_second_fit_exits_3_with_one_error_line(sim_file, monkeypatch, capsys):
-    fit = subsampling.weighted_fit
-    monkeypatch.setattr(subsampling, "weighted_fit", lambda *a, **k: replace(fit(*a, **k), converged=False))
+    monkeypatch.setattr(subsampling, "weighted_fit", at_iteration_limit(subsampling.weighted_fit, monkeypatch))
     assert run_cli(["subsample", "-i", str(sim_file), "--r0", "100", "--r", "200"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: [second_fit] weighted fit did not converge after ")
+    assert len(lines) == 1 and lines[0].startswith("error: [second_fit] did not converge after 0 iterations ")
 
 
 def _constant_column_csv(path, p):
@@ -562,7 +570,7 @@ def test_degenerate_files_exit_cleanly(text):
         for command in commands:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # the solver's own non-convergence notes
+                warnings.simplefilter("ignore", UserWarning)  # the uniform fallback of an all-zero-norm plan
                 try:
                     code = run_cli([*command, "-i", str(path), "-o", str(out)])
                 except SystemExit as exc:

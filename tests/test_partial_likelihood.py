@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -432,14 +433,31 @@ class TestNewtonSolve:
         fit = newton_solve(SurvivalDataset(covariates=X, time=ds0.time, status=ds0.status))
         assert fit.converged and np.all(np.isfinite(fit.standard_errors(ds0.n)))
 
-    def test_max_iter_returns_flagged_fit(self, monkeypatch):
+    def test_iteration_limit_raises(self, monkeypatch):
         rng = np.random.default_rng(11)
         ds = random_dataset(rng, n=120, p=3)
         monkeypatch.setattr(partial_likelihood, "_MAX_ITER", 1)
-        with pytest.warns(UserWarning, match="iteration limit"):
-            fit = newton_solve(ds)
-        assert not fit.converged
-        assert fit.iterations == 1
+        message = r"^did not converge after 1 iterations \(score sup-norm [^)]+\): iteration limit \(1\) reached$"
+        with pytest.raises(NumericsError, match=message):
+            newton_solve(ds)
+
+    def test_failed_halving_raises(self, monkeypatch):
+        # no candidate lowers the criterion by more than one unit past its own size
+        rng = np.random.default_rng(11)
+        ds = random_dataset(rng, n=120, p=3)
+        monkeypatch.setattr(partial_likelihood, "_NLL_SLACK", -1.0)
+        message = r"^did not converge after 0 iterations \(score sup-norm [^)]+\): step halving failed to lower"
+        with pytest.raises(NumericsError, match=message):
+            newton_solve(ds)
+
+    def test_step_below_tolerance_raises(self, monkeypatch):
+        # the first accepted step counts as below tolerance; the score after it does not
+        rng = np.random.default_rng(11)
+        ds = random_dataset(rng, n=120, p=3)
+        monkeypatch.setattr(partial_likelihood, "_TOL_STEP", 1e3)
+        message = r"^did not converge after 1 iterations \(score sup-norm [^)]+\): step below tolerance \(1000\)"
+        with pytest.raises(NumericsError, match=message):
+            newton_solve(ds)
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
@@ -489,7 +507,7 @@ def separated_cases(draw):
 
 class TestMonotoneLikelihood:
     """Separated data: the criterion keeps falling as |beta| grows, so the
-    solve must end flagged, never as a converged estimate."""
+    solve must raise, never return a converged estimate."""
 
     def test_half_ones_failing_first_is_flagged(self):
         # n = 200, every x = 1 record fails before every x = 0 record, all
@@ -498,17 +516,16 @@ class TestMonotoneLikelihood:
         n = 200
         x = (np.arange(n) < n // 2).astype(float)
         ds = separated_ds(x, np.arange(1.0, n + 1), np.ones(n, dtype=int))
-        with pytest.warns(UserWarning, match="monotone likelihood"):
-            fit = newton_solve(ds)
-        assert not fit.converged
-        assert fit.beta[0] > 10.0 and fit.iterations < 17
+        with pytest.raises(NumericsError, match="monotone likelihood") as exc:
+            newton_solve(ds)
+        iterations = re.match(r"did not converge after (\d+) iterations", str(exc.value)).group(1)
+        assert int(iterations) < 17
 
     @PROPERTY
     @given(ds=separated_cases())
     def test_every_separated_dataset_is_flagged(self, ds):
-        with pytest.warns(UserWarning, match="monotone likelihood"):
-            fit = newton_solve(ds)
-        assert not fit.converged
+        with pytest.raises(NumericsError, match="monotone likelihood"):
+            newton_solve(ds)
 
 
 @pytest.fixture(scope="module")

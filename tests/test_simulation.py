@@ -1,7 +1,6 @@
 import hashlib
 import os
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from coxsub import (
 from coxsub.simulation import _fivenum, ar1_covariance, gen_covariates, gen_failure_times
 from coxsub.subsampling import uniform_plan
 
+from conftest import at_iteration_limit
 from oracles import true_cumulative_hazard
 
 
@@ -228,36 +228,34 @@ class TestRunReplications:
 
     def test_nonconverged_full_fit_is_a_failure(self):
         # 20 of these 200 tiny fresh datasets are separated and no full fit
-        # on them converges (16 end flagged, 4 raise); counting the flagged
-        # estimates as results took the mse to 1.33e4
+        # on them converges; counting the diverging estimates as results
+        # took the mse to 1.33e4
         cfg = SimConfig(case="III", n=20, c0=3.0, seed=1)
-        with pytest.warns(UserWarning, match="newton_solve"):
-            rep = run_replications(cfg, "full", n_reps=200, mode="fresh", seed=2)
+        rep = run_replications(cfg, "full", n_reps=200, mode="fresh", seed=2)
         assert rep.n_failures == 20
         assert rep.mse == 91.03605200255136
 
     def test_nonconverged_reference_fit_raises(self, small_cfg, monkeypatch):
         monkeypatch.setattr(partial_likelihood, "_MAX_ITER", 1)
-        with pytest.warns(UserWarning, match="iteration limit"):
-            with pytest.raises(CoxSubError, match="reference fit did not converge"):
-                run_replications(small_cfg, "lopt", r0=100, r=300, n_reps=4, seed=3, mode="fixed")
+        message = r"^did not converge after 1 iterations .*: iteration limit \(1\) reached$"
+        with pytest.raises(CoxSubError, match=message):
+            run_replications(small_cfg, "lopt", r0=100, r=300, n_reps=4, seed=3, mode="fixed")
 
     def test_nonconverged_second_fit_is_a_failure(self, small_cfg, monkeypatch):
-        # a weighted fit flagged non-converged fails its replication at its phase
+        # a weighted fit stopped at the iteration limit fails its replication at its phase
         fit, calls = subsampling.weighted_fit, []
-        monkeypatch.setattr(subsampling, "weighted_fit", lambda *a, **k: replace(fit(*a, **k), converged=False))
+        monkeypatch.setattr(subsampling, "weighted_fit", at_iteration_limit(fit, monkeypatch))
         kind, reason = simulation._replicate(
             None, small_cfg, "lopt", 100, 300, 0.1, np.random.SeedSequence(0), "fresh"
         )
         assert kind == "failure"
-        assert reason.startswith("[second_fit] weighted fit did not converge after ")
+        assert reason.startswith("[second_fit] did not converge after 0 iterations ")
 
-        def every_other_flagged(*args, **kwargs):
+        def every_other_at_the_limit(*args, **kwargs):
             calls.append(None)
-            res = fit(*args, **kwargs)
-            return replace(res, converged=False) if len(calls) % 2 else res
+            return (at_iteration_limit(fit, monkeypatch) if len(calls) % 2 else fit)(*args, **kwargs)
 
-        monkeypatch.setattr(subsampling, "weighted_fit", every_other_flagged)
+        monkeypatch.setattr(subsampling, "weighted_fit", every_other_at_the_limit)
         rep = run_replications(small_cfg, "lopt", r0=100, r=300, n_reps=4, seed=3, mode="fixed")
         assert len(calls) == 4 and rep.n_failures == 2
 

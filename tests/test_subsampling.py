@@ -26,7 +26,7 @@ from coxsub import (
 from coxsub import SurvivalDataset, subsampling
 from coxsub.subsampling import _mixed_plan, uniform_plan
 
-from conftest import random_dataset
+from conftest import at_iteration_limit, random_dataset
 from oracles import oracle_aopt_probs, oracle_lopt_probs, oracle_residual_norms, trace_score_variance
 
 
@@ -163,9 +163,8 @@ class TestFitPilot:
         x = (np.arange(40) < 10).astype(float)
         ds = SurvivalDataset(covariates=x[:, None], time=np.arange(1.0, 41.0), status=np.ones(40, dtype=int))
         pilot = Subsample(indices=np.arange(40), weights=np.ones(40))
-        with pytest.warns(UserWarning, match="monotone likelihood"):
-            with pytest.raises(PilotError, match="did not converge"):
-                fit_pilot(ds, pilot)
+        with pytest.raises(PilotError, match=r"did not converge after \d+ iterations .*: monotone likelihood"):
+            fit_pilot(ds, pilot)
 
     def test_pilot_estimate_sanity_band(self, case1_ds, case1_cfg):
         rng = np.random.default_rng(2)
@@ -513,12 +512,8 @@ class TestTwoStep:
 
     def test_nonconverged_second_fit_raises_at_its_phase(self, midsize, monkeypatch):
         ds, _ = midsize
-
-        def flagged(*args, **kwargs):
-            return replace(weighted_fit(*args, **kwargs), converged=False)
-
-        monkeypatch.setattr(subsampling, "weighted_fit", flagged)
-        message = r"^\[second_fit\] weighted fit did not converge after \d+ iterations$"
+        monkeypatch.setattr(subsampling, "weighted_fit", at_iteration_limit(weighted_fit, monkeypatch))
+        message = r"^\[second_fit\] did not converge after 0 iterations \(score sup-norm [^)]+\): iteration limit \(0\)"
         with pytest.raises(TwoStepError, match=message) as exc:
             two_step(ds, 60, 150, 0.1, "lopt", np.random.default_rng(5))
         assert exc.value.phase == "second_fit"
