@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import partial_likelihood
-from .data import SurvivalDataset, _write_columns
+from .data import SurvivalDataset, _adopt, _frozen, _write_columns
 from .errors import NumericsError, PilotError
 from .partial_likelihood import CoxFit, _run_starts, _SortedRows, _Sweep
 
@@ -31,8 +31,8 @@ class CumulativeHazard:
     cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=np.float64)
-        j = np.asarray(self.jumps, dtype=np.float64)
+        jt = _adopt(self.jump_times, np.float64)
+        j = _adopt(self.jumps, np.float64)
         if jt.shape != j.shape or jt.ndim != 1:
             raise ValueError("jump_times and jumps must be matching 1-D arrays")
         if not np.all(np.isfinite(jt)) or np.any(jt[1:] <= jt[:-1]):
@@ -41,7 +41,7 @@ class CumulativeHazard:
             raise ValueError("jumps must be positive and finite")
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "jumps", j)
-        object.__setattr__(self, "cumulative", np.cumsum(j))
+        object.__setattr__(self, "cumulative", _frozen(np.cumsum(j))[0])
 
     def __call__(self, t) -> np.ndarray | float:
         t_arr = np.asarray(t, dtype=np.float64)
@@ -113,7 +113,7 @@ def _breslow(sweep: _Sweep) -> CumulativeHazard:
         jumps = counts * np.exp(-sweep.shift) / denom
     if not np.all((jumps > 0.0) & np.isfinite(jumps)):
         raise NumericsError("hazard increments overflow or underflow; rescale covariates")
-    return CumulativeHazard(jump_times=rows.time[starts], jumps=jumps)
+    return CumulativeHazard(*_frozen(rows.time[starts], jumps))
 
 
 def breslow_cumhaz(ds: SurvivalDataset, beta: np.ndarray) -> CumulativeHazard:

@@ -373,7 +373,7 @@ def cmd_calibrate(args) -> int:
     check_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(2)[1])
     X = simulation.gen_covariates(args.case, 100_000, check_rng, p=beta.size)
     t_fail = simulation.gen_failure_times(X, beta, check_rng)
-    achieved = float(np.mean(t_fail > c0 * check_rng.random(100_000)))
+    achieved = simulation._censoring_rate(t_fail, check_rng.random(100_000), c0)
     report = {
         "schema": SCHEMA_VERSION,
         "case": str(args.case).upper(),

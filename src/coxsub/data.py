@@ -41,7 +41,9 @@ class SurvivalDataset:
     """Right-censored survival data: covariates, observed times, indicators.
 
     Construction enforces structural consistency (matching lengths, 2-D
-    covariates); status becomes ``int8`` only if every value is 0 or 1.
+    covariates) and stores the arrays by :func:`_adopt`: covariates as
+    column-major float64, time as float64, status as ``int8`` only if
+    every value is 0 or 1.
     Value-level invariants (finite entries, status in {0,1}, at least one
     event) are checked by :func:`validate`, which tolerates broken datasets
     so callers can report all problems at once.  Estimators call
@@ -64,20 +66,18 @@ class SurvivalDataset:
     status: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.covariates, dtype=np.float64)
+        X = np.asarray(self.covariates)
         if X.ndim == 1:
             X = X[:, None]
         if X.ndim != 2:
             raise ValueError("covariates must be a 2-D array")
         # column-major, like the sorted view the sweeps read, so the row
         # gather between them (:func:`_gather_rows`) streams one contiguous
-        # column at a time; inputs are copied so freezing never touches
-        # caller-owned arrays
-        X = np.array(X, order="F", copy=True)
-        t = np.array(self.time, dtype=np.float64, copy=True)
-        s = np.array(self.status, copy=True)
-        if np.all((s == 0) | (s == 1)):  # lossless only: a status of 257 must not wrap to 1
-            s = s.astype(np.int8)
+        # column at a time
+        X = _adopt(X, np.float64, order="F")
+        t = _adopt(self.time, np.float64)
+        s = np.asarray(self.status)  # int8 when lossless: a status of 257 must not wrap to 1
+        s = _adopt(s, np.int8 if np.all((s == 0) | (s == 1)) else None)
         if t.ndim != 1 or s.ndim != 1:
             raise ValueError("time and status must be 1-D arrays")
         if not (len(t) == len(s) == X.shape[0]):
@@ -87,7 +87,6 @@ class SurvivalDataset:
             )
         if len(t) == 0:
             raise ValueError("dataset must contain at least one record")
-        _frozen(X, t, s)
         object.__setattr__(self, "covariates", X)
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "status", s)
@@ -168,6 +167,21 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def _adopt(a, dtype=None, order: str = "C") -> np.ndarray:
+    """``a`` as a read-only contiguous array of ``dtype`` (its own when None) in ``order``.
+
+    Every frozen container stores its input arrays by this one rule: one that
+    is read-only, owns its data and has that dtype and layout is kept as it
+    is; any other becomes a frozen copy, so the caller's arrays stay writable.
+    """
+    arr = np.asarray(a)
+    dtype = arr.dtype if dtype is None else np.dtype(dtype)
+    laid_out = arr.flags.f_contiguous if order == "F" else arr.flags.c_contiguous
+    if arr.flags.writeable or not arr.flags.owndata or arr.dtype != dtype or not laid_out:
+        arr = _frozen(np.array(arr, dtype=dtype, order=order))[0]
+    return arr
 
 
 def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, _frozen, _gather_rows, _time_order
+from .data import SurvivalDataset, _adopt, _frozen, _gather_rows, _time_order
 from .errors import NumericsError, SingularHessianError
 
 # Newton stopping rule: score sup-norm, step sup-norm, iteration and halving limits
@@ -52,7 +52,7 @@ _SINGULAR_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class CoxFit:
-    """A fitted coefficient vector with solver diagnostics."""
+    """A fitted coefficient vector with solver diagnostics; its arrays are stored by :func:`coxsub.data._adopt`."""
 
     beta: np.ndarray
     role: str  # "full_mpl" | "pilot" | "two_step"
@@ -64,6 +64,11 @@ class CoxFit:
     # the uncentred moments term the curvature was formed from; a fit built
     # by hand may leave it out, and its curvature is then judged absolutely
     moments: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("beta", "hessian", "moments"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _adopt(value, np.float64))
 
     def standard_errors(self, n: int) -> np.ndarray:
         """Model-based SEs for a full-data fit: inverse curvature over n; :class:`SingularHessianError` if singular."""
@@ -142,8 +147,8 @@ class _SortedRows:
                 return ds._cached("_sweep_rows", lambda: cls(time, status, X))
         else:
             subset = np.asarray(subset)
-            if subset.ndim != 1 or subset.size == 0:
-                raise ValueError("subset must be a non-empty 1-D index array")
+            if subset.ndim != 1 or subset.size == 0 or not np.issubdtype(subset.dtype, np.integer):
+                raise ValueError("subset must be a non-empty 1-D integer index array")
             if subset.min() < 0 or subset.max() >= ds.n:
                 raise ValueError("subset indices out of range")
             order = _time_order(ds.time[subset], ds.status[subset])

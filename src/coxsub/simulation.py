@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, _frozen
 from .errors import CalibrationError, CoxSubError
 from .partial_likelihood import newton_solve
 from .subsampling import SubsamplePlan, two_step
@@ -184,8 +184,8 @@ def gen_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
     X = gen_covariates(cfg.case, cfg.n, rng, p=cfg.p)
     t_fail = gen_failure_times(X, cfg.beta, rng)
     censor = cfg.c0 * rng.random(cfg.n)
-    time = np.minimum(t_fail, censor)
-    status = (t_fail <= censor).astype(np.int8)
+    # handed over frozen, so the dataset keeps them instead of copying
+    time, status = _frozen(np.minimum(t_fail, censor), (t_fail <= censor).astype(np.int8))
     return SurvivalDataset(covariates=X, time=time, status=status)
 
 

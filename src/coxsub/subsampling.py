@@ -19,7 +19,7 @@ import numpy as np
 
 from .breslow import PilotContext, score_residual_norms, score_residuals
 from .breslow import pilot_breslow  # noqa: F401  the benchmark's traced mode patches this name here
-from .data import SurvivalDataset, _write_columns
+from .data import SurvivalDataset, _adopt, _frozen, _write_columns
 from .errors import CoxSubError, NumericsError, PilotError, TwoStepError
 from .partial_likelihood import CoxFit, _require_positive_definite, newton_solve
 
@@ -34,18 +34,14 @@ class SubsamplePlan:
     ``delta`` is the uniform-mixing rate: 0 is a pure residual-driven plan,
     1 is pure uniform.  Mixed plans have every probability floored at
     ``delta/n`` so importance weights stay bounded.  ``probs`` is stored
-    read-only: a read-only float64 array that owns its data is kept as it
-    is, any other input is copied.
+    as float64 by :func:`coxsub.data._adopt`.
     """
 
     probs: np.ndarray
     delta: float
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        # a view, or an array still open to writes, may change under the plan
-        if probs.flags.writeable or not probs.flags.owndata:
-            probs = probs.copy()
+        probs = _adopt(self.probs, np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D array")
         # every check reads one sum and one minimum: a finite sum means
@@ -64,7 +60,6 @@ class SubsamplePlan:
             raise ValueError("mixed plan violates the delta/n probability floor")
         if self.delta > 0 and low <= 0.0:
             raise ValueError("mixed plans must have strictly positive probabilities")
-        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -89,10 +84,12 @@ class Subsample:
     weights: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices)
-        w = np.asarray(self.weights, dtype=np.float64)
+        idx = _adopt(self.indices)
+        w = _adopt(self.weights, np.float64)
         if idx.shape != w.shape or idx.ndim != 1:
             raise ValueError("indices and weights must be matching 1-D arrays")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"indices must be integers, got {idx.dtype}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be finite and positive")
         object.__setattr__(self, "indices", idx)
@@ -131,7 +128,7 @@ class TwoStepResult:
 
 
 def uniform_plan(n: int) -> SubsamplePlan:
-    return SubsamplePlan(probs=np.full(n, 1.0 / n), delta=1.0)
+    return SubsamplePlan(probs=_frozen(np.full(n, 1.0 / n))[0], delta=1.0)
 
 
 def draw_uniform(ds: SurvivalDataset, r0: int, rng: np.random.Generator) -> Subsample:
@@ -176,8 +173,7 @@ def _mixed_plan(norms: np.ndarray, delta: float) -> SubsamplePlan:
         norms /= total
     norms *= 1.0 - delta
     norms += delta / n
-    norms.setflags(write=False)
-    return SubsamplePlan(probs=norms, delta=delta)
+    return SubsamplePlan(probs=_frozen(norms)[0], delta=delta)
 
 
 def compute_lopt_probs(ds: SurvivalDataset, ctx: PilotContext, delta: float) -> SubsamplePlan:

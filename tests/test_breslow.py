@@ -215,6 +215,14 @@ class TestPilotContext:
         same_ch, same_xb = ctx.tables_at(ctx.fit.beta)
         assert same_ch is ctx.pilot_cumhaz and same_xb is ctx.xbar
 
+    def test_pilot_estimate_cannot_change_under_its_tables(self):
+        ds = random_dataset(np.random.default_rng(12), n=60, p=2)
+        ctx = fit_pilot(ds, draw_uniform(ds, 40, np.random.default_rng(3)))
+        # tables_at returns the cached tables for a beta equal to fit.beta
+        with pytest.raises(ValueError, match="read-only"):
+            ctx.fit.beta[0] += 1.0
+        assert ctx.tables_at(ctx.fit.beta)[0] is ctx.pilot_cumhaz
+
     @pytest.mark.parametrize("seed", range(3))
     def test_tables_from_one_sweep_match_oracles(self, seed):
         # hazard and risk-set mean of a tied with-replacement pilot, at the

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxsub import (
+    CoxFit,
     CsvSchema,
     CsvError,
     CumulativeHazard,
+    Subsample,
     SubsamplePlan,
     SurvivalDataset,
     breslow_cumhaz,
@@ -68,6 +70,84 @@ def test_construction_does_not_freeze_caller_arrays():
     SurvivalDataset(covariates=X, time=t, status=np.array([1, 1]))
     t[0] = 5.0  # caller arrays stay writable
     X[0, 0] = 5.0
+
+
+def test_dataset_adopts_read_only_columns_of_its_layout():
+    X = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+    t = np.array([1.0, 2.0, 3.0])
+    s = np.array([1, 0, 1], dtype=np.int8)
+    for a in (X, t, s):
+        a.setflags(write=False)
+    ds = SurvivalDataset(covariates=X, time=t, status=s)
+    assert ds.covariates is X and ds.time is t and ds.status is s
+    # read-only too, but in another layout or dtype: copied into the dataset's own
+    C, wide = np.ascontiguousarray(X), s.astype(np.int64)
+    for a in (C, wide):
+        a.setflags(write=False)
+    ds = SurvivalDataset(covariates=C, time=t, status=wide)
+    assert ds.covariates.flags.f_contiguous and np.array_equal(ds.covariates, X)
+    assert ds.status.dtype == np.int8 and np.array_equal(ds.status, s)
+
+
+# every frozen container, built from keyword arrays given in the dtype and
+# layout it stores them in
+_CONTAINERS = {
+    "dataset": (
+        SurvivalDataset,
+        dict(
+            covariates=np.asfortranarray([[0.5, 1.0], [1.5, -1.0]]),
+            time=np.array([1.0, 2.0]),
+            status=np.array([1, 0], dtype=np.int8),
+        ),
+    ),
+    "plan": (lambda **a: SubsamplePlan(delta=0.0, **a), dict(probs=np.array([0.25, 0.75]))),
+    "subsample": (Subsample, dict(indices=np.array([0, 1], dtype=np.intp), weights=np.array([1.0, 2.0]))),
+    "hazard": (CumulativeHazard, dict(jump_times=np.array([1.0, 2.0]), jumps=np.array([0.1, 0.2]))),
+    "fit": (
+        lambda **a: CoxFit(role="full_mpl", converged=True, iterations=0, final_score_norm=0.0, neg_logpl=0.0, **a),
+        dict(
+            beta=np.array([0.5, -0.5]),
+            hessian=np.array([[2.0, 0.5], [0.5, 1.0]]),
+            moments=np.array([[3.0, 0.0], [0.0, 2.0]]),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CONTAINERS))
+def test_containers_keep_read_only_inputs_and_copy_the_rest(kind):
+    build, inputs = _CONTAINERS[kind]
+
+    def copies(read_only):
+        out = {name: a.copy(order="K") for name, a in inputs.items()}
+        for a in out.values():
+            a.setflags(write=not read_only)
+        return out
+
+    def unchanged_by(made, writes):
+        for a in writes:
+            a += 1
+        return all(np.array_equal(getattr(made, name), a) for name, a in inputs.items())
+
+    # later writes to writable inputs never reach the container
+    writable = copies(read_only=False)
+    made = build(**writable)
+    assert unchanged_by(made, writable.values())
+    # every stored array is read-only, derived ones (the hazard's cumulative) too
+    stored = [v for v in vars(made).values() if isinstance(v, np.ndarray)]
+    assert len(stored) >= len(inputs) and not any(a.flags.writeable for a in stored)
+    # a read-only array that owns its data, of the stored dtype and layout, is kept as it is
+    frozen = copies(read_only=True)
+    made = build(**frozen)
+    assert all(getattr(made, name) is a for name, a in frozen.items())
+    # a read-only view of a writable buffer is copied
+    buffers = copies(read_only=False)
+    views = {name: buf[...] for name, buf in buffers.items()}
+    for view in views.values():
+        view.setflags(write=False)
+    made = build(**views)
+    assert not any(getattr(made, name) is view for name, view in views.items())
+    assert unchanged_by(made, buffers.values())
 
 
 def test_load_csv_duplicate_header_rejected(tmp_path):

@@ -393,6 +393,14 @@ class TestWeightedFit:
         with pytest.raises(NumericsError, match="risk-set variation"):
             weighted_fit(ds, sub)
 
+    def test_non_integer_indices_rejected(self, midsize):
+        ds, _ = midsize
+        with pytest.raises(ValueError, match="indices must be integers"):
+            Subsample(indices=np.array([0.0, 1.0]), weights=np.ones(2))
+        for subset in (np.ones(ds.n, dtype=bool), np.arange(ds.n, dtype=np.float64)):
+            with pytest.raises(ValueError, match="integer index array"):
+                newton_solve(ds, subset=subset)
+
     def test_warm_start_init(self, midsize):
         ds, mpl = midsize
         rng = np.random.default_rng(5)
