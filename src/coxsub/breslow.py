@@ -197,14 +197,18 @@ def score_residuals(
     Each row is the exact sum over hazard jump times of the centred
     covariate against the record's estimated martingale increments:
     the event contribution (if any) minus the record's compensator
-    accumulated over jumps up to its observed time.
+    accumulated over jumps up to its observed time.  The residuals are
+    computed on the dataset's stored rows; without a subset they are
+    computed in sweep order and gathered back into record order once, at
+    the end.
     """
     ds.check_values()
     if subset is None:
-        time, status, X = ds.time, ds.status, ds.covariates
+        time, status, X = ds.sorted_view()
     else:
-        idx = np.asarray(subset)
-        time, status, X = ds.time[idx], ds.status[idx], ds.covariates[idx]
+        time, status, X = ds._records
+        rows = ds._stored_rows(np.asarray(subset))
+        time, status, X = time[rows], status[rows], X[rows]
     risk = _risk(X, beta)
     out = np.zeros((time.size, X.shape[1]))
     events = status == 1
@@ -214,7 +218,7 @@ def score_residuals(
     lam_rows, drift_rows = _hazard_rows(xbar, cumhaz)
     k = np.searchsorted(cumhaz.jump_times, time, side="right")
     out -= risk[:, None] * (X * lam_rows[k, None] - drift_rows[k])
-    return out
+    return out if subset is not None else out[ds.sort_rank()]
 
 
 def _hazard_rows(xbar: RiskSetMean, cumhaz: CumulativeHazard) -> tuple[np.ndarray, np.ndarray]:

@@ -223,9 +223,10 @@ def cmd_subsample(args) -> int:
         for s in np.random.SeedSequence(args.seed).spawn(args.reps)
     ]
     first = runs[0]
+    status = ds.status  # a gather per read: read once
     if args.plan_out:
-        first.plan.write_csv(args.plan_out, status=ds.status)
-    summary = simulation.five_number_summary(first.plan, ds.status)
+        first.plan.write_csv(args.plan_out, status=status)
+    summary = simulation.five_number_summary(first.plan, status)
     est = first.fit.beta
     se = first.covariance.standard_errors
     report = {

@@ -1,9 +1,10 @@
 """Survival dataset container and CSV ingestion.
 
 A dataset is an immutable bundle of covariates, observed times and event
-indicators.  The risk-set sweeps rely on its time-ascending sort index,
-built on first use.  Ties are ordered deterministically: earlier time
-first, events before censorings at equal times, then original record order.
+indicators, stored once: in record order until the first risk-set sweep,
+then in the time-ascending sweep order the sweeps read.  Ties are ordered
+deterministically: earlier time first, events before censorings at equal
+times, then original record order.
 
 One rule, :func:`_value_violations`, judges the values of arrays and CSV
 files alike, once per dataset.  CSV files are parsed in one vectorised
@@ -18,7 +19,7 @@ import csv
 import os
 import warnings
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +37,6 @@ class Violation:
     column: int | None = None
 
 
-@dataclass(frozen=True)
 class SurvivalDataset:
     """Right-censored survival data: covariates, observed times, indicators.
 
@@ -50,33 +50,45 @@ class SurvivalDataset:
     :meth:`check_values` instead, which raises on the first broken value,
     scanning a dataset at most once.
 
-    Four derived values are built on first use and cached read-only: the
-    time-ascending order of the records (``sort_index``), built by the
-    first sorted view or validation; the records in that order
-    (:meth:`sorted_view`), built by the first risk-set sweep; the inverse
-    permutation that gathers results of a pass over that view back into
-    record order (:meth:`sort_rank`), built only by the residual-norm
-    pass; and the unit-weight full-data sweep rows
+    The records are stored once.  The first call that needs their sweep
+    order (``sort_index``, :meth:`sorted_view`, the first risk-set sweep
+    or validation) sorts them: time ascending, events before censorings at
+    ties, then record order.  It gathers each stored column into that
+    order and drops the record-order column, so a swept dataset holds its
+    records once, in sweep order, with the permutation ``sort_index``.  A
+    dataset that is never swept, as under a uniform two-step, never pays
+    for the sort; records already in sweep order are kept as they are.
+
+    ``covariates``, ``time`` and ``status`` are the records in record
+    order, read-only.  Once the records are stored in sweep order, each
+    read gathers them back through :meth:`sort_rank` and is not cached,
+    since a cache would be the second copy again: read each once and keep
+    the result.  Two more derived values are built on first use and cached
+    read-only: the inverse permutation (:meth:`sort_rank`), built by the
+    residual-norm pass, a subset of a swept dataset or a record-order
+    read; and the unit-weight full-data sweep rows
     (``_SortedRows.of_dataset``), built by the first full-data fit, hazard
     or criterion evaluation, never by a two-step estimate.
     """
 
-    covariates: np.ndarray
-    time: np.ndarray
-    status: np.ndarray
+    def __init__(self, covariates, time, status):
+        # the build is a method of its own, named as in the dataclass
+        # containers, only so that the benchmark's traced mode, which wraps
+        # ``__post_init__``, can time it
+        self.__post_init__(covariates, time, status)
 
-    def __post_init__(self):
-        X = np.asarray(self.covariates)
+    def __post_init__(self, covariates, time, status):
+        X = np.asarray(covariates)
         if X.ndim == 1:
             X = X[:, None]
         if X.ndim != 2:
             raise ValueError("covariates must be a 2-D array")
-        # column-major, like the sorted view the sweeps read, so the row
-        # gather between them (:func:`_gather_rows`) streams one contiguous
-        # column at a time
+        # column-major, like the sweep-order copy the sweeps read, so the
+        # row gather between them (:func:`_gather_rows`) streams one
+        # contiguous column at a time
         X = _adopt(X, np.float64, order="F")
-        t = _adopt(self.time, np.float64)
-        s = np.asarray(self.status)  # int8 when lossless: a status of 257 must not wrap to 1
+        t = _adopt(time, np.float64)
+        s = np.asarray(status)  # int8 when lossless: a status of 257 must not wrap to 1
         s = _adopt(s, np.int8 if np.all((s == 0) | (s == 1)) else None)
         if t.ndim != 1 or s.ndim != 1:
             raise ValueError("time and status must be 1-D arrays")
@@ -87,42 +99,94 @@ class SurvivalDataset:
             )
         if len(t) == 0:
             raise ValueError("dataset must contain at least one record")
-        object.__setattr__(self, "covariates", X)
-        object.__setattr__(self, "time", t)
-        object.__setattr__(self, "status", s)
+        self._store(t, s, X, permuted=False)
+
+    def _store(self, time: np.ndarray, status: np.ndarray, covariates: np.ndarray, permuted: bool) -> None:
+        """Keep the records, and whether they are permuted out of record order; set again only by the sort."""
+        object.__setattr__(self, "_time", time)
+        object.__setattr__(self, "_status", status)
+        object.__setattr__(self, "_covariates", covariates)
+        object.__setattr__(self, "_permuted", permuted)
+
+    @property
+    def _records(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored (time, status, covariates): in record order until the sort, in sweep order after it."""
+        return self._time, self._status, self._covariates
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def n(self) -> int:
-        return self.time.shape[0]
+        return self._time.shape[0]
 
     @property
     def p(self) -> int:
-        return self.covariates.shape[1]
+        return self._covariates.shape[1]
+
+    @property
+    def covariates(self) -> np.ndarray:
+        """The n-by-p covariates in record order, column-major and read-only; a gather per read once sorted."""
+        return self._in_record_order(self._covariates)
+
+    @property
+    def time(self) -> np.ndarray:
+        """The observed times in record order, read-only; a gather per read once sorted."""
+        return self._in_record_order(self._time)
+
+    @property
+    def status(self) -> np.ndarray:
+        """The event indicators in record order, read-only; a gather per read once sorted."""
+        return self._in_record_order(self._status)
+
+    def _in_record_order(self, stored: np.ndarray) -> np.ndarray:
+        """A stored array, gathered back into record order if the sort permuted it."""
+        if not self._permuted:
+            return stored
+        rank = self.sort_rank()
+        return _frozen(_gather_rows(stored, rank) if stored.ndim == 2 else stored[rank])[0]
+
+    def _stored_rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows of the stored arrays that hold records ``idx``."""
+        return self.sort_rank()[idx] if self._permuted else idx
+
+    def _record_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The records held in rows ``rows`` of the stored arrays."""
+        return self.sort_index[rows] if self._permuted else rows
 
     @cached_property
     def sort_index(self) -> np.ndarray:
-        """Time ascending, events before censorings at ties, then input order; read-only."""
-        return _frozen(_time_order(self.time, self.status))[0]
+        """Time ascending, events before censorings at ties, then input order; read-only.
+
+        The first read stores the records in this order: each column is
+        gathered into it and the record-order column dropped.  Records
+        already in this order are kept as they are.
+        """
+        t, s, X = self._records
+        order = _time_order(t, s)
+        if np.any(order[1:] < order[:-1]):  # a permutation is the identity exactly when it ascends
+            self._store(*_frozen(t[order], s[order], _gather_rows(X, order)), permuted=True)
+        return _frozen(order)[0]
 
     def sorted_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Time-ascending copies of (time, status, covariates), cached.
+        """The stored (time, status, covariates), sorted into sweep order on first use; read-only.
 
         The sorted triple is the working representation of every risk-set
-        sweep; building it once amortises the row gather across fits and
-        probability passes.
+        sweep; the covariates are column-major (see :func:`_gather_rows`).
         """
-        def build():
-            order = self.sort_index
-            return _frozen(self.time[order], self.status[order], _gather_rows(self.covariates, order))
-
-        return self._cached("_sorted_view", build)
+        self.sort_index
+        return self._records
 
     def sort_rank(self) -> np.ndarray:
-        """Each record's position in the sorted view, cached; ``int32`` below 2**31 records.
+        """Each record's position in sweep order, cached; ``int32`` below 2**31 records.
 
         The inverse of ``sort_index``: ``sort_rank()[sort_index] == arange(n)``,
         so ``v[sort_rank()]`` puts values ``v`` of the sorted records back in
-        record order with a gather rather than a scatter.
+        record order with a gather rather than a scatter, and
+        ``sort_rank()[idx]`` are the sorted rows of records ``idx``.
         """
         def build():
             dtype = np.int32 if self.n < 2**31 else np.intp
@@ -155,7 +219,7 @@ class SurvivalDataset:
 
     @property
     def n_events(self) -> int:
-        return int(np.count_nonzero(self.status == 1))
+        return int(np.count_nonzero(self._status == 1))
 
     @property
     def censoring_rate(self) -> float:
@@ -233,40 +297,46 @@ class CsvSchema:
 def _value_violations(ds: SurvivalDataset) -> Iterator[Violation]:
     """Per-record value violations in report order, one vectorised pass per kind.
 
-    A generator, so a caller that wants only the first stops early.
+    Each rule is a mask over the stored arrays, in whichever order they
+    are stored, one n-length temporary at a time; the bad rows are mapped
+    to their records and reported in record order, so every violation
+    names its record row and judging never sorts the records.  A
+    generator, so a caller that wants only the first stops early.
     """
-    bad_t = ~np.isfinite(ds.time)
-    for i in np.flatnonzero(bad_t):
-        yield Violation("nonfinite_time", f"time at row {i} is not finite", row=int(i))
-    neg_t = np.isfinite(ds.time) & (ds.time < 0)
-    for i in np.flatnonzero(neg_t):
-        yield Violation("negative_time", f"time at row {i} is negative", row=int(i))
-    bad_s = ~np.isin(ds.status, (0, 1))
-    for i in np.flatnonzero(bad_s):
-        yield Violation(
-            "bad_status", f"status at row {i} is {ds.status[i].item()!r}, expected 0 or 1", row=int(i)
-        )
-    bad_x = ~np.isfinite(ds.covariates)
-    if bad_x.any():
-        for i, j in zip(*np.nonzero(bad_x)):
-            yield Violation(
-                "nonfinite_covariate",
-                f"covariate ({i},{j}) is not finite",
-                row=int(i),
-                column=int(j),
-            )
+    time, status, X = ds._records
+    for i, _ in _bad_records(ds, ~np.isfinite(time)):
+        yield Violation("nonfinite_time", f"time at row {i} is not finite", row=i)
+    for i, _ in _bad_records(ds, np.isfinite(time) & (time < 0)):
+        yield Violation("negative_time", f"time at row {i} is negative", row=i)
+    for i, k in _bad_records(ds, ~((status == 0) | (status == 1))):
+        yield Violation("bad_status", f"status at row {i} is {status[k].item()!r}, expected 0 or 1", row=i)
+    # (record row, column) pairs, row by row as a record-order scan meets them
+    rows = [ds._record_rows(np.flatnonzero(~np.isfinite(x))) for x in X.T]
+    cols = np.repeat(np.arange(ds.p), [r.size for r in rows])
+    rows = np.concatenate([*rows, np.empty(0, dtype=np.intp)])
+    for t in np.lexsort((cols, rows)):
+        i, j = int(rows[t]), int(cols[t])
+        yield Violation("nonfinite_covariate", f"covariate ({i},{j}) is not finite", row=i, column=j)
+
+
+def _bad_records(ds: SurvivalDataset, mask: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``(record row, stored row)`` of each stored row where ``mask`` holds, in record order."""
+    k = np.flatnonzero(mask)
+    rows = ds._record_rows(k)
+    by_row = np.argsort(rows)
+    return zip(rows[by_row].tolist(), k[by_row].tolist())
 
 
 def validate(ds: SurvivalDataset) -> list[Violation]:
     """Check all value-level invariants; empty list means the dataset is sound."""
     out = list(_value_violations(ds))
-    if not np.any(ds.status == 1):
+    if ds.n_events == 0:
         out.append(Violation("no_events", "dataset has no events; partial likelihood is degenerate"))
     # defensive: these hold by construction
-    order = ds.sort_index
+    order, time_s = ds.sort_index, ds.sorted_view()[0]
     if order.size != ds.n or order.min() < 0 or not np.all(np.bincount(order, minlength=ds.n) == 1):
         out.append(Violation("bad_sort_index", "sort_index is not a permutation"))
-    elif np.any(ds.time[order[1:]] < ds.time[order[:-1]]):  # no inf - inf to warn on
+    elif np.any(time_s[1:] < time_s[:-1]):  # no inf - inf to warn on
         out.append(Violation("bad_sort_index", "sort_index does not order time ascending"))
     return out
 
@@ -374,7 +444,15 @@ def _parse_vectorised(path: str | os.PathLike, schema: CsvSchema) -> _Columns | 
         return None
     if a.shape != (total - skip, len(header)):
         return None
-    return a[:, t_col], a[:, s_col], a[:, x_cols], cov_names
+    return a[:, t_col], a[:, s_col], _columns_of(a, x_cols), cov_names
+
+
+def _columns_of(a: np.ndarray, cols: list[int]) -> np.ndarray:
+    """Columns ``cols`` of ``a``: a view when they are evenly spaced in ascending order, else a copy."""
+    step = cols[1] - cols[0] if len(cols) > 1 else 1
+    if step > 0 and cols == list(range(cols[0], cols[-1] + 1, step)):
+        return a[:, cols[0] : cols[-1] + 1 : step]
+    return a[:, cols]
 
 
 def _parse_cells(path: str | os.PathLike, schema: CsvSchema) -> _Columns:
@@ -392,8 +470,11 @@ def _parse_cells(path: str | os.PathLike, schema: CsvSchema) -> _Columns:
         if len(row) != width:
             raise CsvError(f"row {r}: expected {width} fields, got {len(row)}", row=r)
 
-    def column(col: int, name: str) -> np.ndarray:
-        vals = np.empty(len(rows))
+    # time, status and the covariates, one contiguous column each, parsed in that order
+    block = np.empty((len(rows), 2 + len(x_cols)), order="F")
+    names = [schema.time_column, schema.status_column, *(header[c] for c in x_cols)]
+    for k, (col, name) in enumerate(zip([t_col, s_col, *x_cols], names)):
+        vals = block[:, k]
         for r, row in enumerate(rows, start=1):
             try:
                 vals[r - 1] = float(row[col])
@@ -403,12 +484,7 @@ def _parse_cells(path: str | os.PathLike, schema: CsvSchema) -> _Columns:
                     row=r,
                     column=col,
                 ) from None
-        return vals
-
-    time = column(t_col, schema.time_column)
-    status = column(s_col, schema.status_column)
-    X = np.column_stack([column(c, header[c]) for c in x_cols])
-    return time, status, X, cov_names
+    return block[:, 0], block[:, 1], block[:, 2:], cov_names
 
 
 def _checked_dataset(time: np.ndarray, status: np.ndarray, X: np.ndarray, cov_names: list[str]) -> SurvivalDataset:
@@ -444,13 +520,16 @@ def _write_columns(
     header: Sequence[str] | None,
     columns: Sequence[tuple[np.ndarray, type]],
     delimiter: str = ",",
+    order: np.ndarray | None = None,
 ) -> None:
     """Write ``(values, float | int)`` columns as CSV, byte-identical to a ``csv.writer`` loop.
 
     Floats are written with ``repr`` (shortest round-trip text), ints as
     Python ints.  When the delimiter cannot occur in a formatted number no
     cell needs quoting, so rows are joined directly; otherwise
-    ``csv.writer`` writes them and quotes what it must.
+    ``csv.writer`` writes them and quotes what it must.  Given ``order``,
+    line k holds row ``order[k]`` of every column, gathered a chunk at a
+    time.
     """
     n = len(columns[0][0])
     if any(len(values) != n for values, _ in columns):
@@ -461,8 +540,8 @@ def _write_columns(
         if header is not None:
             writer.writerow(header)
         for start in range(0, n, _WRITE_CHUNK):
-            stop = start + _WRITE_CHUNK
-            rows = zip(*(_format_cells(values[start:stop], kind) for values, kind in columns))
+            chunk = slice(start, start + _WRITE_CHUNK) if order is None else order[start : start + _WRITE_CHUNK]
+            rows = zip(*(_format_cells(values[chunk], kind) for values, kind in columns))
             if plain:
                 fh.write("\n".join(map(delimiter.join, rows)))
                 fh.write("\n")
@@ -480,5 +559,7 @@ def write_csv(ds: SurvivalDataset, path: str | os.PathLike, schema: CsvSchema | 
         if len(cov_names) != ds.p:
             raise ValueError(f"schema names {len(cov_names)} columns, dataset has {ds.p}")
     header = [schema.time_column, schema.status_column, *cov_names] if schema.has_header else None
-    columns = [(ds.time, float), (ds.status, int), *((ds.covariates[:, j], float) for j in range(ds.p))]
-    _write_columns(path, header, columns, schema.delimiter)
+    # record order, gathered from the stored rows a chunk at a time
+    time, status, X = ds._records
+    columns = [(time, float), (status, int), *((X[:, j], float) for j in range(ds.p))]
+    _write_columns(path, header, columns, schema.delimiter, ds.sort_rank() if ds._permuted else None)

@@ -151,9 +151,14 @@ class _SortedRows:
                 raise ValueError("subset must be a non-empty 1-D integer index array")
             if subset.min() < 0 or subset.max() >= ds.n:
                 raise ValueError("subset indices out of range")
-            order = _time_order(ds.time[subset], ds.status[subset])
-            rows = subset[order]
-            time, status, X = ds.time[rows], ds.status[rows], _gather_rows(ds.covariates, rows)
+            # the records' stored rows, put in sweep order by their own values,
+            # so tied records keep their order in ``subset``; a dataset that
+            # is not yet swept stays unsorted
+            time, status, X = ds._records
+            rows = ds._stored_rows(subset)
+            order = _time_order(time[rows], status[rows])
+            rows = rows[order]
+            time, status, X = time[rows], status[rows], _gather_rows(X, rows)
             m = subset.size
         if weights is None:
             return cls(time, status, X)

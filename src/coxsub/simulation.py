@@ -96,11 +96,19 @@ def gen_failure_times(X: np.ndarray, beta: np.ndarray, rng: np.random.Generator)
 
     With cumulative baseline hazard ``0.25*t**2`` the failure time is
     ``2*sqrt(-log(u))*exp(-beta'x/2)``, with ``u = 1 - rng.random(n)`` on
-    (0, 1], one draw per row of ``X``.
+    (0, 1], one draw per row of ``X``.  Computed in place in two n-length
+    arrays, one operation at a time in the order of that formula.
     """
     eta = np.asarray(X) @ np.asarray(beta)
-    u = 1.0 - rng.random(eta.shape[0])
-    return 2.0 * np.sqrt(-np.log(u)) * np.exp(-eta / 2.0)
+    u = rng.random(eta.shape[0])
+    np.subtract(1.0, u, out=u)
+    for op in (np.log, np.negative, np.sqrt):
+        op(u, out=u)
+    np.multiply(2.0, u, out=u)
+    np.negative(eta, out=eta)
+    np.divide(eta, 2.0, out=eta)
+    np.exp(eta, out=eta)
+    return np.multiply(u, eta, out=u)
 
 
 def _censoring_rate(t_fail: np.ndarray, unit_censor: np.ndarray, c0: float) -> float:
@@ -184,8 +192,13 @@ def gen_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
     X = gen_covariates(cfg.case, cfg.n, rng, p=cfg.p)
     t_fail = gen_failure_times(X, cfg.beta, rng)
     censor = cfg.c0 * rng.random(cfg.n)
+    status = (t_fail <= censor).astype(np.int8)
+    # the observed times over the failure times, and the censoring times
+    # dropped, so the dataset is built beside one n-length array fewer
+    time = np.minimum(t_fail, censor, out=t_fail)
+    del censor
     # handed over frozen, so the dataset keeps them instead of copying
-    time, status = _frozen(np.minimum(t_fail, censor), (t_fail <= censor).astype(np.int8))
+    time, status = _frozen(time, status)
     return SurvivalDataset(covariates=X, time=time, status=status)
 
 

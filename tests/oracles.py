@@ -214,6 +214,62 @@ def finite_diff_jacobian(g, x, h=1e-5):
     return out
 
 
+# ---- the record-order rules a dataset stored in sweep order must keep
+
+
+def oracle_violations(time, status, X):
+    """``validate``'s value violations of record-order arrays, as (code, message, row, column).
+
+    Kind by kind (non-finite times, negative times, bad status, non-finite
+    covariates), each in record order, then the missing-events flag.
+    """
+    out = []
+    for i, t in enumerate(time):
+        if not np.isfinite(t):
+            out.append(("nonfinite_time", f"time at row {i} is not finite", i, None))
+    for i, t in enumerate(time):
+        if np.isfinite(t) and t < 0:
+            out.append(("negative_time", f"time at row {i} is negative", i, None))
+    for i, s in enumerate(status):
+        if s not in (0, 1):
+            out.append(("bad_status", f"status at row {i} is {s.item()!r}, expected 0 or 1", i, None))
+    for i in range(X.shape[0]):
+        for j in range(X.shape[1]):
+            if not np.isfinite(X[i, j]):
+                out.append(("nonfinite_covariate", f"covariate ({i},{j}) is not finite", i, j))
+    if not any(s == 1 for s in status):
+        out.append(("no_events", "dataset has no events; partial likelihood is degenerate", None, None))
+    return out
+
+
+def oracle_csv_error(time, status, X, cov_names):
+    """The ``CsvError`` text and 1-based row ``load_csv`` reports for a file of these values, or None."""
+    first = next((v for v in oracle_violations(time, status, X) if v[0] != "no_events"), None)
+    if first is None:
+        return None
+    code, _, i, j = first
+    r = i + 1
+    if code == "nonfinite_covariate":
+        return f"row {r}: covariate {cov_names[j]!r} is not finite", r
+    if code == "bad_status":
+        return f"row {r}: status must be 0 or 1, got {float(status[i])!r}", r
+    return f"row {r}: time must be a finite nonnegative number, got {float(time[i])!r}", r
+
+
+def oracle_sorted_rows(time, status, X, subset, weights=None):
+    """(time, status, X, weights) of the multiset ``subset`` of record-order arrays, in sweep order.
+
+    Sweep order: time ascending, events before censorings at ties, then the
+    position in ``subset``; the rows are gathered from the record-order arrays.
+    """
+    subset = np.asarray(subset)
+    t, s = np.asarray(time)[subset], np.asarray(status)[subset]
+    order = sorted(range(subset.size), key=lambda k: (t[k], s[k] != 1, k))
+    rows = subset[order]
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)[order]
+    return np.asarray(time)[rows], np.asarray(status)[rows], np.asfortranarray(np.asarray(X)[rows]), w
+
+
 # ---- CSV writers: the csv.writer row loops the vectorised writers replace
 
 

@@ -29,7 +29,14 @@ from coxsub.data import _checked_dataset, _parse_cells, _parse_vectorised
 from coxsub.partial_likelihood import _SortedRows
 
 from conftest import random_dataset
-from oracles import oracle_write_cumhaz_csv, oracle_write_dataset_csv, oracle_write_plan_csv
+from oracles import (
+    oracle_csv_error,
+    oracle_sorted_rows,
+    oracle_violations,
+    oracle_write_cumhaz_csv,
+    oracle_write_dataset_csv,
+    oracle_write_plan_csv,
+)
 
 # fixed example sequence and no example database: the same cases every run
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -148,6 +155,150 @@ def test_containers_keep_read_only_inputs_and_copy_the_rest(kind):
     made = build(**views)
     assert not any(getattr(made, name) is view for name, view in views.items())
     assert unchanged_by(made, buffers.values())
+
+
+# ---- one copy of the records: in record order until the first sweep, in sweep order after
+
+
+def record_arrays(rng, n, p, ties=False):
+    """(covariates, time, status) in record order, not sorted by time; at least one event."""
+    X = rng.normal(0.0, 0.6, size=(n, p))
+    time = rng.exponential(1.0, n)
+    if ties:
+        time = np.round(time, 1)
+    status = (rng.random(n) < 0.7).astype(np.int64)
+    status[0] = 1
+    return X, time, status
+
+
+def test_dataset_holds_one_copy_of_its_records():
+    n, p = 10_000, 5
+    X, time, status = record_arrays(np.random.default_rng(21), n, p)
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    assert not np.array_equal(ds.sort_index, np.arange(n))
+    ds.covariates, ds.time, ds.status  # reads build the rank and cache nothing else
+    newton_solve(ds)
+    held = [a for v in vars(ds).values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    records = n * (8 * p + 8 + 1)  # float64 covariates and time, int8 status
+    permutations = n * (8 + 4)  # sort_index and the int32 rank
+    assert sum(a.nbytes for a in held) <= records + permutations
+
+
+@pytest.mark.parametrize("in_sweep_order", [False, True])
+def test_record_order_reads_equal_the_inputs(in_sweep_order):
+    X, time, status = record_arrays(np.random.default_rng(22), 50, 3, ties=True)
+    if in_sweep_order:
+        order = np.lexsort((status != 1, time))
+        X, time, status = X[order], time[order], status[order]
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    for swept in (False, True):
+        if swept:
+            assert np.array_equal(ds.sort_index, np.arange(50)) == in_sweep_order
+        for name, given in (("covariates", X), ("time", time), ("status", status)):
+            first, second = getattr(ds, name), getattr(ds, name)
+            assert np.array_equal(first, given) and np.array_equal(second, given)
+            assert not first.flags.writeable
+            # the stored array until a sort permutes it, then a gather per read
+            assert (first is second) == (not swept or in_sweep_order)
+        assert ds.covariates.flags.f_contiguous and ds.status.dtype == np.int8
+
+
+def test_uniform_two_step_never_sorts_the_records():
+    X, time, status = record_arrays(np.random.default_rng(24), 2_000, 2)
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    res = two_step(ds, 200, 300, 0.1, "unif", np.random.default_rng(25))
+    assert "sort_index" not in vars(ds) and ds.time is ds.time
+    # the same estimate from a dataset swept first
+    swept = SurvivalDataset(covariates=X, time=time, status=status)
+    swept.sorted_view()
+    again = two_step(swept, 200, 300, 0.1, "unif", np.random.default_rng(25))
+    assert res.fit.beta.tobytes() == again.fit.beta.tobytes()
+    assert res.covariance.standard_errors.tobytes() == again.covariance.standard_errors.tobytes()
+
+
+# (field, value) of each kind of broken value, -inf time included
+STORED_FAULTS = {
+    "nan_time": ("time", np.nan),
+    "inf_time": ("time", np.inf),
+    "minus_inf_time": ("time", -np.inf),
+    "negative_time": ("time", -0.5),
+    "status_2": ("status", 2),
+    "status_257": ("status", 257),
+    "status_negative": ("status", -1),
+    "nan_covariate": ("covariates", np.nan),
+    "inf_covariate": ("covariates", np.inf),
+    "minus_inf_covariate": ("covariates", -np.inf),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    faults=st.lists(
+        st.tuples(st.sampled_from(sorted(STORED_FAULTS)), st.integers(0, 19), st.integers(0, 1)), max_size=4
+    ),
+    seed=st.integers(0, 2**16),
+    ties=st.booleans(),
+    swept=st.booleans(),
+)
+def test_shuffled_broken_datasets_name_record_rows(faults, seed, ties, swept):
+    X, time, status = record_arrays(np.random.default_rng(seed), 20, 2, ties)
+    for kind, row, column in faults:
+        field, value = STORED_FAULTS[kind]
+        if field == "covariates":
+            X[row, column] = value
+        elif field == "time":
+            time[row] = value
+        else:
+            status[row] = value
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    if swept:  # judged in sweep order; else in record order
+        ds.sorted_view()
+    expected = oracle_violations(time, status, X)
+    assert [(v.code, v.message, v.row, v.column) for v in validate(ds)] == expected
+    value_faults = [v for v in expected if v[0] != "no_events"]
+    if value_faults:
+        with pytest.raises(ValueError) as err:
+            ds.check_values()
+        assert str(err.value) == f"invalid dataset: {value_faults[0][1]}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_csv(ds, path)
+        want = oracle_csv_error(time, status, X, ["x1", "x2"])
+        if want is None:
+            loaded = load_csv(path)
+            for a, b in zip(loaded.sorted_view(), ds.sorted_view()):
+                assert a.tobytes() == b.tobytes()
+        else:
+            with pytest.raises(CsvError) as err:
+                load_csv(path)
+            assert (str(err.value), err.value.row) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    p=st.integers(1, 3),
+    ties=st.booleans(),
+    m=st.integers(1, 40),
+    kind=st.sampled_from(["multiset", "weighted multiset", "weighted full data"]),
+    swept=st.booleans(),
+)
+def test_subset_rows_equal_the_record_order_construction(seed, n, p, ties, m, kind, swept):
+    rng = np.random.default_rng(seed)
+    X, time, status = record_arrays(rng, n, p, ties)
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    if swept:  # subsets read the sweep-order rows; else the record-order ones
+        ds.sorted_view()
+    full = kind == "weighted full data"
+    subset = np.arange(n) if full else rng.integers(0, n, m)  # a multiset: indices repeat
+    w = rng.uniform(0.5, 2.0, subset.size) if kind.startswith("weighted") else None
+    rows = _SortedRows.of_dataset(ds, w, None if full else subset)
+    t, s, X_s, w_s = oracle_sorted_rows(time, status.astype(np.int8), X, subset, w)
+    assert rows.time.tobytes() == t.tobytes() and rows.status.tobytes() == s.tobytes()
+    assert rows.X.flags.f_contiguous and rows.X.tobytes() == X_s.tobytes()
+    assert np.all(rows.w == 1.0) if w is None else rows.w.tobytes() == w_s.tobytes()
+    assert rows.n_ref == (subset.size if w is None else n)
 
 
 def test_load_csv_duplicate_header_rejected(tmp_path):
@@ -555,6 +706,25 @@ def test_loaded_file_is_scanned_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     two_step(ds, 60, 80, 0.1, "lopt", np.random.default_rng(0))
     assert len(calls) == 1
+
+
+def test_load_csv_holds_the_parsed_block_and_the_dataset_only(tmp_path):
+    # tracemalloc peak of a load, in bytes per record: the parsed block of
+    # p + 2 columns, the dataset's one copy of the records taken from it,
+    # and at most two n-length arrays besides; no second copy of the covariates
+    n, p = 20_000, 5
+    path = tmp_path / "d.csv"
+    write_csv(random_dataset(np.random.default_rng(23), n=n, p=p), path)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block, dataset = 8 * (p + 2), 8 * p + 8 + 1
+    assert peak < (block + dataset + 2 * 8) * n, f"peak {peak / n:.1f} bytes per record"
 
 
 # ---- the two CSV read paths agree

@@ -74,6 +74,24 @@ class TestFailureTimes:
         u = 1.0 - np.random.default_rng(4).random(50)
         np.testing.assert_allclose(t, 2.0 * np.sqrt(-np.log(u)) * np.exp(-(X @ beta) / 2.0), rtol=1e-14)
 
+    def test_computed_in_place_with_the_formula_bits(self):
+        # the in-place steps give the formula's bits, holding two n-length arrays
+        import tracemalloc
+
+        n = 100_000
+        X = np.random.default_rng(22).uniform(-1.0, 1.0, (n, 5))
+        beta = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        eta, u = X @ beta, 1.0 - np.random.default_rng(6).random(n)
+        formula = 2.0 * np.sqrt(-np.log(u)) * np.exp(-eta / 2.0)
+        tracemalloc.start()
+        try:
+            t = gen_failure_times(X, beta, np.random.default_rng(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.tobytes() == formula.tobytes()
+        assert peak < 2.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
+
     def test_monotone_in_linear_predictor(self):
         # one seed for every record, so each inverts the same uniform draw
         beta = np.array([1.0])
