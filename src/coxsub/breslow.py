@@ -248,9 +248,10 @@ def score_residual_norms(
     jump times and knots, takes one matrix product per run, and gathers
     the norms back to record order through the dataset's
     :meth:`~SurvivalDataset.sort_rank`, which the first call builds and
-    caches.  This is the kernel for pilot tables, whose few steps make few
-    long runs; it stays correct for tables with a step at every record
-    (full-data tables), at one product per record: far slower.
+    caches; records that came in sweep order need neither.  This is the
+    kernel for pilot tables, whose few steps make few long runs; it stays
+    correct for tables with a step at every record (full-data tables), at
+    one product per record: far slower.
 
     With a ``metric`` matrix ``Psi^-1``, the inverse of a positive definite
     curvature, the norms are those of ``Psi^-1`` times each residual (the
@@ -277,6 +278,8 @@ def score_residual_norms(
     norms = _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows)
     # one clamped query per event after the last knot, once the pass succeeds
     xbar.clamped_queries += int(np.count_nonzero(status_s[knot_starts[-1] :] == 1))
+    if not ds._permuted:  # records stored in record order: the rank is the identity
+        return norms
     # back to record order by a gather through the rank, in blocks: np.take
     # widens int32 indices to intp, and a block's copy stays in cache where
     # one of all n would be a fresh 8 MB buffer

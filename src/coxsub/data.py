@@ -159,17 +159,20 @@ class SurvivalDataset:
 
     @cached_property
     def sort_index(self) -> np.ndarray:
-        """Time ascending, events before censorings at ties, then input order; read-only.
+        """Time ascending, events before censorings at ties, then input order; read-only, ``int32`` below 2**31 records.
 
         The first read stores the records in this order: each column is
         gathered into it and the record-order column dropped.  Records
         already in this order are kept as they are.
         """
-        t, s, X = self._records
-        order = _time_order(t, s)
+        order = _time_order(self._time, self._status)
         if np.any(order[1:] < order[:-1]):  # a permutation is the identity exactly when it ascends
-            self._store(*_frozen(t[order], s[order], _gather_rows(X, order)), permuted=True)
-        return _frozen(order)[0]
+            gathered = self._time[order], self._status[order], _gather_rows(self._covariates, order)
+            self._store(*_frozen(*gathered), permuted=True)
+        # narrowed once the store has dropped the record-order columns (no local
+        # holds them): made beside them, the copy raised the peak of a CLI
+        # ``subsample`` at 10^6 records by 3.8 MB
+        return _frozen(order.astype(np.int32) if self.n < 2**31 else order)[0]
 
     def sorted_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored (time, status, covariates), sorted into sweep order on first use; read-only.

@@ -102,7 +102,7 @@ class _SortedRows:
         "p",
         "total_weight",
         "n_ref",
-        "event_rows",
+        "n_events",
         "event_weights",
         "event_risk_start",
     )
@@ -118,15 +118,16 @@ class _SortedRows:
         # additive constant in the criterion: n for IPW weights (the full
         # data size the probabilities refer to), the multiset size otherwise
         self.n_ref = self.m if n_ref is None else n_ref
-        ev = np.flatnonzero(status == 1)
+        is_event = status == 1
         # first row of each event's tie group: its risk set is that row onwards;
         # one pass carries each group's first row forward over its ties
         group_start = np.zeros(self.m, dtype=np.intp)
         new_group = _run_starts(time)
         group_start[new_group] = new_group
         np.maximum.accumulate(group_start, out=group_start)
-        self.event_rows, self.event_risk_start = _frozen(ev, group_start[ev])
-        self.event_weights = w[ev] if w.strides[0] else w[: ev.size]
+        self.event_risk_start = _frozen(group_start[is_event])[0]
+        self.n_events = self.event_risk_start.size
+        self.event_weights = w[is_event] if w.strides[0] else w[: self.n_events]
 
     @classmethod
     def of_dataset(
@@ -168,10 +169,6 @@ class _SortedRows:
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be finite and positive")
         return cls(time, status, X, w[order] if subset is not None else w[ds.sort_index], ds.n)
-
-    @property
-    def n_events(self) -> int:
-        return self.event_rows.size
 
 
 def _linear_predictor(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -218,9 +215,14 @@ class _Sweep:
     sums run along contiguous columns.
 
     Every n- or event-length array of the sweep is computed in place in one
-    of a fixed set of named buffers, created on first use.  ``g`` is written
-    over the linear predictor, whose values are kept only at the events,
-    which is all :meth:`nll` reads.  :func:`newton_solve` passes the
+    of five named buffers, created on first use: ``g``, ``e0`` and ``ga``
+    of n rows, ``eta_events`` and ``denoms`` of one row per event.  ``g``
+    is written over the linear predictor, whose values are kept only at
+    the events, which is all :meth:`nll` reads; :meth:`nll` turns them
+    into its terms in place, and from then on ``eta_events`` is the
+    event-length scratch.  :meth:`score` writes its per-row factor over the
+    suffix sums ``e0`` once the risk-set denominators are read from them;
+    a later :meth:`s0` sums ``g`` again.  :func:`newton_solve` passes the
     buffers of one sweep to the next over the same rows (:meth:`release`),
     so a fit holds one sweep's arrays at a time.  A sweep's arrays stay
     valid until it is released; a released sweep must not be read.
@@ -232,12 +234,22 @@ class _Sweep:
         self._buffers = {} if buffers is None else buffers
         lp = _linear_predictor(rows.X, beta, self._buffer("g", rows.m))
         shift = self.shift = float(lp.max()) if rows.m else 0.0
-        # eta - shift at the events, then g over the linear predictor
-        eta_events = self._buffer("eta_events", rows.n_events)
-        np.take(lp, rows.event_rows, out=eta_events, mode="clip")
-        self._eta_events = np.subtract(eta_events, shift, out=eta_events)
         np.subtract(lp, shift, out=lp)
-        self.g = np.multiply(rows.w, np.exp(lp, out=lp), out=lp)
+        # eta - shift at the events, in row order, one block's mask at a time:
+        # no n-length mask or per-event row index is formed
+        eta_events = self._eta_events = self._buffer("eta_events", rows.n_events)
+        k = 0
+        for a in range(0, rows.m, _BLOCK_ROWS):
+            is_event = rows.status[a : a + _BLOCK_ROWS] == 1
+            size = int(np.count_nonzero(is_event))
+            np.compress(is_event, lp[a : a + _BLOCK_ROWS], out=eta_events[k : k + size])
+            k += size
+        # g over the linear predictor; unit weights (zero-stride) would
+        # multiply exp(eta - max eta), which lies in [0, 1], by 1.0
+        self.g = np.exp(lp, out=lp)
+        if rows.w.strides[0]:
+            np.multiply(rows.w, self.g, out=self.g)
+        self._nll = None
         self._e0 = None
         self._denoms = None
         self._ga = None
@@ -251,7 +263,7 @@ class _Sweep:
     def release(self) -> dict:
         """This sweep's buffers, for the next sweep over the same rows; the sweep is unusable after."""
         buffers = self._buffers
-        self._buffers = self.g = self._eta_events = self._e0 = self._denoms = self._ga = None
+        self._buffers = self.g = self._eta_events = self._e0 = self._denoms = self._ga = self._nll = None
         return buffers
 
     def s0(self, starts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -299,12 +311,16 @@ class _Sweep:
             self._denoms = self.s0(rows.event_risk_start, out=self._buffer("denoms", rows.n_events))
         return self._denoms
 
+    def _scratch(self) -> np.ndarray:
+        """The event-length scratch: the spent linear predictor at the events, once :meth:`nll` has read it."""
+        self.nll()
+        return self._eta_events
+
     def _prefix_factor(self) -> np.ndarray:
         """Per-record weight: sum of w_e/denom_e over events at risk of covering it."""
         if self._ga is None:
             rows = self.rows
-            q = self._buffer("scratch", rows.n_events)
-            np.divide(rows.event_weights, self._risk_denominators(), out=q)
+            q = np.divide(rows.event_weights, self._risk_denominators(), out=self._scratch())
             # add.at sums each row's events in event order, as bincount would
             ga = self._buffer("ga", rows.m)
             ga.fill(0.0)
@@ -314,23 +330,38 @@ class _Sweep:
         return self._ga
 
     def nll(self) -> float:
+        """The criterion, computed once: the linear predictor at the events becomes its terms."""
+        if self._nll is None:
+            self._nll = self._criterion()
+        return self._nll
+
+    def _criterion(self) -> float:
         rows = self.rows
         if rows.n_events == 0:
             return 0.0
         d = self._risk_denominators()
-        terms = np.log(d, out=self._buffer("scratch", rows.n_events))
-        np.subtract(self._eta_events, terms, out=terms)
-        np.subtract(terms, np.log(rows.n_ref / rows.total_weight), out=terms)
+        terms = self._eta_events
+        log_ratio = np.log(rows.n_ref / rows.total_weight)
+        log_d = np.empty(min(_BLOCK_ROWS, rows.n_events))
+        for a in range(0, rows.n_events, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, rows.n_events)
+            t = terms[a:b]
+            np.subtract(t, np.log(d[a:b], out=log_d[: b - a]), out=t)
+            np.subtract(t, log_ratio, out=t)
+            np.multiply(rows.event_weights[a:b], t, out=t)
         # a pairwise sum, where a BLAS dot product's order would follow its thread count
-        return float(-np.add.reduce(np.multiply(rows.event_weights, terms, out=terms)) / rows.total_weight)
+        return float(-np.add.reduce(terms) / rows.total_weight)
 
     def score(self) -> np.ndarray:
         rows = self.rows
         if rows.n_events == 0:
             return np.zeros(rows.p)
-        # events minus the prefix factor: 0 - ga on every row, then + w_e at the events
-        v = np.subtract(0.0, self._prefix_factor(), out=self._buffer("score", rows.m))
-        np.add.at(v, rows.event_rows, rows.event_weights)
+        ga = self._prefix_factor()
+        # events minus the prefix factor, written over the suffix sums, which
+        # the denominators have been read from: a later s0 sums g again
+        v = np.multiply(rows.w, rows.status, out=self._buffer("e0", rows.m))
+        self._e0 = None
+        np.subtract(v, ga, out=v)
         return -(v @ rows.X) / rows.total_weight
 
     def curvature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +388,7 @@ class _Sweep:
         # a risk-set sum below ~1e-154 squares to zero; the weights are
         # positive, so a finite sum means finite weights
         with np.errstate(divide="ignore", over="ignore"):
-            q = np.multiply(denoms, denoms, out=self._buffer("scratch", rows.n_events))
+            q = np.multiply(denoms, denoms, out=self._scratch())
             np.divide(rows.event_weights, q, out=q)
             if not np.isfinite(q.sum()):
                 raise NumericsError(

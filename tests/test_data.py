@@ -180,7 +180,7 @@ def test_dataset_holds_one_copy_of_its_records():
     newton_solve(ds)
     held = [a for v in vars(ds).values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
     records = n * (8 * p + 8 + 1)  # float64 covariates and time, int8 status
-    permutations = n * (8 + 4)  # sort_index and the int32 rank
+    permutations = n * (4 + 4)  # the int32 sort_index and rank
     assert sum(a.nbytes for a in held) <= records + permutations
 
 
@@ -477,6 +477,25 @@ def test_sort_rank_is_built_by_the_first_norms_pass_only():
     xbar = RiskSetMean.build(ds.time[idx], ds.covariates[idx], beta)
     norms = score_residual_norms(ds, xbar, pilot_breslow(ds, idx, beta), beta)
     assert norms.shape == (ds.n,) and ds._sort_rank is ds.sort_rank()
+
+
+@pytest.mark.parametrize("criterion", ["lopt", "aopt"])
+def test_records_in_sweep_order_need_no_rank(criterion):
+    X, time, status = record_arrays(np.random.default_rng(26), 3_000, 2, ties=True)
+    order = np.lexsort((status != 1, time))
+    X, time, status = X[order], time[order], status[order]
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    res = two_step(ds, 200, 400, 0.1, criterion, np.random.default_rng(27))
+    assert "_sort_rank" not in vars(ds)
+    # the same run with every record-order read gathered through the identity rank
+    gathered = SurvivalDataset(covariates=X, time=time, status=status)
+    gathered.sorted_view()
+    object.__setattr__(gathered, "_permuted", True)
+    again = two_step(gathered, 200, 400, 0.1, criterion, np.random.default_rng(27))
+    assert np.array_equal(gathered._sort_rank, np.arange(ds.n))
+    assert res.plan.probs.tobytes() == again.plan.probs.tobytes()
+    assert np.array_equal(res.subsample.indices, again.subsample.indices)
+    assert res.fit.beta.tobytes() == again.fit.beta.tobytes()
 
 
 def test_sweep_rows_are_left_unbuilt_by_a_two_step():

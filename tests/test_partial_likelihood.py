@@ -1,3 +1,4 @@
+import itertools
 import re
 from unittest import mock
 
@@ -17,7 +18,7 @@ from coxsub import (
     score,
 )
 from coxsub.breslow import RiskSetMean, breslow_cumhaz, score_residual_norms, score_residuals
-from coxsub.partial_likelihood import _SortedRows, _Sweep
+from coxsub.partial_likelihood import _run_starts, _SortedRows, _Sweep
 from coxsub.subsampling import two_step
 
 from conftest import random_dataset
@@ -194,16 +195,17 @@ class TestSortedRows:
             )
             rows.append(_SortedRows.of_dataset(sub_ds))
         for r in rows:
-            expect = np.searchsorted(r.time, r.time[r.event_rows], side="left")
-            assert np.array_equal(r.event_risk_start, expect)
+            expect = np.searchsorted(r.time, r.time[r.status == 1], side="left")
+            assert np.array_equal(r.event_risk_start, expect) and r.n_events == expect.size
 
 
     def test_full_data_rows_are_built_once_per_dataset(self):
         ds = random_dataset(np.random.default_rng(8), n=50, p=2, ties=True)
         rows = _SortedRows.of_dataset(ds)
         assert _SortedRows.of_dataset(ds) is rows
-        for arr in (rows.event_rows, rows.event_risk_start):
-            assert arr.dtype == np.intp and not arr.flags.writeable
+        # the risk-set starts are the rows' only per-event index
+        assert rows.event_risk_start.dtype == np.intp and not rows.event_risk_start.flags.writeable
+        assert not hasattr(rows, "event_rows")
         # weighted and subset rows are built per call
         assert _SortedRows.of_dataset(ds, np.ones(ds.n)) is not rows
         assert _SortedRows.of_dataset(ds, subset=np.arange(ds.n)) is not rows
@@ -552,7 +554,39 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+SWEEP_CALLS = ("nll", "score", "curvature", "s0", "means")
+
+
+def sweep_call(sweep, name, starts):
+    """One of the sweep's answers; ``s0`` and ``means`` are read at ``starts``."""
+    return getattr(sweep, name)(starts) if name in ("s0", "means") else getattr(sweep, name)()
+
+
 class TestSweepBuffers:
+    @settings(PROPERTY, max_examples=30)
+    @given(case=sweep_cases())
+    def test_every_call_order_gives_the_bits_of_a_fresh_sweep(self, case):
+        # score() writes over the suffix sums and nll() over the linear
+        # predictor at the events; in any order, twice over, and in buffers
+        # another sweep has released, each answer is that of a fresh sweep
+        # asked nothing else
+        ds, beta, weights, subset = case
+        rows = _SortedRows.of_dataset(ds, weights, subset)
+        starts = _run_starts(rows.time)  # every tie group, as the risk-set mean reads them
+        alone = {name: sweep_call(_Sweep(rows, beta), name, starts) for name in SWEEP_CALLS}
+        for order in itertools.permutations(SWEEP_CALLS):
+            for reused in (False, True):
+                buffers = None
+                if reused:
+                    other = _Sweep(rows, 0.5 * beta)
+                    for name in reversed(order):
+                        sweep_call(other, name, starts)
+                    buffers = other.release()
+                sweep = _Sweep(rows, beta, buffers)
+                for name in order + order:
+                    got = sweep_call(sweep, name, starts)
+                    assert np.array_equal(np.asarray(got), np.asarray(alone[name])), (order, reused, name)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_released_buffers_give_the_bits_of_fresh_ones(self, seed):
         rng = np.random.default_rng(60 + seed)
@@ -573,13 +607,24 @@ class TestSweepBuffers:
     def test_newton_solve_holds_one_sweep(self, traced_ds):
         # tracemalloc peak of a fit above the dataset and what it caches
         # (built before tracing starts), in n-length float64 arrays: about
-        # 7.2 with one sweep's buffers reused in place, 4.7 more with fresh
-        # arrays per sweep and a candidate sweep beside the current
+        # 5.4 with one sweep's five buffers reused in place (three of n
+        # rows, two of one row per event), 4.7 more with fresh arrays per
+        # sweep and a candidate sweep beside the current
         ds, n = traced_ds, traced_ds.n
         newton_solve(ds)  # caches the sorted view, the value verdict and the sweep rows
         fit, peak = traced_peak(newton_solve, ds)
         assert fit.converged
-        assert peak < 10.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
+        assert peak < 6.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_a_sweep_owns_five_working_arrays(self, weighted):
+        rng = np.random.default_rng(64)
+        ds = random_dataset(rng, n=80, p=3, ties=True)
+        rows = _SortedRows.of_dataset(ds, rng.uniform(0.5, 2.0, ds.n) if weighted else None)
+        sweep = _Sweep(rows, rng.normal(0, 0.5, 3))
+        sweep.nll(), sweep.score(), sweep.curvature(), sweep.means(np.unique(rows.event_risk_start))
+        sizes = {name: buf.size for name, buf in sweep.release().items()}
+        assert sizes == {"g": ds.n, "e0": ds.n, "ga": ds.n, "eta_events": ds.n_events, "denoms": ds.n_events}
 
     @pytest.mark.parametrize("criterion", ["lopt", "aopt"])
     def test_two_step_holds_few_record_length_arrays(self, traced_ds, criterion):
