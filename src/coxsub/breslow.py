@@ -197,18 +197,13 @@ def score_residuals(
     Each row is the exact sum over hazard jump times of the centred
     covariate against the record's estimated martingale increments:
     the event contribution (if any) minus the record's compensator
-    accumulated over jumps up to its observed time.  The residuals are
-    computed on the dataset's stored rows; without a subset they are
-    computed in sweep order and gathered back into record order once, at
-    the end.
+    accumulated over jumps up to its observed time.  Without a subset the
+    rows are all the records, in record order.  Raises ``ValueError`` on a
+    subset that is not an index array (see
+    :meth:`SurvivalDataset.records_at`).
     """
     ds.check_values()
-    if subset is None:
-        time, status, X = ds.sorted_view()
-    else:
-        time, status, X = ds._records
-        rows = ds._stored_rows(np.asarray(subset))
-        time, status, X = time[rows], status[rows], X[rows]
+    time, status, X = ds.records_at(np.arange(ds.n) if subset is None else subset)
     risk = _risk(X, beta)
     out = np.zeros((time.size, X.shape[1]))
     events = status == 1
@@ -218,7 +213,7 @@ def score_residuals(
     lam_rows, drift_rows = _hazard_rows(xbar, cumhaz)
     k = np.searchsorted(cumhaz.jump_times, time, side="right")
     out -= risk[:, None] * (X * lam_rows[k, None] - drift_rows[k])
-    return out if subset is not None else out[ds.sort_rank()]
+    return out
 
 
 def _hazard_rows(xbar: RiskSetMean, cumhaz: CumulativeHazard) -> tuple[np.ndarray, np.ndarray]:
@@ -245,10 +240,10 @@ def score_residual_norms(
     Equals ``norm(score_residuals(...), axis=1)`` up to floating-point
     reassociation, but runs over the sorted view, where the hazard, the
     drift and the risk-set mean are constant on runs of records between
-    jump times and knots, takes one matrix product per run, and gathers
-    the norms back to record order through the dataset's
-    :meth:`~SurvivalDataset.sort_rank`, which the first call builds and
-    caches; records that came in sweep order need neither.  This is the
+    jump times and knots, takes one matrix product per run, and puts the
+    norms back in record order through
+    :meth:`~SurvivalDataset.to_record_order`, which leaves records that
+    came in sweep order as they are.  This is the
     kernel for pilot tables, whose few steps make few long runs; it stays
     correct for tables with a step at every record (full-data tables), at
     one product per record: far slower.
@@ -278,15 +273,7 @@ def score_residual_norms(
     norms = _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows)
     # one clamped query per event after the last knot, once the pass succeeds
     xbar.clamped_queries += int(np.count_nonzero(status_s[knot_starts[-1] :] == 1))
-    if not ds._permuted:  # records stored in record order: the rank is the identity
-        return norms
-    # back to record order by a gather through the rank, in blocks: np.take
-    # widens int32 indices to intp, and a block's copy stays in cache where
-    # one of all n would be a fresh 8 MB buffer
-    rank, out, block = ds.sort_rank(), np.empty(n), partial_likelihood._BLOCK_ROWS
-    for a in range(0, n, block):
-        np.take(norms, rank[a : a + block], out=out[a : a + block], mode="clip")
-    return out
+    return ds.to_record_order(norms)
 
 
 def _norms_blockwise(X_s, status_s, beta, metric, bounds, lam_rows, drift_rows, knot_starts, mean_rows):

@@ -60,13 +60,15 @@ class SurvivalDataset:
     for the sort; records already in sweep order are kept as they are.
 
     ``covariates``, ``time`` and ``status`` are the records in record
-    order, read-only.  Once the records are stored in sweep order, each
-    read gathers them back through :meth:`sort_rank` and is not cached,
-    since a cache would be the second copy again: read each once and keep
-    the result.  Two more derived values are built on first use and cached
-    read-only: the inverse permutation (:meth:`sort_rank`), built by the
-    residual-norm pass, a subset of a swept dataset or a record-order
-    read; and the unit-weight full-data sweep rows
+    order, read-only.  Other modules read records by index through
+    :meth:`records_at` and put stored-order values back in record order
+    through :meth:`to_record_order`, so only this class knows the storage
+    order.  Once the records are stored in sweep order, each record-order
+    read is a gather, not cached, since a cache would be the second copy
+    again: read each once and keep the result.  Two more derived values are
+    built on first use and cached read-only: the inverse permutation
+    (:meth:`sort_rank`), built by the first of those reads on a permuted
+    dataset; and the unit-weight full-data sweep rows
     (``_SortedRows.of_dataset``), built by the first full-data fit, hazard
     or criterion evaluation, never by a two-step estimate.
     """
@@ -84,8 +86,8 @@ class SurvivalDataset:
         if X.ndim != 2:
             raise ValueError("covariates must be a 2-D array")
         # column-major, like the sweep-order copy the sweeps read, so the
-        # row gather between them (:func:`_gather_rows`) streams one
-        # contiguous column at a time
+        # row gather between them (:func:`_gather`) streams one contiguous
+        # column at a time
         X = _adopt(X, np.float64, order="F")
         t = _adopt(time, np.float64)
         s = np.asarray(status)  # int8 when lossless: a status of 257 must not wrap to 1
@@ -130,28 +132,37 @@ class SurvivalDataset:
     @property
     def covariates(self) -> np.ndarray:
         """The n-by-p covariates in record order, column-major and read-only; a gather per read once sorted."""
-        return self._in_record_order(self._covariates)
+        return _frozen(self.to_record_order(self._covariates))[0]
 
     @property
     def time(self) -> np.ndarray:
         """The observed times in record order, read-only; a gather per read once sorted."""
-        return self._in_record_order(self._time)
+        return _frozen(self.to_record_order(self._time))[0]
 
     @property
     def status(self) -> np.ndarray:
         """The event indicators in record order, read-only; a gather per read once sorted."""
-        return self._in_record_order(self._status)
+        return _frozen(self.to_record_order(self._status))[0]
 
-    def _in_record_order(self, stored: np.ndarray) -> np.ndarray:
-        """A stored array, gathered back into record order if the sort permuted it."""
-        if not self._permuted:
-            return stored
-        rank = self.sort_rank()
-        return _frozen(_gather_rows(stored, rank) if stored.ndim == 2 else stored[rank])[0]
+    def records_at(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(time, status, covariates) of records ``idx``, repeats included, in its order; covariates row-major.
 
-    def _stored_rows(self, idx: np.ndarray) -> np.ndarray:
-        """The rows of the stored arrays that hold records ``idx``."""
-        return self.sort_rank()[idx] if self._permuted else idx
+        ``ValueError`` unless ``idx`` is a non-empty 1-D integer array in ``[0, n)``.  Never sorts the records.
+        """
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError("subset must be a non-empty 1-D integer index array")
+        if idx.min() < 0 or idx.max() >= self.n:
+            raise ValueError("subset indices out of range")
+        rows = self.sort_rank()[idx] if self._permuted else idx
+        return self._time[rows], self._status[rows], self._covariates[rows]
+
+    def to_record_order(self, values: np.ndarray) -> np.ndarray:
+        """n-length or n-by-p ``values`` held in stored order, in record order (column-major when 2-D).
+
+        ``values`` itself unless the sort permuted the records; else a gather through :meth:`sort_rank`.
+        """
+        return _gather(values, self.sort_rank()) if self._permuted else values
 
     def _record_rows(self, rows: np.ndarray) -> np.ndarray:
         """The records held in rows ``rows`` of the stored arrays."""
@@ -167,8 +178,7 @@ class SurvivalDataset:
         """
         order = _time_order(self._time, self._status)
         if np.any(order[1:] < order[:-1]):  # a permutation is the identity exactly when it ascends
-            gathered = self._time[order], self._status[order], _gather_rows(self._covariates, order)
-            self._store(*_frozen(*gathered), permuted=True)
+            self._store(*_frozen(*(_gather(a, order) for a in self._records)), permuted=True)
         # narrowed once the store has dropped the record-order columns (no local
         # holds them): made beside them, the copy raised the peak of a CLI
         # ``subsample`` at 10^6 records by 3.8 MB
@@ -178,7 +188,7 @@ class SurvivalDataset:
         """The stored (time, status, covariates), sorted into sweep order on first use; read-only.
 
         The sorted triple is the working representation of every risk-set
-        sweep; the covariates are column-major (see :func:`_gather_rows`).
+        sweep; the covariates are column-major (see :func:`_gather`).
         """
         self.sort_index
         return self._records
@@ -256,19 +266,23 @@ def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:
     return np.lexsort((1 - (status == 1).astype(np.int8), time))
 
 
-def _gather_rows(X: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Rows ``X[order]`` as an F-order array, gathered one column at a time.
+# rows per np.take call of a gather: the intp copy np.take makes of an
+# int32 index block stays in cache, where one of all n would not
+_GATHER_ROWS = 8192
 
-    Column by column suits the F-order covariates of a dataset.  The F-order
-    result gives every pass over a block of sorted rows each covariate as
-    one contiguous run of records (``X[a:b].T`` is a view, not a copy).
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` for in-range ``index``: their dtype, column-major when 2-D, one column at a time.
+
+    Column-major gives a pass over a block of rows each column as one contiguous run (``X[a:b].T`` is a view).
     """
-    out = np.empty((order.size, X.shape[1]), order="F")
-    for j in range(X.shape[1]):
-        # callers pass indices already known to be in range; "clip" writes
-        # straight into ``out`` instead of through a checked buffer
-        np.take(X[:, j], order, out=out[:, j], mode="clip")
-    return out
+    columns = values.reshape(values.shape[0], -1)
+    out = np.empty((index.size, columns.shape[1]), dtype=values.dtype, order="F")
+    for src, dst in zip(columns.T, out.T):
+        for a in range(0, index.size, _GATHER_ROWS):
+            # "clip" writes straight into ``out`` instead of through a checked buffer
+            np.take(src, index[a : a + _GATHER_ROWS], out=dst[a : a + _GATHER_ROWS], mode="clip")
+    return out.reshape(index.shape + values.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -335,12 +349,14 @@ def validate(ds: SurvivalDataset) -> list[Violation]:
     out = list(_value_violations(ds))
     if ds.n_events == 0:
         out.append(Violation("no_events", "dataset has no events; partial likelihood is degenerate"))
-    # defensive: these hold by construction
-    order, time_s = ds.sort_index, ds.sorted_view()[0]
-    if order.size != ds.n or order.min() < 0 or not np.all(np.bincount(order, minlength=ds.n) == 1):
-        out.append(Violation("bad_sort_index", "sort_index is not a permutation"))
-    elif np.any(time_s[1:] < time_s[:-1]):  # no inf - inf to warn on
-        out.append(Violation("bad_sort_index", "sort_index does not order time ascending"))
+    # defensive, and only once the dataset has sorted itself: these hold by
+    # construction, and reading ``sort_index`` would sort an unswept dataset
+    if "sort_index" in vars(ds):
+        order, time_s = ds.sort_index, ds.sorted_view()[0]
+        if order.size != ds.n or order.min() < 0 or not np.all(np.bincount(order, minlength=ds.n) == 1):
+            out.append(Violation("bad_sort_index", "sort_index is not a permutation"))
+        elif np.any(time_s[1:] < time_s[:-1]):  # no inf - inf to warn on
+            out.append(Violation("bad_sort_index", "sort_index does not order time ascending"))
     return out
 
 

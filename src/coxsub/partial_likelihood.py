@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, _adopt, _frozen, _gather_rows, _time_order
+from .data import SurvivalDataset, _adopt, _frozen, _gather, _time_order
 from .errors import NumericsError, SingularHessianError
 
 # Newton stopping rule: score sup-norm, step sup-norm, iteration and halving limits
@@ -87,7 +87,7 @@ class _SortedRows:
     """Time-sorted multiset of the records entering one risk-set sweep.
 
     ``X`` is column-major for the dataset and its subsets (see
-    :func:`coxsub.data._gather_rows`), so each covariate of a block of
+    :func:`coxsub.data._gather`), so each covariate of a block of
     sorted rows is one contiguous run.  Unit weights (no ``weights`` given)
     allocate nothing: ``w`` and ``event_weights`` are read-only zero-stride
     views of one 1.0.
@@ -138,7 +138,8 @@ class _SortedRows:
         The unit-weight full-data rows are built once per dataset and
         cached on it; weighted and subset rows are built per call.  Raises
         ``ValueError`` on a dataset with a broken value (see
-        :meth:`SurvivalDataset.check_values`).
+        :meth:`SurvivalDataset.check_values`) or a subset that is not an
+        index array (see :meth:`SurvivalDataset.records_at`).
         """
         ds.check_values()
         if subset is None:
@@ -147,20 +148,13 @@ class _SortedRows:
             if weights is None:
                 return ds._cached("_sweep_rows", lambda: cls(time, status, X))
         else:
-            subset = np.asarray(subset)
-            if subset.ndim != 1 or subset.size == 0 or not np.issubdtype(subset.dtype, np.integer):
-                raise ValueError("subset must be a non-empty 1-D integer index array")
-            if subset.min() < 0 or subset.max() >= ds.n:
-                raise ValueError("subset indices out of range")
-            # the records' stored rows, put in sweep order by their own values,
-            # so tied records keep their order in ``subset``; a dataset that
-            # is not yet swept stays unsorted
-            time, status, X = ds._records
-            rows = ds._stored_rows(subset)
-            order = _time_order(time[rows], status[rows])
-            rows = rows[order]
-            time, status, X = time[rows], status[rows], _gather_rows(X, rows)
-            m = subset.size
+            # the records, put in sweep order by their own values, so tied
+            # records keep their order in ``subset``; a dataset that is not
+            # yet swept stays unsorted
+            time, status, X = ds.records_at(subset)
+            order = _time_order(time, status)
+            time, status, X = time[order], status[order], _gather(X, order)
+            m = time.size
         if weights is None:
             return cls(time, status, X)
         w = np.asarray(weights, dtype=np.float64)

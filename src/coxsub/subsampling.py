@@ -147,7 +147,7 @@ def fit_pilot(ds: SurvivalDataset, pilot: Subsample) -> PilotContext:
     matrix used by the A-optimal probabilities.
     """
     idx = pilot.indices
-    if not np.any(ds._records[1][ds._stored_rows(idx)] == 1):
+    if not np.any(ds.records_at(idx)[1] == 1):
         raise PilotError("pilot uninformative (no events); increase the pilot size")
     try:
         fit = newton_solve(ds, weights=None, subset=idx, role="pilot")

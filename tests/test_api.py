@@ -1,5 +1,6 @@
 """The public surface: what ``coxsub`` exports, and the README's code as written."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import coxsub as cs
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coxsub"
 
 PUBLIC = {
     # data
@@ -36,6 +38,21 @@ def test_exports_exactly_the_public_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
+
+
+# the dataset's storage order, which only ``data.py`` may read
+STORAGE_ORDER = {"_records", "_stored_rows", "_permuted", "sort_rank", "_gather_rows"}
+
+
+def test_only_the_data_module_reads_the_storage_order():
+    reads = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in STORAGE_ORDER
+    ]
+    assert reads == []
 
 
 def test_readme_quick_start_runs_as_written():

@@ -1,4 +1,6 @@
+import re
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from coxsub import (
     SubsamplePlan,
     SurvivalDataset,
     breslow_cumhaz,
+    fit_pilot,
     hessian,
     load_csv,
     neg_log_partial_likelihood,
@@ -507,6 +510,54 @@ def test_sweep_rows_are_left_unbuilt_by_a_two_step():
     assert ds._sweep_rows is _SortedRows.of_dataset(ds)
 
 
+# ---- reading records by index, and stored-order values back in record order
+
+
+DATASET_KINDS = ["unswept", "swept and permuted", "swept in sweep order"]
+
+
+def dataset_of_kind(rng, kind, n, p):
+    """A dataset of n records with ties: never sorted, or sorted, whether that permuted them or not."""
+    X, time, status = record_arrays(rng, n, p, ties=True)
+    time[0] = time.max() + 1.0  # record 0 is last in sweep order, so the sort permutes the records
+    if kind == "swept in sweep order":
+        order = np.lexsort((status != 1, time))
+        X, time, status = X[order], time[order], status[order]
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    if kind != "unswept":
+        ds.sorted_view()
+        assert np.array_equal(ds.sort_index, np.arange(n)) == (kind == "swept in sweep order")
+    return ds
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    p=st.integers(1, 3),
+    m=st.integers(1, 60),
+    kind=st.sampled_from(DATASET_KINDS),
+)
+def test_record_accessors_read_in_record_order(seed, n, p, m, kind):
+    rng = np.random.default_rng(seed)
+    ds = dataset_of_kind(rng, kind, n, p)
+    idx = rng.integers(0, n, m)  # a multiset: indices repeat
+    time, status, X = ds.records_at(idx)
+    assert time.tobytes() == ds.time[idx].tobytes()
+    assert status.dtype == np.int8 and status.tobytes() == ds.status[idx].tobytes()
+    assert X.flags.c_contiguous and X.tobytes() == ds.covariates[idx].tobytes()
+    for v in (rng.normal(size=n), rng.integers(-128, 128, n).astype(np.int8), rng.normal(size=(n, p))):
+        got = ds.to_record_order(v)
+        assert (got is v) == (kind != "swept and permuted")
+        if kind == "swept and permuted":
+            assert got.flags.f_contiguous
+        if kind != "unswept":
+            want = v[ds.sort_rank()]
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    # neither reading by index nor putting values back sorts the records
+    assert ("sort_index" in vars(ds)) == (kind != "unswept")
+
+
 def covariate_layouts(X):
     """``X`` as a C-order, an F-order, a column-strided and a row-strided array."""
     n, p = X.shape
@@ -553,6 +604,29 @@ def test_estimators_agree_across_covariate_layouts(seed, n, p, ties):
 
 
 # ---- input contract on the library path
+
+
+BAD_SUBSETS = {
+    "negative": (np.array([0, -1]), "subset indices out of range"),
+    "out of range": (np.array([0, 60]), "subset indices out of range"),
+    "boolean": (np.ones(60, dtype=bool), "subset must be a non-empty 1-D integer index array"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_SUBSETS))
+def test_subset_reads_reject_bad_indices_before_any_sweep(kind):
+    bad, message = BAD_SUBSETS[kind]
+    X, time, status = record_arrays(np.random.default_rng(29), 60, 2)
+    idx, beta = np.flatnonzero(status == 1)[:5], np.zeros(2)
+    xbar = RiskSetMean.build(time[idx], X[idx], beta)
+    cumhaz = pilot_breslow(SurvivalDataset(covariates=X, time=time, status=status), idx, beta)
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        score_residuals(ds, xbar, cumhaz, beta, subset=bad)
+    # fit_pilot reads only the indices; a Subsample would refuse a boolean array itself
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_pilot(ds, types.SimpleNamespace(indices=bad))
+    assert "sort_index" not in vars(ds) and "_sweep_rows" not in vars(ds)
 
 
 BROKEN_VALUES = {
@@ -641,6 +715,13 @@ def test_validate_flags_broken_sort_index():
         ds = SurvivalDataset(covariates=np.ones((3, 1)), time=[1.0, 2.0, 3.0], status=[1, 0, 1])
         object.__setattr__(ds, "sort_index", np.array(bad))
         assert [v.code for v in validate(ds)] == ["bad_sort_index"]
+
+
+def test_validate_leaves_an_unswept_dataset_unsorted():
+    X, time, status = record_arrays(np.random.default_rng(30), 50, 2)
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    assert validate(ds) == []
+    assert "sort_index" not in vars(ds) and ds.time is ds.time
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
