@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import csv
 import os
+import threading
 import warnings
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
@@ -53,24 +55,32 @@ class SurvivalDataset:
     The records are stored once.  The first call that needs their sweep
     order (``sort_index``, :meth:`sorted_view`, the first risk-set sweep
     or validation) sorts them: time ascending, events before censorings at
-    ties, then record order.  It gathers each stored column into that
-    order and drops the record-order column, so a swept dataset holds its
+    ties, then record order.  A column the dataset owns, one it copied on
+    construction or one a coxsub producer handed over, is permuted in its
+    own storage through one n-length scratch column; a column it kept as
+    given, such as a caller's read-only array, is gathered into a new one,
+    so no caller's array is ever written.  A swept dataset holds its
     records once, in sweep order, with the permutation ``sort_index``.  A
     dataset that is never swept, as under a uniform two-step, never pays
     for the sort; records already in sweep order are kept as they are.
+    The sort runs once, under a lock, whichever thread asks first; until
+    it has run, every read of the stored records takes that lock.
 
     ``covariates``, ``time`` and ``status`` are the records in record
-    order, read-only.  Other modules read records by index through
-    :meth:`records_at` and put stored-order values back in record order
-    through :meth:`to_record_order`, so only this class knows the storage
-    order.  Once the records are stored in sweep order, each record-order
-    read is a gather, not cached, since a cache would be the second copy
-    again: read each once and keep the result.  Two more derived values are
-    built on first use and cached read-only: the inverse permutation
-    (:meth:`sort_rank`), built by the first of those reads on a permuted
-    dataset; and the unit-weight full-data sweep rows
-    (``_SortedRows.of_dataset``), built by the first full-data fit, hazard
-    or criterion evaluation, never by a two-step estimate.
+    order, read-only.  Before the sort a read returns the stored column
+    itself, and the sort then gathers that column rather than permuting
+    it, so a read taken before the sort keeps its values.  Other modules
+    read records by index through :meth:`records_at` and put stored-order
+    values back in record order through :meth:`to_record_order`, so only
+    this class knows the storage order.  Once the records are stored in
+    sweep order, each record-order read is a gather, not cached, since a
+    cache would be the second copy again: read each once and keep the
+    result.  Two more derived values are built on first use and cached
+    read-only: the inverse permutation (:meth:`sort_rank`), built by the
+    first of those reads on a permuted dataset; and the unit-weight
+    full-data sweep rows (``_SortedRows.of_dataset``), built by the first
+    full-data fit, hazard or criterion evaluation, never by a two-step
+    estimate.
     """
 
     def __init__(self, covariates, time, status):
@@ -85,12 +95,14 @@ class SurvivalDataset:
             X = X[:, None]
         if X.ndim != 2:
             raise ValueError("covariates must be a 2-D array")
+        t, s = np.asarray(time), np.asarray(status)
+        given = (t, s, X)
         # column-major, like the sweep-order copy the sweeps read, so the
         # row gather between them (:func:`_gather`) streams one contiguous
         # column at a time
         X = _adopt(X, np.float64, order="F")
-        t = _adopt(time, np.float64)
-        s = np.asarray(status)  # int8 when lossless: a status of 257 must not wrap to 1
+        t = _adopt(t, np.float64)
+        # int8 when lossless: a status of 257 must not wrap to 1
         s = _adopt(s, np.int8 if np.all((s == 0) | (s == 1)) else None)
         if t.ndim != 1 or s.ndim != 1:
             raise ValueError("time and status must be 1-D arrays")
@@ -102,6 +114,27 @@ class SurvivalDataset:
         if len(t) == 0:
             raise ValueError("dataset must contain at least one record")
         self._store(t, s, X, permuted=False)
+        # the columns, by position in ``_records``, that the sort may permute
+        # in place: the copies made here, never an array a caller still holds
+        owned = {k for k, (a, b) in enumerate(zip(self._records, given)) if a is not b and a.dtype in _PERMUTABLE}
+        object.__setattr__(self, "_owned", owned)
+        object.__setattr__(self, "_lock", threading.RLock())
+
+    @classmethod
+    def _taking_over(cls, covariates, time, status) -> SurvivalDataset:
+        """The dataset of arrays that a coxsub producer hands over and holds no reference to.
+
+        It owns every column, kept or copied, so the sort may permute each in place.
+        """
+        ds = cls(covariates, time, status)
+        ds._owned.update(k for k, a in enumerate(ds._records) if a.dtype in _PERMUTABLE)
+        return ds
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_lock"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state, _lock=threading.RLock())
 
     def _store(self, time: np.ndarray, status: np.ndarray, covariates: np.ndarray, permuted: bool) -> None:
         """Keep the records, and whether they are permuted out of record order; set again only by the sort."""
@@ -114,6 +147,15 @@ class SurvivalDataset:
     def _records(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored (time, status, covariates): in record order until the sort, in sweep order after it."""
         return self._time, self._status, self._covariates
+
+    @contextmanager
+    def _held(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The stored records, read where no sort can permute them: under the sort's lock until it has run."""
+        if "sort_index" in vars(self):
+            yield self._records
+        else:
+            with self._lock:
+                yield self._records
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -132,17 +174,25 @@ class SurvivalDataset:
     @property
     def covariates(self) -> np.ndarray:
         """The n-by-p covariates in record order, column-major and read-only; a gather per read once sorted."""
-        return _frozen(self.to_record_order(self._covariates))[0]
+        return self._in_record_order(2)
 
     @property
     def time(self) -> np.ndarray:
         """The observed times in record order, read-only; a gather per read once sorted."""
-        return _frozen(self.to_record_order(self._time))[0]
+        return self._in_record_order(0)
 
     @property
     def status(self) -> np.ndarray:
         """The event indicators in record order, read-only; a gather per read once sorted."""
-        return _frozen(self.to_record_order(self._status))[0]
+        return self._in_record_order(1)
+
+    def _in_record_order(self, k: int) -> np.ndarray:
+        """Stored column ``k`` of :attr:`_records` in record order, read-only."""
+        with self._held() as records:
+            column = self.to_record_order(records[k])
+            if column is records[k]:
+                self._owned.discard(k)  # handed out: a later sort gathers it rather than permuting it
+        return _frozen(column)[0]
 
     def records_at(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(time, status, covariates) of records ``idx``, repeats included, in its order; covariates row-major.
@@ -154,8 +204,9 @@ class SurvivalDataset:
             raise ValueError("subset must be a non-empty 1-D integer index array")
         if idx.min() < 0 or idx.max() >= self.n:
             raise ValueError("subset indices out of range")
-        rows = self.sort_rank()[idx] if self._permuted else idx
-        return self._time[rows], self._status[rows], self._covariates[rows]
+        with self._held() as (time, status, X):
+            rows = self.sort_rank()[idx] if self._permuted else idx
+            return time[rows], status[rows], X[rows]
 
     def to_record_order(self, values: np.ndarray) -> np.ndarray:
         """n-length or n-by-p ``values`` held in stored order, in record order (column-major when 2-D).
@@ -172,17 +223,35 @@ class SurvivalDataset:
     def sort_index(self) -> np.ndarray:
         """Time ascending, events before censorings at ties, then input order; read-only, ``int32`` below 2**31 records.
 
-        The first read stores the records in this order: each column is
-        gathered into it and the record-order column dropped.  Records
-        already in this order are kept as they are.
+        The first read stores the records in this order: each column the
+        dataset owns is permuted in place through one n-length scratch
+        column, and each other column is gathered into a new one.  Records
+        already in this order are kept as they are.  The sort runs once,
+        under the dataset's lock (``cached_property`` stops locking in
+        Python 3.12), and is cached before the lock is released.
         """
+        with self._lock:
+            if "sort_index" not in vars(self):  # else another thread sorted while this one waited
+                vars(self)["sort_index"] = self._sort()
+        return vars(self)["sort_index"]
+
+    def _sort(self) -> np.ndarray:
+        """Store the records in sweep order, and return that order."""
         order = _time_order(self._time, self._status)
+        if self.n < 2**31:
+            # narrowed before the columns are permuted, so lexsort's int64
+            # order is not held beside the scratch column
+            order = order.astype(np.int32)
         if np.any(order[1:] < order[:-1]):  # a permutation is the identity exactly when it ascends
-            self._store(*_frozen(*(_gather(a, order) for a in self._records)), permuted=True)
-        # narrowed once the store has dropped the record-order columns (no local
-        # holds them): made beside them, the copy raised the peak of a CLI
-        # ``subsample`` at 10^6 records by 3.8 MB
-        return _frozen(order.astype(np.int32) if self.n < 2**31 else order)[0]
+            scratch = np.empty(self.n) if self._owned else None
+            self._store(
+                *(
+                    _permute_in_place(a, order, scratch) if k in self._owned else _frozen(_gather(a, order))[0]
+                    for k, a in enumerate(self._records)
+                ),
+                permuted=True,
+            )
+        return _frozen(order)[0]
 
     def sorted_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored (time, status, covariates), sorted into sweep order on first use; read-only.
@@ -228,11 +297,16 @@ class SurvivalDataset:
 
     def _first_violation(self) -> Violation | None:
         """The first value-level violation in :func:`validate`'s order, or None; computed once."""
-        return self._cached("_verdict", lambda: next(_value_violations(self), None))
+        def judge():
+            with self._held():
+                return next(_value_violations(self), None)
+
+        return self._cached("_verdict", judge)
 
     @property
     def n_events(self) -> int:
-        return int(np.count_nonzero(self._status == 1))
+        with self._held() as (_, status, _):
+            return int(np.count_nonzero(status == 1))
 
     @property
     def censoring_rate(self) -> float:
@@ -266,23 +340,53 @@ def _time_order(time: np.ndarray, status: np.ndarray) -> np.ndarray:
     return np.lexsort((1 - (status == 1).astype(np.int8), time))
 
 
+# the dtypes the sort may permute in place through a float64 scratch column:
+# those of a valid dataset's columns
+_PERMUTABLE = (np.dtype(np.float64), np.dtype(np.int8))
+
 # rows per np.take call of a gather: the intp copy np.take makes of an
 # int32 index block stays in cache, where one of all n would not
 _GATHER_ROWS = 8192
 
 
-def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``values[index]`` for in-range ``index``: their dtype, column-major when 2-D, one column at a time.
+def _columns(a: np.ndarray) -> np.ndarray:
+    """The columns of an n-length or column-major n-by-p array, each a contiguous view."""
+    return a.reshape(a.shape[0], -1).T
 
-    Column-major gives a pass over a block of rows each column as one contiguous run (``X[a:b].T`` is a view).
+
+def _take_into(src: np.ndarray, index: np.ndarray, dst: np.ndarray) -> None:
+    """``dst[:] = src[index]`` for in-range ``index``, a block of rows at a time."""
+    for a in range(0, index.size, _GATHER_ROWS):
+        # "clip" writes straight into ``dst`` instead of through a checked buffer
+        np.take(src, index[a : a + _GATHER_ROWS], out=dst[a : a + _GATHER_ROWS], mode="clip")
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` for in-range ``index``: a new array of their dtype, column-major when 2-D.
+
+    One column at a time; column-major gives a pass over a block of rows
+    each column as one contiguous run (``X[a:b].T`` is a view).
     """
-    columns = values.reshape(values.shape[0], -1)
-    out = np.empty((index.size, columns.shape[1]), dtype=values.dtype, order="F")
-    for src, dst in zip(columns.T, out.T):
-        for a in range(0, index.size, _GATHER_ROWS):
-            # "clip" writes straight into ``out`` instead of through a checked buffer
-            np.take(src, index[a : a + _GATHER_ROWS], out=dst[a : a + _GATHER_ROWS], mode="clip")
-    return out.reshape(index.shape + values.shape[1:])
+    out = np.empty(index.shape + values.shape[1:], dtype=values.dtype, order="F")
+    for src, dst in zip(_columns(values), _columns(out)):
+        _take_into(src, index, dst)
+    return out
+
+
+def _permute_in_place(a: np.ndarray, order: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``a``, which the caller owns, rearranged to ``a[order]`` in its own storage and read-only again.
+
+    Each column is gathered into ``scratch``, n float64 values, and copied back.
+    """
+    a.setflags(write=True)
+    try:
+        for column in _columns(a):
+            buf = scratch.view(column.dtype)[: column.size]
+            _take_into(column, order, buf)
+            column[...] = buf
+    finally:
+        a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -346,7 +450,8 @@ def _bad_records(ds: SurvivalDataset, mask: np.ndarray) -> Iterator[tuple[int, i
 
 def validate(ds: SurvivalDataset) -> list[Violation]:
     """Check all value-level invariants; empty list means the dataset is sound."""
-    out = list(_value_violations(ds))
+    with ds._held():
+        out = list(_value_violations(ds))
     if ds.n_events == 0:
         out.append(Violation("no_events", "dataset has no events; partial likelihood is degenerate"))
     # defensive, and only once the dataset has sorted itself: these hold by
@@ -579,6 +684,6 @@ def write_csv(ds: SurvivalDataset, path: str | os.PathLike, schema: CsvSchema | 
             raise ValueError(f"schema names {len(cov_names)} columns, dataset has {ds.p}")
     header = [schema.time_column, schema.status_column, *cov_names] if schema.has_header else None
     # record order, gathered from the stored rows a chunk at a time
-    time, status, X = ds._records
-    columns = [(time, float), (status, int), *((X[:, j], float) for j in range(ds.p))]
-    _write_columns(path, header, columns, schema.delimiter, ds.sort_rank() if ds._permuted else None)
+    with ds._held() as (time, status, X):
+        columns = [(time, float), (status, int), *((X[:, j], float) for j in range(ds.p))]
+        _write_columns(path, header, columns, schema.delimiter, ds.sort_rank() if ds._permuted else None)

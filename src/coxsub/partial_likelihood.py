@@ -121,7 +121,7 @@ class _SortedRows:
         is_event = status == 1
         # first row of each event's tie group: its risk set is that row onwards;
         # one pass carries each group's first row forward over its ties
-        group_start = np.zeros(self.m, dtype=np.intp)
+        group_start = np.zeros(self.m, dtype=np.int32 if self.m < 2**31 else np.intp)
         new_group = _run_starts(time)
         group_start[new_group] = new_group
         np.maximum.accumulate(group_start, out=group_start)
@@ -209,17 +209,23 @@ class _Sweep:
     sums run along contiguous columns.
 
     Every n- or event-length array of the sweep is computed in place in one
-    of five named buffers, created on first use: ``g``, ``e0`` and ``ga``
-    of n rows, ``eta_events`` and ``denoms`` of one row per event.  ``g``
-    is written over the linear predictor, whose values are kept only at
-    the events, which is all :meth:`nll` reads; :meth:`nll` turns them
-    into its terms in place, and from then on ``eta_events`` is the
-    event-length scratch.  :meth:`score` writes its per-row factor over the
-    suffix sums ``e0`` once the risk-set denominators are read from them;
-    a later :meth:`s0` sums ``g`` again.  :func:`newton_solve` passes the
-    buffers of one sweep to the next over the same rows (:meth:`release`),
-    so a fit holds one sweep's arrays at a time.  A sweep's arrays stay
-    valid until it is released; a released sweep must not be read.
+    of four named buffers, created on first use: ``g`` and ``e0`` of n
+    rows, ``eta_events`` and ``denoms`` of one row per event.  ``g`` is
+    written over the linear predictor, whose values are kept only at the
+    events, which is all :meth:`nll` reads; :meth:`nll` turns them into its
+    terms in place, and from then on ``eta_events`` is the event-length
+    scratch.  The ``e0`` storage holds one n-length value at a time: the
+    suffix sums of ``g``, until the risk-set denominators are read from
+    them; then the prefix factor ``ga`` of :meth:`curvature` and
+    :meth:`score`; then :meth:`score`'s per-row factor ``w*status - ga``,
+    written over ``ga`` a block at a time.  Whatever a later call needs and
+    finds overwritten it computes again, so every call order gives the bits
+    of a fresh sweep; :func:`_derivatives` reads the curvature before the
+    score, so a fit computes each value once.  :func:`newton_solve` passes
+    the buffers of one sweep to the next over the same rows
+    (:meth:`release`), so a fit holds one sweep's arrays at a time.  A
+    sweep's arrays stay valid until it is released; a released sweep must
+    not be read.
     """
 
     def __init__(self, rows: _SortedRows, beta: np.ndarray, buffers: dict | None = None):
@@ -265,10 +271,14 @@ class _Sweep:
         if self._e0 is None:
             e0 = self._buffer("e0", self.rows.m)
             np.cumsum(self.g[::-1], out=e0[::-1])
-            self._e0 = e0
-        # starts index rows, so clipping never moves one; it spares take a buffered copy
-        d = np.take(self._e0, starts, out=out, mode="clip")
-        if d.size and (d.min() <= 0.0 or not np.all(np.isfinite(d))):
+            self._e0, self._ga = e0, None
+        d = np.empty(starts.size) if out is None else out
+        # a block of starts per take: np.take copies a read-only index array
+        # whole, and starts index rows, so "clip" never moves one
+        for a in range(0, starts.size, _BLOCK_ROWS):
+            np.take(self._e0, starts[a : a + _BLOCK_ROWS], out=d[a : a + _BLOCK_ROWS], mode="clip")
+        # a NaN makes both bounds NaN; no event-length mask is formed
+        if d.size and not (d.min() > 0.0 and d.max() < np.inf):
             raise NumericsError("risk-set sum underflowed to zero; rescale covariates")
         return d
 
@@ -277,7 +287,8 @@ class _Sweep:
         s1 = np.empty((starts.size, self.rows.p))
         hi = starts.size
         for a, b, tail, carry in self._s1_blocks():
-            lo = int(np.searchsorted(starts[:hi], a, side="left"))
+            # a key of the array's own dtype: any other makes numpy cast the whole array
+            lo = int(np.searchsorted(starts[:hi], starts.dtype.type(a), side="left"))
             s1[lo:hi] = tail[(b - 1) - starts[lo:hi]] + carry
             hi = lo
         return s1 / self.s0(starts)[:, None]
@@ -311,12 +322,13 @@ class _Sweep:
         return self._eta_events
 
     def _prefix_factor(self) -> np.ndarray:
-        """Per-record weight: sum of w_e/denom_e over events at risk of covering it."""
+        """Per-record weight: sum of w_e/denom_e over events at risk of covering it; over the suffix sums."""
         if self._ga is None:
             rows = self.rows
             q = np.divide(rows.event_weights, self._risk_denominators(), out=self._scratch())
             # add.at sums each row's events in event order, as bincount would
-            ga = self._buffer("ga", rows.m)
+            ga = self._buffer("e0", rows.m)
+            self._e0 = None
             ga.fill(0.0)
             np.add.at(ga, rows.event_risk_start, q)
             np.cumsum(ga, out=ga)
@@ -350,12 +362,15 @@ class _Sweep:
         rows = self.rows
         if rows.n_events == 0:
             return np.zeros(rows.p)
-        ga = self._prefix_factor()
-        # events minus the prefix factor, written over the suffix sums, which
-        # the denominators have been read from: a later s0 sums g again
-        v = np.multiply(rows.w, rows.status, out=self._buffer("e0", rows.m))
-        self._e0 = None
-        np.subtract(v, ga, out=v)
+        # events minus the prefix factor, written over the prefix factor a
+        # block at a time: a later score or curvature builds it again
+        v = self._prefix_factor()
+        self._ga = None
+        events = np.empty(min(_BLOCK_ROWS, rows.m))
+        for a in range(0, rows.m, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, rows.m)
+            e = np.multiply(rows.w[a:b], rows.status[a:b], out=events[: b - a])
+            np.subtract(e, v[a:b], out=v[a:b])
         return -(v @ rows.X) / rows.total_weight
 
     def curvature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -393,7 +408,7 @@ class _Sweep:
         for a, b, tail, carry in self._s1_blocks():
             Xb = rows.X[a:b]
             moments += Xb.T @ (ga[a:b, None] * Xb)
-            lo, hi = np.searchsorted(starts, (a, b))
+            lo, hi = np.searchsorted(starts, np.array((a, b), dtype=starts.dtype))
             c = np.bincount(starts[lo:hi] - a, weights=q[lo:hi], minlength=b - a)
             s1 = tail + carry
             centering += s1.T @ (c[::-1, None] * s1)
@@ -550,9 +565,12 @@ def _fit_rows(ds: SurvivalDataset, weights=None, subset=None) -> _SortedRows:
 
 
 def _derivatives(state: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """The sweep's score, curvature and moments term, and its buffers: the sweep is released."""
-    g = state.score()
+    """The sweep's score, curvature and moments term, and its buffers: the sweep is released.
+
+    The curvature is read first: the score writes over the prefix factor both read.
+    """
     H, moments = state.curvature()
+    g = state.score()
     return g, H, moments, state.release()
 
 

@@ -96,10 +96,17 @@ def gen_failure_times(X: np.ndarray, beta: np.ndarray, rng: np.random.Generator)
 
     With cumulative baseline hazard ``0.25*t**2`` the failure time is
     ``2*sqrt(-log(u))*exp(-beta'x/2)``, with ``u = 1 - rng.random(n)`` on
-    (0, 1], one draw per row of ``X``.  Computed in place in two n-length
-    arrays, one operation at a time in the order of that formula.
+    (0, 1], one draw per row of ``X``.
     """
-    eta = np.asarray(X) @ np.asarray(beta)
+    return _failure_times(np.asarray(X) @ np.asarray(beta), rng)
+
+
+def _failure_times(eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The failure times at linear predictors ``eta``, which are overwritten.
+
+    Computed in place in ``eta`` and one more n-length array, one operation
+    at a time in the order of :func:`gen_failure_times`' formula.
+    """
     u = rng.random(eta.shape[0])
     np.subtract(1.0, u, out=u)
     for op in (np.log, np.negative, np.sqrt):
@@ -109,6 +116,62 @@ def gen_failure_times(X: np.ndarray, beta: np.ndarray, rng: np.random.Generator)
     np.divide(eta, 2.0, out=eta)
     np.exp(eta, out=eta)
     return np.multiply(u, eta, out=u)
+
+
+# rows of covariates drawn per chunk when a dataset is generated
+_DRAW_ROWS = 8192
+
+
+def _row_chunks(n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of chunks of ``_DRAW_ROWS`` rows; a one-row last chunk joins the one before it.
+
+    numpy multiplies a one-row matrix on another BLAS path, whose last bits
+    can differ from those of the same row inside a larger product.
+    """
+    bounds = [*range(0, n, _DRAW_ROWS), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _stream_covariates(case: str, n: int, beta: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``gen_covariates(case, n, rng, beta.size)`` for a checked ``case``, column-major, and ``X @ beta`` per row.
+
+    Drawn a chunk of rows at a time, straight into the block, with no
+    row-major copy of all n rows.  The draws keep :func:`gen_covariates`'
+    stream order (case II draws every sign first, case IV every chi-square
+    draw last), and each chunk's values and ``X @ beta`` are computed with
+    the same operations on the same row-major rows, so both are bit for
+    bit those of :func:`gen_covariates` and :func:`gen_failure_times`.
+    """
+    p = beta.size
+    X, eta = np.empty((n, p), order="F"), np.empty(n)
+    chol = np.linalg.cholesky(ar1_covariance(p)) if case in ("II", "IV") else None
+    if case == "II":
+        signs = rng.integers(0, 2, size=n) * 2 - 1
+    chunks = _row_chunks(n)
+    for a, b in chunks:
+        if case == "I":
+            x = rng.uniform(-1.0, 1.0, size=(b - a, p))
+        elif case == "III":
+            x = rng.exponential(scale=0.5, size=(b - a, p))
+        elif case == "II":
+            x = signs[a:b, None] + rng.standard_normal((b - a, p)) @ chol.T
+        else:
+            x = rng.standard_normal((b - a, p)) @ chol.T
+        X[a:b] = x
+        if case != "IV":
+            np.matmul(x, beta, out=eta[a:b])
+    if case == "IV":
+        df = 10
+        scale = rng.chisquare(df, size=n)
+        np.divide(df - 2.0, scale, out=scale)
+        np.sqrt(scale, out=scale)
+        for a, b in chunks:
+            x = np.multiply(X[a:b], scale[a:b, None], order="C")
+            X[a:b] = x
+            np.matmul(x, beta, out=eta[a:b])
+    return X, eta
 
 
 def _censoring_rate(t_fail: np.ndarray, unit_censor: np.ndarray, c0: float) -> float:
@@ -184,22 +247,25 @@ def gen_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
     """Generate one dataset: covariates, failure times, uniform censoring.
 
     Draw order (covariates, failure uniforms, censoring uniforms) is part
-    of the determinism contract.  ``cfg.c0`` must be set; see
+    of the determinism contract: the records are bit for bit those of
+    :func:`gen_covariates` and :func:`gen_failure_times` on the same
+    stream, with the covariates drawn a chunk of rows at a time straight
+    into the dataset's column-major block.  ``cfg.c0`` must be set; see
     :func:`resolve_c0`.
     """
     if cfg.c0 is None:
         raise ValueError("cfg.c0 is unset; call resolve_c0 first")
-    X = gen_covariates(cfg.case, cfg.n, rng, p=cfg.p)
-    t_fail = gen_failure_times(X, cfg.beta, rng)
+    X, eta = _stream_covariates(cfg.case, cfg.n, cfg.beta, rng)
+    t_fail = _failure_times(eta, rng)
     censor = cfg.c0 * rng.random(cfg.n)
     status = (t_fail <= censor).astype(np.int8)
     # the observed times over the failure times, and the censoring times
     # dropped, so the dataset is built beside one n-length array fewer
     time = np.minimum(t_fail, censor, out=t_fail)
     del censor
-    # handed over frozen, so the dataset keeps them instead of copying
-    time, status = _frozen(time, status)
-    return SurvivalDataset(covariates=X, time=time, status=status)
+    # handed over frozen, so the dataset keeps them instead of copying, and
+    # owns them, so its sort permutes them in place
+    return SurvivalDataset._taking_over(*_frozen(X, time, status))
 
 
 @dataclass(frozen=True)

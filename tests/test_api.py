@@ -55,6 +55,28 @@ def test_only_the_data_module_reads_the_storage_order():
     assert reads == []
 
 
+def thaws_an_array(node) -> bool:
+    """Whether ``node`` is a call ``.setflags(...)`` that can make an array writable."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags"):
+        return False
+    write = [k.value for k in node.keywords if k.arg == "write"] + node.args[:1]
+    return any(not (isinstance(v, ast.Constant) and v.value is False) for v in write)
+
+
+def test_only_the_data_module_makes_an_array_writable():
+    # the dataset's in-place sort is the one write to a frozen array
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if thaws_an_array(node)
+    ]
+    assert calls == []
+    data = ast.parse((PACKAGE / "data.py").read_text())
+    assert sum(map(thaws_an_array, ast.walk(data))) == 1
+
+
 def test_readme_quick_start_runs_as_written():
     text = README.read_text()
     section = text[text.index("## Library quick start"):]

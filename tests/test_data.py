@@ -219,6 +219,109 @@ def test_uniform_two_step_never_sorts_the_records():
     assert res.covariance.standard_errors.tobytes() == again.covariance.standard_errors.tobytes()
 
 
+# ---- the sort permutes the columns the dataset owns in place, and gathers the rest
+
+
+def frozen_copy(a):
+    """A read-only array that owns its data, which the dataset keeps as given."""
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
+
+
+@st.composite
+def dataset_inputs(draw):
+    """(covariates, time, status) in record order, and per column whether it is given frozen (kept) or writable (copied)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, time, status = record_arrays(rng, draw(st.integers(1, 40)), draw(st.integers(1, 3)), ties=draw(st.booleans()))
+    if draw(st.booleans()):  # already in sweep order: the sort keeps the records as they are
+        order = np.lexsort((status != 1, time))
+        X, time, status = X[order], time[order], status[order]
+    arrays = (time, status.astype(np.int8), np.asfortranarray(X))
+    kept = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    time, status, X = (frozen_copy(a) if k else a.copy() for a, k in zip(arrays, kept))
+    return X, time, status, kept
+
+
+@PROPERTY
+@given(inputs=dataset_inputs(), read=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_a_read_taken_before_the_first_sweep_is_unchanged_after_it(inputs, read):
+    X, time, status, kept = inputs
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    names = ("time", "status", "covariates")
+    early = {name: getattr(ds, name) for name, r in zip(names, read) if r}
+    saved = {name: a.copy() for name, a in early.items()}
+    stored = ds._records
+    ds.sorted_view()
+    for name, a in early.items():
+        assert a.tobytes() == saved[name].tobytes() and np.array_equal(getattr(ds, name), a)
+    # a column neither kept nor handed out is permuted in its own storage
+    permuted = ds._permuted
+    for k, (before, after) in enumerate(zip(stored, ds._records)):
+        assert (after is before) == (not permuted or (not kept[k] and not read[k])), (k, kept, read)
+        assert not after.flags.writeable
+
+
+@PROPERTY
+@given(inputs=dataset_inputs())
+def test_a_kept_caller_array_is_never_written(inputs):
+    X, time, status, kept = inputs
+    given_arrays = [a for a, k in zip((time, status, X), kept) if k]
+    saved = [a.copy() for a in given_arrays]
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    beta = np.full(ds.p, 0.1)
+    neg_log_partial_likelihood(ds, beta), score(ds, beta), hessian(ds, beta)
+    ds.records_at(np.arange(ds.n)), ds.covariates, ds.time, ds.status
+    for a, b in zip(given_arrays, saved):
+        assert not a.flags.writeable and a.tobytes() == b.tobytes()
+
+
+def test_sorting_an_owned_dataset_holds_one_extra_column():
+    # tracemalloc peak of the sort above the dataset, in n-length float64
+    # arrays: 1.5 for lexsort's int64 order beside its int32 narrowing, and
+    # for the int32 order beside one scratch column; gathering the columns
+    # instead holds a second copy of the records (6.7 at p = 5)
+    import tracemalloc
+
+    n, p = 100_000, 5
+    ds = SurvivalDataset(*record_arrays(np.random.default_rng(23), n, p))
+    stored = ds._records
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds.sort_index
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ds._permuted and all(a is b for a, b in zip(ds._records, stored))
+    assert peak < 1.75 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
+
+
+def test_a_record_order_gather_owns_its_data():
+    # so a plan built over gathered norms keeps them as they are, without a copy
+    ds = SurvivalDataset(*record_arrays(np.random.default_rng(27), 50, 2))
+    assert ds.sorted_view() and ds._permuted
+    for values in (np.full(50, 1 / 50), np.ones(50, dtype=np.int8), np.ones((50, 2), order="F")):
+        out = ds.to_record_order(values)
+        assert out.flags.owndata and out.shape == values.shape and out.dtype == values.dtype
+    probs = ds.to_record_order(np.full(50, 1 / 50))
+    probs.setflags(write=False)
+    assert SubsamplePlan(probs=probs, delta=0.1).probs is probs
+
+
+def test_a_pickled_dataset_keeps_its_records():
+    import pickle
+
+    ds = SurvivalDataset(*record_arrays(np.random.default_rng(26), 30, 2))
+    for swept in (False, True):
+        if swept:
+            ds.sorted_view()
+        copy = pickle.loads(pickle.dumps(ds))
+        for name in ("covariates", "time", "status"):
+            assert getattr(copy, name).tobytes() == getattr(ds, name).tobytes()
+        assert np.array_equal(copy.sort_index, ds.sort_index)
+
+
 # (field, value) of each kind of broken value, -inf time included
 STORED_FAULTS = {
     "nan_time": ("time", np.nan),

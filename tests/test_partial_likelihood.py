@@ -203,8 +203,8 @@ class TestSortedRows:
         ds = random_dataset(np.random.default_rng(8), n=50, p=2, ties=True)
         rows = _SortedRows.of_dataset(ds)
         assert _SortedRows.of_dataset(ds) is rows
-        # the risk-set starts are the rows' only per-event index
-        assert rows.event_risk_start.dtype == np.intp and not rows.event_risk_start.flags.writeable
+        # the risk-set starts are the rows' only per-event index, int32 below 2**31 rows
+        assert rows.event_risk_start.dtype == np.int32 and not rows.event_risk_start.flags.writeable
         assert not hasattr(rows, "event_rows")
         # weighted and subset rows are built per call
         assert _SortedRows.of_dataset(ds, np.ones(ds.n)) is not rows
@@ -607,24 +607,38 @@ class TestSweepBuffers:
     def test_newton_solve_holds_one_sweep(self, traced_ds):
         # tracemalloc peak of a fit above the dataset and what it caches
         # (built before tracing starts), in n-length float64 arrays: about
-        # 5.4 with one sweep's five buffers reused in place (three of n
-        # rows, two of one row per event), 4.7 more with fresh arrays per
-        # sweep and a candidate sweep beside the current
+        # 4.4 with one sweep's four buffers reused in place (two of n rows,
+        # two of one row per event), 5.4 with a third n-length buffer, and
+        # more with fresh arrays per sweep and a candidate sweep beside the
+        # current
         ds, n = traced_ds, traced_ds.n
         newton_solve(ds)  # caches the sorted view, the value verdict and the sweep rows
         fit, peak = traced_peak(newton_solve, ds)
         assert fit.converged
-        assert peak < 6.5 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
+        assert peak < 5.0 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_a_sweep_owns_five_working_arrays(self, weighted):
+    def test_a_sweep_owns_four_working_arrays(self, weighted):
+        # the prefix factor and the score's per-row factor take the suffix
+        # sums' storage in turn
         rng = np.random.default_rng(64)
         ds = random_dataset(rng, n=80, p=3, ties=True)
         rows = _SortedRows.of_dataset(ds, rng.uniform(0.5, 2.0, ds.n) if weighted else None)
         sweep = _Sweep(rows, rng.normal(0, 0.5, 3))
         sweep.nll(), sweep.score(), sweep.curvature(), sweep.means(np.unique(rows.event_risk_start))
         sizes = {name: buf.size for name, buf in sweep.release().items()}
-        assert sizes == {"g": ds.n, "e0": ds.n, "ga": ds.n, "eta_events": ds.n_events, "denoms": ds.n_events}
+        assert sizes == {"g": ds.n, "e0": ds.n, "eta_events": ds.n_events, "denoms": ds.n_events}
+
+    def test_s0_allocates_no_event_length_temporary(self, traced_ds):
+        # one block of risk-set starts at a time: an index copy or a mask of
+        # every event would be 1 to 8 bytes per event
+        rows = _SortedRows.of_dataset(traced_ds)
+        sweep = _Sweep(rows, np.zeros(rows.p))
+        out = np.empty(rows.n_events)
+        sweep.s0(rows.event_risk_start, out=out)  # the suffix sums, built once
+        got, peak = traced_peak(sweep.s0, rows.event_risk_start, out)
+        assert got is out and rows.n_events > 4 * partial_likelihood._BLOCK_ROWS
+        assert peak < 2 * 8 * partial_likelihood._BLOCK_ROWS, f"peak {peak} bytes for {rows.n_events} events"
 
     @pytest.mark.parametrize("criterion", ["lopt", "aopt"])
     def test_two_step_holds_few_record_length_arrays(self, traced_ds, criterion):
@@ -656,6 +670,51 @@ class TestConcurrentReaders:
             assert n0 == n1
             np.testing.assert_array_equal(s0, s1)
             np.testing.assert_array_equal(h0, h1)
+
+    @settings(PROPERTY, max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20_000), handed_over=st.booleans())
+    def test_threads_making_the_first_sweep_give_the_serial_bits(self, seed, n, handed_over):
+        # the first sweep sorts the records in place; whichever thread asks
+        # first sorts them once, and every other read waits for it.  More
+        # threads than cores, switching often
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(seed)
+        given_ds = random_dataset(rng, n=n, p=3, ties=bool(seed % 2))
+        arrays = (given_ds.covariates.copy(), given_ds.time.copy(), given_ds.status.copy())
+        build = SurvivalDataset._taking_over if handed_over else SurvivalDataset
+        betas = [rng.normal(0, 0.5, 3) for _ in range(6)]
+        serial_ds = SurvivalDataset(*(a.copy() for a in arrays))
+        serial = [(neg_log_partial_likelihood(serial_ds, b), score(serial_ds, b), hessian(serial_ds, b)) for b in betas]
+        idx = rng.integers(0, n, 50)
+        expect = serial_ds.records_at(idx)
+
+        ds = build(*(a.copy() for a in arrays))
+        start = threading.Barrier(len(betas) + 1)
+
+        def evaluate(b):
+            start.wait(timeout=60)
+            return neg_log_partial_likelihood(ds, b), score(ds, b), hessian(ds, b)
+
+        def read():
+            start.wait(timeout=60)
+            return [ds.records_at(idx) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(betas) + 1) as pool:
+                reads = pool.submit(read)
+                threaded = list(pool.map(evaluate, betas, timeout=60))
+                got_reads = reads.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        for got in got_reads:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expect))
+        for (n0, s0, h0), (n1, s1, h1) in zip(serial, threaded):
+            assert n0 == n1 and s0.tobytes() == s1.tobytes() and h0.tobytes() == h1.tobytes()
 
 
 class TestNumericalGuards:

@@ -168,6 +168,25 @@ class TestGenDataset:
         with pytest.raises(ValueError, match="c0"):
             gen_dataset(SimConfig(case="I", n=100, target_cr=0.2), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [1, 3 * simulation._DRAW_ROWS + 1])
+    @pytest.mark.parametrize("case", simulation.CASES)
+    def test_streamed_records_are_the_reference_generators_bit_for_bit(self, case, n):
+        # several chunks of covariates, the last one row that joins the one
+        # before it; p = 3, not the default 5, so the AR(1) factor follows beta
+        cfg = SimConfig(case=case, n=n, beta_true=(0.7, -0.4, 1.1), c0=1.5)
+        ds = gen_dataset(cfg, np.random.default_rng(42))
+        # the dataset took the arrays over: its sort permutes them in place
+        stored = ds._records
+        ds.sort_index
+        assert all(a is b for a, b in zip(ds._records, stored))
+        rng = np.random.default_rng(42)
+        X = gen_covariates(case, n, rng, p=cfg.p)
+        t_fail = gen_failure_times(X, cfg.beta, rng)
+        censor = cfg.c0 * rng.random(n)
+        assert ds.covariates.flags.f_contiguous and ds.covariates.tobytes() == X.tobytes()
+        assert ds.time.tobytes() == np.minimum(t_fail, censor).tobytes()
+        assert ds.status.tobytes() == (t_fail <= censor).astype(np.int8).tobytes()
+
 
 @pytest.fixture(scope="module")
 def small_cfg():
