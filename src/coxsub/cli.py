@@ -372,9 +372,8 @@ def cmd_calibrate(args) -> int:
     _check_outputs(args.output)
     c0 = simulation.calibrate_c0(args.case, beta, args.cr, seed=args.seed, tol=args.tol)
     check_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(2)[1])
-    X = simulation.gen_covariates(args.case, 100_000, check_rng, p=beta.size)
-    t_fail = simulation.gen_failure_times(X, beta, check_rng)
-    achieved = simulation._censoring_rate(t_fail, check_rng.random(100_000), c0)
+    _, t_fail, unit_censor = simulation._draw_records(args.case, 100_000, beta, check_rng)
+    achieved = simulation._censoring_rate(t_fail, unit_censor, c0)
     report = {
         "schema": SCHEMA_VERSION,
         "case": str(args.case).upper(),

@@ -5,6 +5,11 @@ Failure times follow a proportional hazards model with baseline hazard
 uniform draw.  Censoring times are uniform on ``(0, c0)`` with ``c0``
 calibrated by bisection against Monte Carlo censoring-rate estimates on a
 fixed batch, so the search is deterministic given the seed.
+
+Every record comes from one draw path, :func:`_draw_records`, in the
+order of the determinism contract: covariates, failure uniforms, then
+censoring uniforms.  :func:`gen_dataset`, :func:`calibrate_c0` and
+``coxsub calibrate`` all draw through it.
 """
 
 from __future__ import annotations
@@ -65,47 +70,14 @@ class SimConfig:
         return np.asarray(self.beta_true)
 
 
-def gen_covariates(case: str, n: int, rng: np.random.Generator, p: int = 5) -> np.ndarray:
-    """Draw n i.i.d. covariate rows for the given simulation case.
-
-    Cases: I uniform(-1,1); II equal mixture of two correlated normals
-    centred at -1 and +1; III independent exponentials with rate 2;
-    IV correlated heavy-tailed rows (multivariate t, 10 df), scaled by
-    ``(df - 2) / df`` so the covariance matrix equals the AR(1) target.
-    """
-    case = str(case).upper()
-    if case == "I":
-        return rng.uniform(-1.0, 1.0, size=(n, p))
-    if case == "III":
-        return rng.exponential(scale=0.5, size=(n, p))
-    chol = np.linalg.cholesky(ar1_covariance(p))
-    if case == "II":
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        z = rng.standard_normal((n, p))
-        return signs[:, None] + z @ chol.T
-    if case == "IV":
-        df = 10
-        z = rng.standard_normal((n, p)) @ chol.T
-        mix = rng.chisquare(df, size=n)
-        return z * np.sqrt((df - 2.0) / mix)[:, None]
-    raise ValueError(f"case must be one of {CASES}, got {case!r}")
-
-
-def gen_failure_times(X: np.ndarray, beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Invert the cumulative hazard at a uniform draw.
-
-    With cumulative baseline hazard ``0.25*t**2`` the failure time is
-    ``2*sqrt(-log(u))*exp(-beta'x/2)``, with ``u = 1 - rng.random(n)`` on
-    (0, 1], one draw per row of ``X``.
-    """
-    return _failure_times(np.asarray(X) @ np.asarray(beta), rng)
-
-
 def _failure_times(eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The failure times at linear predictors ``eta``, which are overwritten.
 
-    Computed in place in ``eta`` and one more n-length array, one operation
-    at a time in the order of :func:`gen_failure_times`' formula.
+    With cumulative baseline hazard ``0.25*t**2`` the failure time is
+    ``2*sqrt(-log(u))*exp(-eta/2)``, with ``u = 1 - rng.random(n)`` on
+    (0, 1], one draw per record.  Computed in place in ``eta`` and one more
+    n-length array, one operation at a time in the formula's order, so the
+    bits are the formula's.
     """
     u = rng.random(eta.shape[0])
     np.subtract(1.0, u, out=u)
@@ -118,7 +90,7 @@ def _failure_times(eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.multiply(u, eta, out=u)
 
 
-# rows of covariates drawn per chunk when a dataset is generated
+# rows of covariates drawn per chunk
 _DRAW_ROWS = 8192
 
 
@@ -135,14 +107,18 @@ def _row_chunks(n: int) -> list[tuple[int, int]]:
 
 
 def _stream_covariates(case: str, n: int, beta: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``gen_covariates(case, n, rng, beta.size)`` for a checked ``case``, column-major, and ``X @ beta`` per row.
+    """The covariates of ``n`` records of a checked ``case``, column-major, and ``X @ beta`` per row.
 
-    Drawn a chunk of rows at a time, straight into the block, with no
-    row-major copy of all n rows.  The draws keep :func:`gen_covariates`'
-    stream order (case II draws every sign first, case IV every chi-square
-    draw last), and each chunk's values and ``X @ beta`` are computed with
-    the same operations on the same row-major rows, so both are bit for
-    bit those of :func:`gen_covariates` and :func:`gen_failure_times`.
+    The package's one copy of the four designs, the first draws of
+    :func:`_draw_records`, with ``p = beta.size`` columns: I uniform(-1,1);
+    II equal mixture of two correlated normals centred at -1 and +1; III
+    independent exponentials with rate 2; IV correlated heavy-tailed rows
+    (multivariate t, 10 df), scaled by ``(df - 2) / df`` so the covariance
+    matrix equals the AR(1) target.  Drawn a chunk of rows at a time,
+    straight into the block, yet bit for bit the values, stream order and
+    ``X @ beta`` of one row-major draw of all n rows: case II draws every
+    sign first, case IV every chi-square draw last, and each chunk is
+    computed on row-major rows.
     """
     p = beta.size
     X, eta = np.empty((n, p), order="F"), np.empty(n)
@@ -174,6 +150,22 @@ def _stream_covariates(case: str, n: int, beta: np.ndarray, rng: np.random.Gener
     return X, eta
 
 
+def _draw_records(case: str, n: int, beta: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws behind ``n`` records: ``(X, t_fail, unit_censor)``.
+
+    The one draw path, in the contract order: covariates, failure
+    uniforms, then censoring uniforms on [0, 1), which the caller scales
+    by ``c0``.  ``case`` is upper-cased and checked.
+    """
+    case = str(case).upper()
+    if case not in CASES:
+        raise ValueError(f"case must be one of {CASES}, got {case!r}")
+    X, eta = _stream_covariates(case, n, beta, rng)
+    t_fail = _failure_times(eta, rng)
+    del eta  # spent: freed before the censoring draw
+    return X, t_fail, rng.random(n)
+
+
 def _censoring_rate(t_fail: np.ndarray, unit_censor: np.ndarray, c0: float) -> float:
     return float(np.mean(t_fail > c0 * unit_censor))
 
@@ -201,9 +193,7 @@ def calibrate_c0(
     beta = np.asarray(beta, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _CALIBRATION_STREAM]))
 
-    X = gen_covariates(case, _CALIBRATION_BATCH, rng, p=beta.size)
-    t_fail = gen_failure_times(X, beta, rng)
-    unit_censor = rng.random(_CALIBRATION_BATCH)
+    _, t_fail, unit_censor = _draw_records(case, _CALIBRATION_BATCH, beta, rng)
 
     lo, hi = 1e-9, 1.0
     for _ in range(200):
@@ -246,18 +236,17 @@ def resolve_c0(cfg: SimConfig) -> SimConfig:
 def gen_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
     """Generate one dataset: covariates, failure times, uniform censoring.
 
-    Draw order (covariates, failure uniforms, censoring uniforms) is part
-    of the determinism contract: the records are bit for bit those of
-    :func:`gen_covariates` and :func:`gen_failure_times` on the same
-    stream, with the covariates drawn a chunk of rows at a time straight
-    into the dataset's column-major block.  ``cfg.c0`` must be set; see
+    The records come from :func:`_draw_records`, the draw path of
+    :func:`calibrate_c0`'s batch, in the contract order: covariates,
+    failure uniforms, censoring uniforms.  The covariates land straight in
+    the dataset's column-major block, and the censoring uniforms are
+    scaled by ``cfg.c0`` in place.  ``cfg.c0`` must be set; see
     :func:`resolve_c0`.
     """
     if cfg.c0 is None:
         raise ValueError("cfg.c0 is unset; call resolve_c0 first")
-    X, eta = _stream_covariates(cfg.case, cfg.n, cfg.beta, rng)
-    t_fail = _failure_times(eta, rng)
-    censor = cfg.c0 * rng.random(cfg.n)
+    X, t_fail, censor = _draw_records(cfg.case, cfg.n, cfg.beta, rng)
+    np.multiply(censor, cfg.c0, out=censor)
     status = (t_fail <= censor).astype(np.int8)
     # the observed times over the failure times, and the censoring times
     # dropped, so the dataset is built beside one n-length array fewer

@@ -2,17 +2,24 @@
 
 Everything here is written as direct loops over the defining formulas, with
 no shared code or vectorisation tricks from the package under test.  The
-exception is the last section: the oracle plans of the optimality tests,
-built from the package's dense per-record residuals (themselves checked
-against :func:`naive_score_residual`) and full-data tables.
+simulation section draws each design as one row-major matrix, the
+reference for the package's chunked draw path; it takes only the design's
+constants (the case names, the AR(1) matrix, the calibration stream and
+batch size) from the package.  The other exception is the last section:
+the oracle plans of the optimality tests, built from the package's dense
+per-record residuals (themselves checked against
+:func:`naive_score_residual`) and full-data tables.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from coxsub.breslow import RiskSetMean, breslow_cumhaz, score_residuals
+from coxsub.errors import CalibrationError
+from coxsub.simulation import _CALIBRATION_BATCH, _CALIBRATION_STREAM, CASES, ar1_covariance
 from coxsub.subsampling import _mixed_plan, _require_positive_definite
 
 
@@ -305,6 +312,87 @@ def oracle_write_cumhaz_csv(jump_times, cumulative, path):
         writer.writerow(["time", "cumhaz"])
         for t, v in zip(jump_times, cumulative):
             writer.writerow([repr(float(t)), repr(float(v))])
+
+
+# ---- the simulation designs, drawn as one row-major matrix: the reference the
+# package's chunked, column-major draw path reproduces bit for bit
+
+
+def gen_covariates(case: str, n: int, rng: np.random.Generator, p: int = 5) -> np.ndarray:
+    """Draw n i.i.d. covariate rows for the given simulation case.
+
+    Cases: I uniform(-1,1); II equal mixture of two correlated normals
+    centred at -1 and +1; III independent exponentials with rate 2;
+    IV correlated heavy-tailed rows (multivariate t, 10 df), scaled by
+    ``(df - 2) / df`` so the covariance matrix equals the AR(1) target.
+    """
+    case = str(case).upper()
+    if case == "I":
+        return rng.uniform(-1.0, 1.0, size=(n, p))
+    if case == "III":
+        return rng.exponential(scale=0.5, size=(n, p))
+    chol = np.linalg.cholesky(ar1_covariance(p))
+    if case == "II":
+        signs = rng.integers(0, 2, size=n) * 2 - 1
+        z = rng.standard_normal((n, p))
+        return signs[:, None] + z @ chol.T
+    if case == "IV":
+        df = 10
+        z = rng.standard_normal((n, p)) @ chol.T
+        mix = rng.chisquare(df, size=n)
+        return z * np.sqrt((df - 2.0) / mix)[:, None]
+    raise ValueError(f"case must be one of {CASES}, got {case!r}")
+
+
+def gen_failure_times(X: np.ndarray, beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Invert the cumulative hazard at a uniform draw.
+
+    With cumulative baseline hazard ``0.25*t**2`` the failure time is
+    ``2*sqrt(-log(u))*exp(-beta'x/2)``, with ``u = 1 - rng.random(n)`` on
+    (0, 1], one draw per row of ``X``.
+    """
+    u = 1.0 - rng.random(np.shape(X)[0])
+    return 2.0 * np.sqrt(-np.log(u)) * np.exp(-(np.asarray(X) @ np.asarray(beta)) / 2.0)
+
+
+def calibrate_c0(case, beta, target_cr, *, seed, tol=0.002):
+    """The censoring bound's bisection on a whole-matrix batch from the generators above."""
+    if not 0.01 < target_cr < 0.99:
+        raise ValueError("target_cr must lie in (0.01, 0.99)")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    beta = np.asarray(beta, dtype=np.float64)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _CALIBRATION_STREAM]))
+
+    X = gen_covariates(case, _CALIBRATION_BATCH, rng, p=beta.size)
+    t_fail = gen_failure_times(X, beta, rng)
+    unit_censor = rng.random(_CALIBRATION_BATCH)
+
+    def censoring_rate(c0):
+        return float(np.mean(t_fail > c0 * unit_censor))
+
+    lo, hi = 1e-9, 1.0
+    for _ in range(200):
+        if censoring_rate(hi) <= target_cr:
+            break
+        hi *= 2.0
+    else:
+        raise CalibrationError("could not bracket the target censoring rate from above")
+    if censoring_rate(lo) < target_cr:
+        raise CalibrationError("could not bracket the target censoring rate from below")
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        cr = censoring_rate(mid)
+        if abs(cr - target_cr) <= tol:
+            return mid
+        if cr > target_cr:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    raise CalibrationError("bisection failed to reach the target censoring rate")
 
 
 # ------------------------------------------------------------------ oracle plans

@@ -163,15 +163,13 @@ def test_c08_weighted_fit_reduction(case1_ds, case1_mpl):
 
 
 def test_c09_probability_integral_transform_all_cases():
-    from coxsub.simulation import DEFAULT_BETA, gen_covariates, gen_failure_times
+    from coxsub.simulation import DEFAULT_BETA, _draw_records
 
     beta = np.asarray(DEFAULT_BETA)
     ok = True
     pvals = {}
     for k, case in enumerate(("I", "II", "III", "IV")):
-        rng = np.random.default_rng(1009 + k)
-        X = gen_covariates(case, 100_000, rng)
-        t = gen_failure_times(X, beta, rng)
+        X, t, _ = _draw_records(case, 100_000, beta, np.random.default_rng(1009 + k))
         z = true_cumulative_hazard(t) * np.exp(X @ beta)
         pvals[case] = stats.kstest(z, "expon").pvalue
         ok &= pvals[case] > 0.001

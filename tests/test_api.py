@@ -77,6 +77,26 @@ def test_only_the_data_module_makes_an_array_writable():
     assert sum(map(thaws_an_array, ast.walk(data))) == 1
 
 
+# the generator methods the four covariate designs draw from
+DESIGN_DRAWS = {"uniform", "standard_normal", "exponential", "chisquare"}
+
+
+def draws_a_design(node) -> bool:
+    """Whether ``node`` calls a method named in ``DESIGN_DRAWS``."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in DESIGN_DRAWS
+
+
+def test_one_function_draws_the_covariate_designs():
+    # a second copy of the designs would draw from the generator in another function
+    drawers = [
+        f"{path.name}:{fn.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(draws_a_design, ast.walk(fn)))
+    ]
+    assert drawers == ["simulation.py:_stream_covariates"]
+
+
 def test_readme_quick_start_runs_as_written():
     text = README.read_text()
     section = text[text.index("## Library quick start"):]

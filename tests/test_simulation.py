@@ -19,49 +19,54 @@ from coxsub import (
     resolve_c0,
     run_replications,
 )
-from coxsub.simulation import _fivenum, ar1_covariance, gen_covariates, gen_failure_times
+from coxsub.simulation import DEFAULT_BETA, _draw_records, _failure_times, _fivenum, ar1_covariance
 from coxsub.subsampling import uniform_plan
 
+import oracles
 from conftest import at_iteration_limit
 from oracles import true_cumulative_hazard
 
 
+def draw(case, n, seed, beta=DEFAULT_BETA):
+    """``(X, t_fail, unit_censor)`` of n records, through the package's one draw path."""
+    return _draw_records(case, n, np.asarray(beta, dtype=np.float64), np.random.default_rng(seed))
+
+
 class TestCovariates:
     def test_case1_moments(self):
-        rng = np.random.default_rng(0)
-        X = gen_covariates("I", 1_000_000, rng)
+        X, _, _ = draw("I", 1_000_000, 0)
         sigma = np.sqrt(1.0 / 3.0 / 1_000_000)
         assert np.all(np.abs(X.mean(axis=0)) < 4 * sigma)
         assert np.all((X > -1) & (X < 1))
 
     def test_case3_moments(self):
-        rng = np.random.default_rng(1)
         n = 400_000
-        X = gen_covariates("III", n, rng)
+        X, _, _ = draw("III", n, 1)
         assert np.all(X > 0)
         se = 0.5 / np.sqrt(n)
         assert np.all(np.abs(X.mean(axis=0) - 0.5) < 4 * se)
 
     def test_case2_mixture_covariance(self):
         # exact mixture covariance: AR(1) matrix plus 1 in every entry
-        rng = np.random.default_rng(2)
         n = 300_000
-        X = gen_covariates("II", n, rng)
+        X, _, _ = draw("II", n, 2)
         target = ar1_covariance(5) + 1.0
         emp = np.cov(X.T)
         assert np.abs(emp - target).max() < 0.02
         assert np.abs(X.mean(axis=0)).max() < 0.02
 
     def test_case4_covariance_matches_target(self):
-        rng = np.random.default_rng(3)
         n = 400_000
-        X = gen_covariates("IV", n, rng)
+        X, _, _ = draw("IV", n, 3)
         emp = np.cov(X.T)
         assert np.abs(emp - ar1_covariance(5)).max() < 0.03
 
     def test_unknown_case_rejected(self):
-        with pytest.raises(ValueError, match="case"):
-            gen_covariates("V", 10, np.random.default_rng(0))
+        # a lower-case name is upper-cased before it is checked
+        for case in ("V", "v"):
+            with pytest.raises(ValueError) as err:
+                calibrate_c0(case, np.zeros(5), 0.2, seed=0)
+            assert str(err.value) == "case must be one of ('I', 'II', 'III', 'IV'), got 'V'"
 
 
 class TestFailureTimes:
@@ -70,7 +75,7 @@ class TestFailureTimes:
         # with u = 1 - U for the generator's uniform draw U
         X = np.random.default_rng(21).normal(size=(50, 2))
         beta = np.array([0.7, -0.3])
-        t = gen_failure_times(X, beta, np.random.default_rng(4))
+        t = _failure_times(X @ beta, np.random.default_rng(4))
         u = 1.0 - np.random.default_rng(4).random(50)
         np.testing.assert_allclose(t, 2.0 * np.sqrt(-np.log(u)) * np.exp(-(X @ beta) / 2.0), rtol=1e-14)
 
@@ -85,7 +90,7 @@ class TestFailureTimes:
         formula = 2.0 * np.sqrt(-np.log(u)) * np.exp(-eta / 2.0)
         tracemalloc.start()
         try:
-            t = gen_failure_times(X, beta, np.random.default_rng(6))
+            t = _failure_times(X @ beta, np.random.default_rng(6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -96,14 +101,12 @@ class TestFailureTimes:
         # one seed for every record, so each inverts the same uniform draw
         beta = np.array([1.0])
         grid = np.linspace(-3, 3, 25)[:, None]
-        t = np.array([gen_failure_times(x[None], beta, np.random.default_rng(37))[0] for x in grid])
+        t = np.array([_failure_times(x[None] @ beta, np.random.default_rng(37))[0] for x in grid])
         assert np.all(np.diff(t) < 0)
 
     def test_probability_integral_transform(self):
-        rng = np.random.default_rng(5)
-        X = gen_covariates("I", 100_000, rng)
         beta = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        t = gen_failure_times(X, beta, rng)
+        X, t, _ = draw("I", 100_000, 5, beta)
         z = true_cumulative_hazard(t) * np.exp(X @ beta)
         assert stats.kstest(z, "expon").pvalue > 0.001
 
@@ -124,11 +127,8 @@ class TestCalibration:
     def test_resimulation_hits_target(self):
         beta = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
         c0 = calibrate_c0("I", beta, 0.2, seed=11)
-        rng = np.random.default_rng(999)
-        n = 1_000_000
-        X = gen_covariates("I", n, rng)
-        t = gen_failure_times(X, beta, rng)
-        cr = np.mean(t > c0 * rng.random(n))
+        _, t, unit_censor = draw("I", 1_000_000, 999, beta)
+        cr = np.mean(t > c0 * unit_censor)
         assert abs(cr - 0.2) < 0.01
 
     def test_invalid_target(self):
@@ -140,15 +140,33 @@ class TestCalibration:
         with pytest.raises(ValueError, match="tol"):
             calibrate_c0("I", np.zeros(5), 0.2, seed=0, tol=tol)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("case", simulation.CASES)
+    def test_is_the_whole_matrix_calibration_bit_for_bit(self, case, seed, p):
+        # the batch is the row-major reference's, and so is the bound it gives
+        beta = np.array([-1.0, -0.5, 0.0, 0.5, 1.0] if p == 5 else [0.7, -0.4, 1.1])
+        stream = np.random.SeedSequence([seed, simulation._CALIBRATION_STREAM])
+        n = simulation._CALIBRATION_BATCH
+        _, t_fail, unit_censor = _draw_records(case, n, beta, np.random.default_rng(stream))
+        rng = np.random.default_rng(stream)
+        X = oracles.gen_covariates(case, n, rng, p=p)
+        assert t_fail.tobytes() == oracles.gen_failure_times(X, beta, rng).tobytes()
+        assert unit_censor.tobytes() == rng.random(n).tobytes()
+        assert calibrate_c0(case, beta, 0.3, seed=seed) == oracles.calibrate_c0(case, beta, 0.3, seed=seed)
+
+    @pytest.mark.parametrize("case", simulation.CASES)
+    def test_case_is_upper_cased(self, case):
+        beta = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert calibrate_c0(case.lower(), beta, 0.2, seed=4) == calibrate_c0(case, beta, 0.2, seed=4)
+
 
 class TestGenDataset:
     def test_event_iff_failure_before_censoring(self, case1_cfg):
         ds = gen_dataset(case1_cfg, np.random.default_rng(6))
         # regenerate with the same stream to recover T and C
-        rng = np.random.default_rng(6)
-        X = gen_covariates(case1_cfg.case, case1_cfg.n, rng, p=5)
-        t_fail = gen_failure_times(X, case1_cfg.beta, rng)
-        censor = case1_cfg.c0 * rng.random(case1_cfg.n)
+        _, t_fail, unit_censor = draw(case1_cfg.case, case1_cfg.n, 6, case1_cfg.beta)
+        censor = case1_cfg.c0 * unit_censor
         np.testing.assert_array_equal(ds.status == 1, t_fail <= censor)
         np.testing.assert_allclose(ds.time, np.minimum(t_fail, censor))
 
@@ -180,8 +198,8 @@ class TestGenDataset:
         ds.sort_index
         assert all(a is b for a, b in zip(ds._records, stored))
         rng = np.random.default_rng(42)
-        X = gen_covariates(case, n, rng, p=cfg.p)
-        t_fail = gen_failure_times(X, cfg.beta, rng)
+        X = oracles.gen_covariates(case, n, rng, p=cfg.p)
+        t_fail = oracles.gen_failure_times(X, cfg.beta, rng)
         censor = cfg.c0 * rng.random(n)
         assert ds.covariates.flags.f_contiguous and ds.covariates.tobytes() == X.tobytes()
         assert ds.time.tobytes() == np.minimum(t_fail, censor).tobytes()
