@@ -22,7 +22,6 @@ import warnings
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,18 +52,20 @@ class SurvivalDataset:
     scanning a dataset at most once.
 
     The records are stored once.  The first call that needs their sweep
-    order (``sort_index``, :meth:`sorted_view`, the first risk-set sweep
-    or validation) sorts them: time ascending, events before censorings at
-    ties, then record order.  A column the dataset owns, one it copied on
+    order (:meth:`sorted_view`, the first risk-set sweep or validation)
+    sorts them: time ascending, events before censorings at ties, then
+    record order.  A column the dataset owns, one it copied on
     construction or one a coxsub producer handed over, is permuted in its
     own storage through one n-length scratch column; a column it kept as
     given, such as a caller's read-only array, is gathered into a new one,
     so no caller's array is ever written.  A swept dataset holds its
-    records once, in sweep order, with the permutation ``sort_index``.  A
-    dataset that is never swept, as under a uniform two-step, never pays
-    for the sort; records already in sweep order are kept as they are.
-    The sort runs once, under a lock, whichever thread asks first; until
-    it has run, every read of the stored records takes that lock.
+    records once, in sweep order, and one permutation beside them: the
+    rank, each record's row in sweep order (``int32`` below 2**31
+    records).  Records already in sweep order are kept as they are, with
+    no permutation at all.  A dataset that is never swept, as under a
+    uniform two-step, never pays for the sort.  The sort runs once, under
+    a lock, whichever thread asks first; until it has run, every read of
+    the stored records takes that lock.
 
     ``covariates``, ``time`` and ``status`` are the records in record
     order, read-only.  Before the sort a read returns the stored column
@@ -72,15 +73,13 @@ class SurvivalDataset:
     it, so a read taken before the sort keeps its values.  Other modules
     read records by index through :meth:`records_at` and put stored-order
     values back in record order through :meth:`to_record_order`, so only
-    this class knows the storage order.  Once the records are stored in
-    sweep order, each record-order read is a gather, not cached, since a
-    cache would be the second copy again: read each once and keep the
-    result.  Two more derived values are built on first use and cached
-    read-only: the inverse permutation (:meth:`sort_rank`), built by the
-    first of those reads on a permuted dataset; and the unit-weight
-    full-data sweep rows (``_SortedRows.of_dataset``), built by the first
-    full-data fit, hazard or criterion evaluation, never by a two-step
-    estimate.
+    this class knows the storage order.  Once the records are permuted
+    into sweep order, each record-order read is a gather through the
+    rank, not cached, since a cache would be the second copy again: read
+    each once and keep the result.  The unit-weight full-data sweep rows
+    (``_SortedRows.of_dataset``) are built on first use and cached
+    read-only, by the first full-data fit, hazard or criterion
+    evaluation, never by a two-step estimate.
     """
 
     def __init__(self, covariates, time, status):
@@ -113,7 +112,11 @@ class SurvivalDataset:
             )
         if len(t) == 0:
             raise ValueError("dataset must contain at least one record")
-        self._store(t, s, X, permuted=False)
+        self._store(t, s, X)
+        # each record's row in the stored arrays, held only once the sort has
+        # permuted them; ``_swept`` is set once the sort has run
+        object.__setattr__(self, "_rank", None)
+        object.__setattr__(self, "_swept", False)
         # the columns, by position in ``_records``, that the sort may permute
         # in place: the copies made here, never an array a caller still holds
         owned = {k for k, (a, b) in enumerate(zip(self._records, given)) if a is not b and a.dtype in _PERMUTABLE}
@@ -136,12 +139,11 @@ class SurvivalDataset:
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state, _lock=threading.RLock())
 
-    def _store(self, time: np.ndarray, status: np.ndarray, covariates: np.ndarray, permuted: bool) -> None:
-        """Keep the records, and whether they are permuted out of record order; set again only by the sort."""
+    def _store(self, time: np.ndarray, status: np.ndarray, covariates: np.ndarray) -> None:
+        """Keep the records; set again only by the sort."""
         object.__setattr__(self, "_time", time)
         object.__setattr__(self, "_status", status)
         object.__setattr__(self, "_covariates", covariates)
-        object.__setattr__(self, "_permuted", permuted)
 
     @property
     def _records(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +153,7 @@ class SurvivalDataset:
     @contextmanager
     def _held(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The stored records, read where no sort can permute them: under the sort's lock until it has run."""
-        if "sort_index" in vars(self):
+        if self._swept:
             yield self._records
         else:
             with self._lock:
@@ -205,38 +207,35 @@ class SurvivalDataset:
         if idx.min() < 0 or idx.max() >= self.n:
             raise ValueError("subset indices out of range")
         with self._held() as (time, status, X):
-            rows = self.sort_rank()[idx] if self._permuted else idx
+            rows = self._stored_rows(idx)
             return time[rows], status[rows], X[rows]
 
     def to_record_order(self, values: np.ndarray) -> np.ndarray:
         """n-length or n-by-p ``values`` held in stored order, in record order (column-major when 2-D).
 
-        ``values`` itself unless the sort permuted the records; else a gather through :meth:`sort_rank`.
+        ``values`` itself unless the sort permuted the records; else a gather through the rank.
         """
-        return _gather(values, self.sort_rank()) if self._permuted else values
+        return values if self._rank is None else _gather(values, self._rank)
 
-    def _record_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The records held in rows ``rows`` of the stored arrays."""
-        return self.sort_index[rows] if self._permuted else rows
+    def _stored_rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows of the stored arrays that hold records ``idx``."""
+        return idx if self._rank is None else self._rank[idx]
 
-    @cached_property
-    def sort_index(self) -> np.ndarray:
-        """Time ascending, events before censorings at ties, then input order; read-only, ``int32`` below 2**31 records.
+    def sorted_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored (time, status, covariates), sorted into sweep order on first use; read-only.
 
-        The first read stores the records in this order: each column the
-        dataset owns is permuted in place through one n-length scratch
-        column, and each other column is gathered into a new one.  Records
-        already in this order are kept as they are.  The sort runs once,
-        under the dataset's lock (``cached_property`` stops locking in
-        Python 3.12), and is cached before the lock is released.
+        The sorted triple is the working representation of every risk-set
+        sweep; the covariates are column-major (see :func:`_gather`).  The
+        sort runs once, under the dataset's lock.
         """
-        with self._lock:
-            if "sort_index" not in vars(self):  # else another thread sorted while this one waited
-                vars(self)["sort_index"] = self._sort()
-        return vars(self)["sort_index"]
+        if not self._swept:
+            with self._lock:
+                if not self._swept:  # else another thread sorted while this one waited
+                    self._sort()
+        return self._records
 
-    def _sort(self) -> np.ndarray:
-        """Store the records in sweep order, and return that order."""
+    def _sort(self) -> None:
+        """Store the records in sweep order and, if that permuted them, their rank."""
         order = _time_order(self._time, self._status)
         if self.n < 2**31:
             # narrowed before the columns are permuted, so lexsort's int64
@@ -248,35 +247,13 @@ class SurvivalDataset:
                 *(
                     _permute_in_place(a, order, scratch) if k in self._owned else _frozen(_gather(a, order))[0]
                     for k, a in enumerate(self._records)
-                ),
-                permuted=True,
+                )
             )
-        return _frozen(order)[0]
-
-    def sorted_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stored (time, status, covariates), sorted into sweep order on first use; read-only.
-
-        The sorted triple is the working representation of every risk-set
-        sweep; the covariates are column-major (see :func:`_gather`).
-        """
-        self.sort_index
-        return self._records
-
-    def sort_rank(self) -> np.ndarray:
-        """Each record's position in sweep order, cached; ``int32`` below 2**31 records.
-
-        The inverse of ``sort_index``: ``sort_rank()[sort_index] == arange(n)``,
-        so ``v[sort_rank()]`` puts values ``v`` of the sorted records back in
-        record order with a gather rather than a scatter, and
-        ``sort_rank()[idx]`` are the sorted rows of records ``idx``.
-        """
-        def build():
-            dtype = np.int32 if self.n < 2**31 else np.intp
-            rank = np.empty(self.n, dtype=dtype)
-            rank[self.sort_index] = np.arange(self.n, dtype=dtype)
-            return _frozen(rank)[0]
-
-        return self._cached("_sort_rank", build)
+            del scratch  # before the rank is built, so the two are never held together
+            rank = np.empty_like(order)
+            rank[order] = np.arange(self.n, dtype=order.dtype)
+            object.__setattr__(self, "_rank", _frozen(rank)[0])
+        object.__setattr__(self, "_swept", True)
 
     def _cached(self, name: str, build):
         """``build()``, computed on first use and kept as attribute ``name`` of the frozen dataset."""
@@ -432,7 +409,7 @@ def _value_violations(ds: SurvivalDataset) -> Iterator[Violation]:
     for i, k in _bad_records(ds, ~((status == 0) | (status == 1))):
         yield Violation("bad_status", f"status at row {i} is {status[k].item()!r}, expected 0 or 1", row=i)
     # (record row, column) pairs, row by row as a record-order scan meets them
-    rows = [ds._record_rows(np.flatnonzero(~np.isfinite(x))) for x in X.T]
+    rows = [np.flatnonzero(ds.to_record_order(~np.isfinite(x))) for x in X.T]
     cols = np.repeat(np.arange(ds.p), [r.size for r in rows])
     rows = np.concatenate([*rows, np.empty(0, dtype=np.intp)])
     for t in np.lexsort((cols, rows)):
@@ -442,10 +419,8 @@ def _value_violations(ds: SurvivalDataset) -> Iterator[Violation]:
 
 def _bad_records(ds: SurvivalDataset, mask: np.ndarray) -> Iterator[tuple[int, int]]:
     """``(record row, stored row)`` of each stored row where ``mask`` holds, in record order."""
-    k = np.flatnonzero(mask)
-    rows = ds._record_rows(k)
-    by_row = np.argsort(rows)
-    return zip(rows[by_row].tolist(), k[by_row].tolist())
+    rows = np.flatnonzero(ds.to_record_order(mask))
+    return zip(rows.tolist(), ds._stored_rows(rows).tolist())
 
 
 def validate(ds: SurvivalDataset) -> list[Violation]:
@@ -455,13 +430,15 @@ def validate(ds: SurvivalDataset) -> list[Violation]:
     if ds.n_events == 0:
         out.append(Violation("no_events", "dataset has no events; partial likelihood is degenerate"))
     # defensive, and only once the dataset has sorted itself: these hold by
-    # construction, and reading ``sort_index`` would sort an unswept dataset
-    if "sort_index" in vars(ds):
-        order, time_s = ds.sort_index, ds.sorted_view()[0]
-        if order.size != ds.n or order.min() < 0 or not np.all(np.bincount(order, minlength=ds.n) == 1):
-            out.append(Violation("bad_sort_index", "sort_index is not a permutation"))
+    # construction, and reading the sorted view would sort an unswept dataset
+    if ds._swept:
+        rank, time_s = ds._rank, ds.sorted_view()[0]
+        if rank is not None and (
+            rank.size != ds.n or rank.min() < 0 or not np.all(np.bincount(rank, minlength=ds.n) == 1)
+        ):
+            out.append(Violation("bad_sort_index", "the sort rank is not a permutation"))
         elif np.any(time_s[1:] < time_s[:-1]):  # no inf - inf to warn on
-            out.append(Violation("bad_sort_index", "sort_index does not order time ascending"))
+            out.append(Violation("bad_sort_index", "the sorted records are not in time-ascending order"))
     return out
 
 
@@ -686,4 +663,4 @@ def write_csv(ds: SurvivalDataset, path: str | os.PathLike, schema: CsvSchema | 
     # record order, gathered from the stored rows a chunk at a time
     with ds._held() as (time, status, X):
         columns = [(time, float), (status, int), *((X[:, j], float) for j in range(ds.p))]
-        _write_columns(path, header, columns, schema.delimiter, ds.sort_rank() if ds._permuted else None)
+        _write_columns(path, header, columns, schema.delimiter, ds._rank)

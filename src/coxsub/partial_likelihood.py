@@ -143,26 +143,23 @@ class _SortedRows:
         """
         ds.check_values()
         if subset is None:
-            time, status, X = ds.sorted_view()
-            m = ds.n
             if weights is None:
-                return ds._cached("_sweep_rows", lambda: cls(time, status, X))
-        else:
-            # the records, put in sweep order by their own values, so tied
-            # records keep their order in ``subset``; a dataset that is not
-            # yet swept stays unsorted
-            time, status, X = ds.records_at(subset)
-            order = _time_order(time, status)
-            time, status, X = time[order], status[order], _gather(X, order)
-            m = time.size
+                return ds._cached("_sweep_rows", lambda: cls(*ds.sorted_view()))
+            subset = np.arange(ds.n)  # weighted full data: the multiset of every record once
+        # the records, put in sweep order by their own values, so tied
+        # records keep their order in ``subset``; a dataset that is not
+        # yet swept stays unsorted
+        time, status, X = ds.records_at(subset)
+        order = _time_order(time, status)
+        time, status, X = time[order], status[order], _gather(X, order)
         if weights is None:
             return cls(time, status, X)
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (m,):
-            raise ValueError(f"weights must have length {m}, got {w.shape}")
+        if w.shape != (time.size,):
+            raise ValueError(f"weights must have length {time.size}, got {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be finite and positive")
-        return cls(time, status, X, w[order] if subset is not None else w[ds.sort_index], ds.n)
+        return cls(time, status, X, w[order], ds.n)
 
 
 def _linear_predictor(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -38,6 +38,12 @@ def random_dataset(rng, n=80, p=3, cr=0.3, ties=False):
     return SurvivalDataset(covariates=X, time=time, status=status)
 
 
+def sweep_order(ds):
+    """The records in sweep order, read back from the rank of the swept dataset; the identity when it holds none."""
+    ds.sorted_view()
+    return np.arange(ds.n) if ds._rank is None else np.argsort(ds._rank)
+
+
 def at_iteration_limit(fn, monkeypatch, limit=0):
     """``fn`` run with the Newton iteration limit set to ``limit``, so a fit inside it stops there."""
 

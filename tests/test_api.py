@@ -41,7 +41,9 @@ def test_exports_exactly_the_public_surface():
 
 
 # the dataset's storage order, which only ``data.py`` may read
-STORAGE_ORDER = {"_records", "_stored_rows", "_permuted", "sort_rank", "_gather_rows"}
+STORAGE_ORDER = {
+    "_records", "_stored_rows", "_rank", "_swept", "sort_index", "_permuted", "sort_rank", "_gather_rows",
+}
 
 
 def test_only_the_data_module_reads_the_storage_order():

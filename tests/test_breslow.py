@@ -26,7 +26,7 @@ from coxsub.breslow import (
 )
 from coxsub.subsampling import draw_uniform, fit_pilot
 
-from conftest import random_dataset
+from conftest import random_dataset, sweep_order
 from oracles import (
     naive_breslow,
     naive_nelson_aalen,
@@ -320,9 +320,9 @@ class TestScoreResiduals:
 
 # fixed example sequence and no example database: the same cases every run
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-# (rows per block, sort rank cached before the call?): tiny blocks split
-# every run into runs of one to three records; a cold call builds the
-# dataset's sort rank, a warm one reuses it
+# (rows per block, dataset swept before the call?): tiny blocks split
+# every run into runs of one to three records; a cold call sorts the
+# dataset and builds its rank, a warm one reuses them
 BLOCK_ROWS = partial_likelihood._BLOCK_ROWS
 KERNELS = [(1, True), (2, True), (3, True), (BLOCK_ROWS, True), (3, False), (BLOCK_ROWS, False)]
 
@@ -391,15 +391,15 @@ def grid_cases(draw):
 
 
 class TestBlockedNormPass:
-    @pytest.mark.parametrize("block, rank_cached", KERNELS)
+    @pytest.mark.parametrize("block, swept", KERNELS)
     @PROPERTY
     @given(case=pilot_cases())
-    def test_matches_dense_residuals(self, block, rank_cached, case):
+    def test_matches_dense_residuals(self, block, swept, case):
         ds, idx, beta, psi = case
         ref = dense_norms(ds, idx, beta, psi)
         xbar, cumhaz = pilot_tables(ds, idx, beta)
-        if rank_cached:
-            ds.sort_rank()
+        if swept:
+            ds.sorted_view()
         with mock.patch.object(partial_likelihood, "_BLOCK_ROWS", block):
             got = score_residual_norms(ds, xbar, cumhaz, beta, inverse(psi))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
@@ -456,7 +456,7 @@ class TestBlockedNormPass:
     @given(case=grid_cases())
     def test_record_order_is_the_scatter_of_the_sorted_norms(self, case):
         # the gather through the rank puts every bit where the former
-        # scatter ``out[sort_index] = sqrt(norm2)`` put it
+        # scatter ``out[sweep order] = sqrt(norm2)`` put it
         ds, idx, beta, psi = case
         kernel, sorted_norms = breslow._norms_blockwise, []
 
@@ -469,7 +469,7 @@ class TestBlockedNormPass:
             with mock.patch.object(breslow, "_norms_blockwise", keep_sorted_norms):
                 got = score_residual_norms(ds, xbar, cumhaz, beta, metric)
             scattered = np.empty(ds.n)
-            scattered[ds.sort_index] = sorted_norms[-1]
+            scattered[sweep_order(ds)] = sorted_norms[-1]
             assert np.array_equal(got, scattered)
 
 

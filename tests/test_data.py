@@ -31,7 +31,7 @@ from coxsub.breslow import RiskSetMean, pilot_breslow, score_residual_norms, sco
 from coxsub.data import _checked_dataset, _parse_cells, _parse_vectorised
 from coxsub.partial_likelihood import _SortedRows
 
-from conftest import random_dataset
+from conftest import random_dataset, sweep_order
 from oracles import (
     oracle_csv_error,
     oracle_sorted_rows,
@@ -48,21 +48,23 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=
 def test_sort_index_definition():
     # times (2,1,3) -> ascending order is rows (1,0,2)
     ds = SurvivalDataset(covariates=[[0.0], [1.0], [2.0]], time=[2.0, 1.0, 3.0], status=[1, 0, 1])
-    assert ds.sort_index.tolist() == [1, 0, 2]
+    assert sweep_order(ds).tolist() == [1, 0, 2]
+    assert ds.sorted_view()[2][:, 0].tolist() == [1.0, 0.0, 2.0]
 
 
 def test_sort_ties_events_first_then_original_order():
     time = [1.0, 1.0, 1.0, 0.5]
     status = [0, 1, 0, 1]
-    ds = SurvivalDataset(covariates=np.zeros((4, 1)), time=time, status=status)
-    assert ds.sort_index.tolist() == [3, 1, 0, 2]
+    ds = SurvivalDataset(covariates=np.arange(4.0)[:, None], time=time, status=status)
+    assert sweep_order(ds).tolist() == [3, 1, 0, 2]
+    assert ds.sorted_view()[2][:, 0].tolist() == [3.0, 1.0, 0.0, 2.0]
 
 
 def test_sort_is_deterministic():
     rng = np.random.default_rng(1)
     ds1 = random_dataset(rng, ties=True)
     ds2 = SurvivalDataset(covariates=ds1.covariates, time=ds1.time, status=ds1.status)
-    assert np.array_equal(ds1.sort_index, ds2.sort_index)
+    assert np.array_equal(sweep_order(ds1), sweep_order(ds2))
 
 
 def test_structural_errors():
@@ -178,13 +180,29 @@ def test_dataset_holds_one_copy_of_its_records():
     n, p = 10_000, 5
     X, time, status = record_arrays(np.random.default_rng(21), n, p)
     ds = SurvivalDataset(covariates=X, time=time, status=status)
-    assert not np.array_equal(ds.sort_index, np.arange(n))
-    ds.covariates, ds.time, ds.status  # reads build the rank and cache nothing else
+    assert ds.sorted_view() and ds._rank is not None
+    ds.covariates, ds.time, ds.status  # reads cache nothing
     newton_solve(ds)
-    held = [a for v in vars(ds).values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
     records = n * (8 * p + 8 + 1)  # float64 covariates and time, int8 status
-    permutations = n * (4 + 4)  # the int32 sort_index and rank
-    assert sum(a.nbytes for a in held) <= records + permutations
+    permutations = n * 4  # the int32 rank
+    assert sum(a.nbytes for a in held_arrays(ds)) <= records + permutations
+
+
+def held_arrays(ds):
+    """The arrays a dataset holds, directly or in a tuple."""
+    return [a for v in vars(ds).values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+
+
+def test_records_in_sweep_order_hold_no_permutation():
+    n, p = 10_000, 3
+    X, time, status = record_arrays(np.random.default_rng(28), n, p, ties=True)
+    order = np.lexsort((status != 1, time))
+    ds = SurvivalDataset(covariates=X[order], time=time[order], status=status[order])
+    newton_solve(ds)
+    two_step(ds, 200, 500, 0.1, "lopt", np.random.default_rng(29))
+    records = {id(a) for a in ds._records}  # the int8 status among them
+    assert not [a.dtype for a in held_arrays(ds) if a.size == n and a.dtype.kind in "iu" and id(a) not in records]
+    assert ds._swept
 
 
 @pytest.mark.parametrize("in_sweep_order", [False, True])
@@ -196,7 +214,7 @@ def test_record_order_reads_equal_the_inputs(in_sweep_order):
     ds = SurvivalDataset(covariates=X, time=time, status=status)
     for swept in (False, True):
         if swept:
-            assert np.array_equal(ds.sort_index, np.arange(50)) == in_sweep_order
+            assert ds.sorted_view() and (ds._rank is None) == in_sweep_order
         for name, given in (("covariates", X), ("time", time), ("status", status)):
             first, second = getattr(ds, name), getattr(ds, name)
             assert np.array_equal(first, given) and np.array_equal(second, given)
@@ -210,7 +228,7 @@ def test_uniform_two_step_never_sorts_the_records():
     X, time, status = record_arrays(np.random.default_rng(24), 2_000, 2)
     ds = SurvivalDataset(covariates=X, time=time, status=status)
     res = two_step(ds, 200, 300, 0.1, "unif", np.random.default_rng(25))
-    assert "sort_index" not in vars(ds) and ds.time is ds.time
+    assert not ds._swept and ds.time is ds.time
     # the same estimate from a dataset swept first
     swept = SurvivalDataset(covariates=X, time=time, status=status)
     swept.sorted_view()
@@ -256,7 +274,7 @@ def test_a_read_taken_before_the_first_sweep_is_unchanged_after_it(inputs, read)
     for name, a in early.items():
         assert a.tobytes() == saved[name].tobytes() and np.array_equal(getattr(ds, name), a)
     # a column neither kept nor handed out is permuted in its own storage
-    permuted = ds._permuted
+    permuted = ds._rank is not None
     for k, (before, after) in enumerate(zip(stored, ds._records)):
         assert (after is before) == (not permuted or (not kept[k] and not read[k])), (k, kept, read)
         assert not after.flags.writeable
@@ -289,18 +307,18 @@ def test_sorting_an_owned_dataset_holds_one_extra_column():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ds.sort_index
+        ds.sorted_view()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert ds._permuted and all(a is b for a, b in zip(ds._records, stored))
+    assert ds._rank is not None and all(a is b for a, b in zip(ds._records, stored))
     assert peak < 1.75 * 8 * n, f"peak {peak / (8 * n):.2f} n-length arrays"
 
 
 def test_a_record_order_gather_owns_its_data():
     # so a plan built over gathered norms keeps them as they are, without a copy
     ds = SurvivalDataset(*record_arrays(np.random.default_rng(27), 50, 2))
-    assert ds.sorted_view() and ds._permuted
+    assert ds.sorted_view() and ds._rank is not None
     for values in (np.full(50, 1 / 50), np.ones(50, dtype=np.int8), np.ones((50, 2), order="F")):
         out = ds.to_record_order(values)
         assert out.flags.owndata and out.shape == values.shape and out.dtype == values.dtype
@@ -319,7 +337,7 @@ def test_a_pickled_dataset_keeps_its_records():
         copy = pickle.loads(pickle.dumps(ds))
         for name in ("covariates", "time", "status"):
             assert getattr(copy, name).tobytes() == getattr(ds, name).tobytes()
-        assert np.array_equal(copy.sort_index, ds.sort_index)
+        assert copy._swept == swept and np.array_equal(sweep_order(copy), sweep_order(ds))
 
 
 # (field, value) of each kind of broken value, -inf time included
@@ -449,7 +467,7 @@ def test_load_csv_basic(tmp_path):
     path.write_text("time,status,x1\n2.0,1,0.5\n1.0,0,-0.25\n3.0,1,0.125\n")
     ds = load_csv(path)
     assert ds.n == 3 and ds.p == 1
-    assert ds.sort_index.tolist() == [1, 0, 2]
+    assert sweep_order(ds).tolist() == [1, 0, 2]
     assert ds.covariates[:, 0].tolist() == [0.5, -0.25, 0.125]
 
 
@@ -549,9 +567,10 @@ def test_sorted_view_is_a_frozen_column_major_gather(seed):
     ds = random_dataset(rng, n=int(rng.integers(1, 50)), p=int(rng.integers(1, 5)), ties=bool(seed % 2))
     time_s, status_s, X_s = ds.sorted_view()
     assert X_s.flags.f_contiguous and X_s.shape == (ds.n, ds.p)
-    assert np.array_equal(X_s, ds.covariates[ds.sort_index])
-    assert np.array_equal(time_s, ds.time[ds.sort_index])
-    assert np.array_equal(status_s, ds.status[ds.sort_index])
+    order = sweep_order(ds)
+    assert np.array_equal(X_s, ds.covariates[order])
+    assert np.array_equal(time_s, ds.time[order])
+    assert np.array_equal(status_s, ds.status[order])
     for arr in (time_s, status_s, X_s):
         assert not arr.flags.writeable
     assert ds.sorted_view()[2] is X_s  # cached
@@ -565,24 +584,31 @@ def test_sorted_view_is_a_frozen_column_major_gather(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sort_rank_inverts_sort_index(seed):
-    rng = np.random.default_rng(seed)
-    ds = random_dataset(rng, n=int(rng.integers(1, 50)), p=2, ties=bool(seed % 2))
-    rank = ds.sort_rank()
-    assert np.array_equal(rank[ds.sort_index], np.arange(ds.n))
+    X, time, status = record_arrays(np.random.default_rng(seed), 40, 2, ties=bool(seed % 2))
+    time[0] = time.max() + 1.0  # record 0 is last in sweep order, so the sort permutes the records
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    time_s = ds.sorted_view()[0]
+    rank = ds._rank
+    assert np.array_equal(rank[np.lexsort((status != 1, time))], np.arange(ds.n))
+    assert np.array_equal(time_s[rank], time)
     assert rank.dtype == np.int32 and not rank.flags.writeable
-    assert ds.sort_rank() is rank  # cached
+    assert ds.sorted_view()[0] is time_s and ds._rank is rank  # sorted once
 
 
-def test_sort_rank_is_built_by_the_first_norms_pass_only():
-    rng = np.random.default_rng(5)
-    ds = random_dataset(rng, n=60, p=2, ties=True)
-    beta = newton_solve(ds).beta
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), in_sweep_order=st.booleans())
+def test_the_sort_builds_the_rank_exactly_when_it_permutes_the_records(seed, n, in_sweep_order):
+    X, time, status = record_arrays(np.random.default_rng(seed), n, 2, ties=True)
+    order = np.lexsort((status != 1, time))
+    if in_sweep_order:
+        X, time, status, order = X[order], time[order], status[order], np.arange(n)
+    ds = SurvivalDataset(covariates=X, time=time, status=status)
+    assert not ds._swept and ds._rank is None
     ds.sorted_view()
-    assert not hasattr(ds, "_sort_rank")  # construction, the sorted view and a fit leave it unbuilt
-    idx = np.flatnonzero(ds.status == 1)[:5]
-    xbar = RiskSetMean.build(ds.time[idx], ds.covariates[idx], beta)
-    norms = score_residual_norms(ds, xbar, pilot_breslow(ds, idx, beta), beta)
-    assert norms.shape == (ds.n,) and ds._sort_rank is ds.sort_rank()
+    permutes = not np.array_equal(order, np.arange(n))
+    assert ds._swept and (ds._rank is not None) == permutes
+    if permutes:
+        assert np.array_equal(ds._rank[order], np.arange(n))
 
 
 @pytest.mark.parametrize("criterion", ["lopt", "aopt"])
@@ -592,13 +618,12 @@ def test_records_in_sweep_order_need_no_rank(criterion):
     X, time, status = X[order], time[order], status[order]
     ds = SurvivalDataset(covariates=X, time=time, status=status)
     res = two_step(ds, 200, 400, 0.1, criterion, np.random.default_rng(27))
-    assert "_sort_rank" not in vars(ds)
-    # the same run with every record-order read gathered through the identity rank
+    assert ds._swept and ds._rank is None
+    # the same run with every record-order read gathered through an identity rank
     gathered = SurvivalDataset(covariates=X, time=time, status=status)
     gathered.sorted_view()
-    object.__setattr__(gathered, "_permuted", True)
+    object.__setattr__(gathered, "_rank", np.arange(ds.n, dtype=np.int32))
     again = two_step(gathered, 200, 400, 0.1, criterion, np.random.default_rng(27))
-    assert np.array_equal(gathered._sort_rank, np.arange(ds.n))
     assert res.plan.probs.tobytes() == again.plan.probs.tobytes()
     assert np.array_equal(res.subsample.indices, again.subsample.indices)
     assert res.fit.beta.tobytes() == again.fit.beta.tobytes()
@@ -629,7 +654,7 @@ def dataset_of_kind(rng, kind, n, p):
     ds = SurvivalDataset(covariates=X, time=time, status=status)
     if kind != "unswept":
         ds.sorted_view()
-        assert np.array_equal(ds.sort_index, np.arange(n)) == (kind == "swept in sweep order")
+        assert (ds._rank is None) == (kind == "swept in sweep order")
     return ds
 
 
@@ -655,10 +680,10 @@ def test_record_accessors_read_in_record_order(seed, n, p, m, kind):
         if kind == "swept and permuted":
             assert got.flags.f_contiguous
         if kind != "unswept":
-            want = v[ds.sort_rank()]
+            want = v[np.argsort(np.lexsort((ds.status != 1, ds.time)))]
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     # neither reading by index nor putting values back sorts the records
-    assert ("sort_index" in vars(ds)) == (kind != "unswept")
+    assert ds._swept == (kind != "unswept")
 
 
 def covariate_layouts(X):
@@ -729,7 +754,7 @@ def test_subset_reads_reject_bad_indices_before_any_sweep(kind):
     # fit_pilot reads only the indices; a Subsample would refuse a boolean array itself
     with pytest.raises(ValueError, match=re.escape(message)):
         fit_pilot(ds, types.SimpleNamespace(indices=bad))
-    assert "sort_index" not in vars(ds) and "_sweep_rows" not in vars(ds)
+    assert not ds._swept and "_sweep_rows" not in vars(ds)
 
 
 BROKEN_VALUES = {
@@ -815,8 +840,15 @@ def test_check_values_passes_clean_dataset():
 
 def test_validate_flags_broken_sort_index():
     for bad in ([0, 0, 2], [0, 1, 3], [-1, 1, 2], [2, 1]):
-        ds = SurvivalDataset(covariates=np.ones((3, 1)), time=[1.0, 2.0, 3.0], status=[1, 0, 1])
-        object.__setattr__(ds, "sort_index", np.array(bad))
+        ds = SurvivalDataset(covariates=np.ones((3, 1)), time=[2.0, 1.0, 3.0], status=[1, 0, 1])
+        assert ds.sorted_view() and validate(ds) == []
+        object.__setattr__(ds, "_rank", np.array(bad, dtype=np.int32))
+        assert [v.code for v in validate(ds)] == ["bad_sort_index"]
+    # stored records out of time order, with or without a rank
+    for time in ([2.0, 1.0, 3.0], [1.0, 2.0, 3.0]):
+        ds = SurvivalDataset(covariates=np.ones((3, 1)), time=time, status=[1, 0, 1])
+        ds.sorted_view()
+        object.__setattr__(ds, "_time", ds._time[::-1])
         assert [v.code for v in validate(ds)] == ["bad_sort_index"]
 
 
@@ -824,7 +856,7 @@ def test_validate_leaves_an_unswept_dataset_unsorted():
     X, time, status = record_arrays(np.random.default_rng(30), 50, 2)
     ds = SurvivalDataset(covariates=X, time=time, status=status)
     assert validate(ds) == []
-    assert "sort_index" not in vars(ds) and ds.time is ds.time
+    assert not ds._swept and ds.time is ds.time
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])

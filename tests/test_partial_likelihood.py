@@ -272,6 +272,25 @@ class TestReductions:
         assert np.array_equal(unit.beta, ones.beta) and unit.neg_logpl == ones.neg_logpl
         assert np.array_equal(unit.hessian, ones.hessian)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 3000), ties=st.booleans())
+    def test_weighted_full_data_is_the_multiset_of_every_record(self, seed, n, ties):
+        # weights without a subset give the bits of the same weights over the multiset arange(n)
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, n=n, p=3, ties=ties)
+        w, beta, every = rng.uniform(0.2, 5.0, n), rng.normal(0.0, 0.3, 3), np.arange(n)
+
+        def outcome(f, **kw):
+            try:
+                got = f(ds, **kw)
+            except NumericsError as err:
+                return repr(err)
+            return np.asarray(got.beta if f is newton_solve else got).tobytes()
+
+        for f, kw in ((neg_log_partial_likelihood, {"beta": beta}), (score, {"beta": beta}),
+                      (hessian, {"beta": beta}), (newton_solve, {})):
+            assert outcome(f, weights=w, **kw) == outcome(f, weights=w, subset=every, **kw), f.__name__
+
     def test_unit_weight_rows_hold_no_weight_buffer(self):
         ds = random_dataset(np.random.default_rng(8), n=40, p=2)
         rows = _SortedRows.of_dataset(ds)
@@ -646,7 +665,7 @@ class TestSweepBuffers:
         # caches (sorted view, rank, verdict, sweep rows), in n-length
         # float64 arrays: about 2.1, from the residual-norm pass and the plan
         ds, n = traced_ds, traced_ds.n
-        ds.sort_rank(), _SortedRows.of_dataset(ds)
+        _SortedRows.of_dataset(ds)
         two_step(ds, 300, 1000, 0.1, criterion, np.random.default_rng(1))
         res, peak = traced_peak(two_step, ds, 300, 1000, 0.1, criterion, np.random.default_rng(2))
         assert np.all((res.covariance.standard_errors > 0.0) & np.isfinite(res.covariance.standard_errors))

@@ -195,7 +195,7 @@ class TestGenDataset:
         ds = gen_dataset(cfg, np.random.default_rng(42))
         # the dataset took the arrays over: its sort permutes them in place
         stored = ds._records
-        ds.sort_index
+        ds.sorted_view()
         assert all(a is b for a, b in zip(ds._records, stored))
         rng = np.random.default_rng(42)
         X = oracles.gen_covariates(case, n, rng, p=cfg.p)
